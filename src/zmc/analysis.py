@@ -252,8 +252,29 @@ class GraphInverter:
         _, mc = self._active(th)
         return mc + np.exp(l), th % TWO_PI
 
+    def _nearest_seed(self, X, Y):
+        """Index of the seed-bank point nearest each target, and its distance."""
+        d2 = (self._seed_xy[0][:, None] - X[None, :]) ** 2 \
+            + (self._seed_xy[1][:, None] - Y[None, :]) ** 2
+        best = np.argmin(d2, axis=0)
+        return best, np.sqrt(d2[best, np.arange(X.size)])
+
     def newton_batch(self, X, Y, u0, th0, maxiter: int = 60, atol: float = 1e-13):
         """Solve for every target.
+
+        Iterates on a node while its residual exceeds ``atol * scale``, with
+        scale = 1 + max(|x|, |y|), for at most ``maxiter`` sweeps; the
+        returned ``converged`` flag is the looser test residual <= 1e-10 *
+        scale.  A node is frozen once a sweep leaves it unchanged (its line
+        search accepts no step and it sits on no corner to shove off): a
+        sweep is a function of the node's own chart point, so every later
+        sweep would repeat it.
+
+        Nodes do not interact, so a batch answers as its targets would one
+        by one, up to rounding: numpy computes a one-column matrix product
+        with BLAS gemv, which rounds unlike the gemm of wider batches, so a
+        node that sweeps alone can end a few ulps from where it would end in
+        company.
 
         Returns (u, theta, lambda, converged, residual); the residual is
         measured in the numerically exact boundary chart.
@@ -270,10 +291,7 @@ class GraphInverter:
         rn = np.hypot(R[0], R[1])
 
         # fall back to the seed bank wherever the warm start is poor
-        d2 = (self._seed_xy[0][:, None] - X[None, :]) ** 2 \
-            + (self._seed_xy[1][:, None] - Y[None, :]) ** 2
-        best = np.argmin(d2, axis=0)
-        srn = np.sqrt(d2[best, np.arange(X.size)])
+        best, srn = self._nearest_seed(X, Y)
         swap = srn < rn
         if swap.any():
             l[swap] = self._seed_l[best[swap]]
@@ -282,20 +300,24 @@ class GraphInverter:
             R = vals[1:] - target
             rn = np.hypot(R[0], R[1])
 
+        frozen = np.zeros(X.size, dtype=bool)
         for _ in range(maxiter):
-            active = rn > atol * scale
+            active = (rn > atol * scale) & ~frozen
             if not active.any():
                 break
             la, tha = l[active], th[active]
             _, dl, dth = self._chart_values(la, tha)
             det = dl[0] * dth[1] - dth[0] * dl[1]
             Ra = R[:, active]
-            sl = -(dth[1] * Ra[0] - dth[0] * Ra[1]) / det
-            sth = -(-dl[1] * Ra[0] + dl[0] * Ra[1]) / det
-            step = np.hypot(sl, sth)
-            shrink = np.minimum(1.0, 8.0 / np.maximum(step, 1e-300))
-            sl *= shrink
-            sth *= shrink
+            # a singular Jacobian gives inf/NaN steps, which the line
+            # search below rejects
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sl = -(dth[1] * Ra[0] - dth[0] * Ra[1]) / det
+                sth = -(-dl[1] * Ra[0] + dl[0] * Ra[1]) / det
+                step = np.hypot(sl, sth)
+                shrink = np.minimum(1.0, 8.0 / np.maximum(step, 1e-300))
+                sl *= shrink
+                sth *= shrink
             alpha = np.ones_like(sl)
             best_l, best_th = la.copy(), tha.copy()
             best_rn = rn[active].copy()
@@ -317,6 +339,8 @@ class GraphInverter:
             # points that accepted no step are usually parked on a corner;
             # shove them off it and let the next sweep retry
             best_th[undone] = self._unkink(best_th[undone], eps=1e-7)
+            # those on no corner would repeat this very sweep: freeze them
+            frozen[active] = undone & (best_th == tha)
             l[active], th[active] = best_l, best_th
             vals, _, _ = self._chart_values(l, th, partials=False)
             R = vals[1:] - target
@@ -328,9 +352,7 @@ class GraphInverter:
     def _cold_start(self, X, Y):
         X = np.asarray(X, dtype=float).ravel()
         Y = np.asarray(Y, dtype=float).ravel()
-        d2 = (self._seed_xy[0][:, None] - X[None, :]) ** 2 \
-            + (self._seed_xy[1][:, None] - Y[None, :]) ** 2
-        best = np.argmin(d2, axis=0)
+        best, _ = self._nearest_seed(X, Y)
         return self._from_chart(self._seed_l[best], self._seed_th[best])
 
     def invert(self, x: float, y: float) -> tuple[float, float, float]:
@@ -423,6 +445,32 @@ def zmc_residual_from_heights(L: np.ndarray, h: float):
     return (1 - ly**2) * lxx + 2 * lx * ly * lxy + (1 - lx**2) * lyy
 
 
+_STENCIL = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
+                     (1, -1), (1, 0), (1, 1)])
+
+
+def stencil_heights(inverter: GraphInverter, xs, y, u_row, th_row, lam_row,
+                    hx: float, hy: float):
+    """Heights on the 3x3 stencil around every node of a solved row.
+
+    The 8 neighbours of all nodes go to one Newton batch, warm-started from
+    the row's preimages (u_row, th_row); lam_row fills the centre.  Returns
+    (L, ok): L[i, j] sits at (x + (i-1) hx, y + (j-1) hy), shape (3, 3, nx),
+    and ok flags the nodes whose 8 neighbours all converged.
+    """
+    xs = np.asarray(xs, dtype=float)
+    nx = xs.size
+    dx = np.repeat(_STENCIL[:, 0], nx)
+    dy = np.repeat(_STENCIL[:, 1], nx)
+    _, _, lam_s, ok_s, _ = inverter.newton_batch(
+        np.tile(xs, 8) + dx * hx, y + dy * hy,
+        np.tile(u_row, 8), np.tile(th_row, 8))
+    L = np.empty((3, 3, nx))
+    L[1, 1] = lam_row
+    L[_STENCIL[:, 0] + 1, _STENCIL[:, 1] + 1] = lam_s.reshape(8, nx)
+    return L, ok_s.reshape(8, nx).all(axis=0)
+
+
 def graph_table(inverter: GraphInverter, xs, ys, h: float = 1e-3,
                 with_residual: bool = True):
     """Tabulate lambda(x, y) over a grid, with gradients and PDE residuals.
@@ -439,19 +487,13 @@ def graph_table(inverter: GraphInverter, xs, ys, h: float = 1e-3,
     resid = np.zeros_like(lam)
     okall = np.empty(lam.shape, dtype=bool)
     u_row = th_row = None
-    offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
     for i, y in enumerate(ys):
         yy = np.full(nx, y)
         if u_row is None:
             u_row, th_row = inverter._cold_start(xs, yy)
         u_row, th_row, lam_row, ok, _ = inverter.newton_batch(xs, yy, u_row, th_row)
-        L = np.empty((3, 3, nx))
-        L[1, 1] = lam_row
-        for dx, dy in offsets:
-            _, _, lam_s, ok_s, _ = inverter.newton_batch(
-                xs + dx * h, yy + dy * h, u_row, th_row)
-            ok &= ok_s
-            L[dx + 1, dy + 1] = lam_s
+        L, ok_s = stencil_heights(inverter, xs, y, u_row, th_row, lam_row, h, h)
+        ok &= ok_s
         lam[i] = lam_row
         lx[i] = (L[2, 1] - L[0, 1]) / (2 * h)
         ly[i] = (L[1, 2] - L[1, 0]) / (2 * h)

@@ -13,7 +13,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,13 +134,6 @@ def resolve_target(args) -> Target:
     raise InputError("give a surface document or --gallery NAME[:n]")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ZMC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -252,19 +244,6 @@ def _causal_labels(data: KobayashiData, U, TH) -> list[str]:
     return out
 
 
-def _eval_rows(evaluator, u, th, workers: int) -> np.ndarray:
-    res = u.shape[0]
-    if workers <= 1:
-        return evaluator.eval_batch(u.ravel(), np.tile(th, res))
-
-    def row(i):
-        return evaluator.eval_batch(u[i], th)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(row, range(res)))
-    return np.concatenate(rows, axis=1)
-
-
 def cmd_sample(args) -> int:
     target = resolve_target(args)
     if target.data is None:
@@ -279,7 +258,7 @@ def cmd_sample(args) -> int:
     u, th = _grid(data, options, args.resolution)
     res = u.shape[0]
     evaluator = SurfaceEvaluator(data)
-    vals = _eval_rows(evaluator, u, th, _threads())
+    vals = evaluator.eval_batch(u.ravel(), np.tile(th, res))
     if options.base_point is not None:
         bp = FinitePoint(*options.base_point)
         vals = vals - evaluator.eval(bp).as_array()[:, None]
@@ -387,22 +366,15 @@ def cmd_graph(args) -> int:
         if not ok.all():
             raise NumericError(f"grid inversion failed at y = {y}")
         # stencil heights for the PDE residual, all warm-started
-        stencil = {}
-        for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
-            su, sth, slam, sok, _ = inverter.newton_batch(
-                raw_targets_x + dx * h / sx, np.full(res, raw_y + dy * h / sy),
-                u_row, th_row)
-            if not sok.all():
-                raise NumericError(f"stencil inversion failed at y = {y}")
-            stencil[(dx, dy)] = slam * lam_scale
-        Lc = lam * lam_scale
-        lx = (stencil[(1, 0)] - stencil[(-1, 0)]) / (2 * h)
-        ly = (stencil[(0, 1)] - stencil[(0, -1)]) / (2 * h)
-        lxx = (stencil[(1, 0)] - 2 * Lc + stencil[(-1, 0)]) / h**2
-        lyy = (stencil[(0, 1)] - 2 * Lc + stencil[(0, -1)]) / h**2
-        lxy = (stencil[(1, 1)] - stencil[(1, -1)] - stencil[(-1, 1)]
-               + stencil[(-1, -1)]) / (4 * h**2)
-        resid = (1 - ly**2) * lxx + 2 * lx * ly * lxy + (1 - lx**2) * lyy
+        L, sok = _analysis.stencil_heights(inverter, raw_targets_x, raw_y,
+                                           u_row, th_row, lam, h / sx, h / sy)
+        if not sok.all():
+            raise NumericError(f"stencil inversion failed at y = {y}")
+        L *= lam_scale
+        Lc = L[1, 1]
+        lx = (L[2, 1] - L[0, 1]) / (2 * h)
+        ly = (L[1, 2] - L[1, 0]) / (2 * h)
+        resid = _analysis.zmc_residual_from_heights(L, h)
         for xi, x in enumerate(xs):
             q = 1.0 - lx[xi] ** 2 - ly[xi] ** 2
             causal = "lightlike" if abs(q) < 1e-6 else (

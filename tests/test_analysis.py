@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,3 +327,90 @@ def test_invert_parabolic_entire_graph():
             _, _, lam = inv.invert(x, y)
             phi = 0.5 * (math.exp(4 * (lam + x)) - 1) + 2 * (lam - x) - 4 * y * y
             assert abs(phi) < 1e-8
+
+
+# ---------------------------------------------------------------- Newton layer
+
+PARABOLIC = make(2, (0.0, 0.0, 0.0, math.pi))
+
+
+@pytest.mark.parametrize("data, x, y", [(SCHERK2, 100.0, 0.0), (SCHERK2, 0.0, 100.0),
+                                        (SCHERK3, 0.0, 100.0)])
+def test_newton_batch_singular_jacobian_is_quiet(data, x, y):
+    # cold-started far out, Newton meets singular Jacobians; their inf/NaN
+    # steps fail the line search without a numpy RuntimeWarning
+    inv = GraphInverter(data)
+    u0, th0 = inv._cold_start([x], [y])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, th, lam, ok, rn = inv.newton_batch([x], [y], u0, th0)
+    assert np.isfinite(rn).all()
+
+
+@pytest.mark.parametrize("data, x, y", [(SCHERK3, 0.3, 0.4), (SCHERK3, 1.5, -0.7),
+                                        (PARABOLIC, 0.3, 0.4), (PARABOLIC, 1.0, -0.5)])
+def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
+    # with atol = 0 a converged node can never go inactive; it must be
+    # frozen once a sweep leaves it where it is, not swept to maxiter
+    inv = GraphInverter(data)
+    u, th, lam = inv.invert(x, y)
+    calls = []
+    chart_values = inv._chart_values
+
+    def counted(l, th, partials=True):
+        calls.append(np.size(l))
+        return chart_values(l, th, partials)
+
+    monkeypatch.setattr(inv, "_chart_values", counted)
+    u2, th2, lam2, ok, rn = inv.newton_batch([x], [y], [u], [th], atol=0.0)
+    # a sweep: one Jacobian, up to 40 line-search trials, one re-evaluation
+    assert len(calls) <= 1 + 3 * 42
+    assert ok[0] and abs(lam2[0] - lam) < 1e-12
+
+
+# Nodes are independent in newton_batch up to rounding: numpy computes a
+# one-column matrix product with BLAS gemv, which rounds unlike the gemm of
+# a wider batch, so a node that sweeps alone in one batch and in company in
+# another can end a few ulps apart (it happens next to scherk:3's origin).
+HEIGHT_ROUNDING = 1e-14
+
+
+@pytest.mark.parametrize("data", [SCHERK3, PARABOLIC], ids=["log", "engine"])
+def test_newton_batch_concatenation_matches_separate_calls(data):
+    inv = GraphInverter(data)
+    xs = np.linspace(-1.5, 1.5, 9)
+    sets = [(xs, np.full(9, 0.5)), (0.7 * xs[::-1], np.full(9, -1.1))]
+    parts = [inv.newton_batch(X, Y, *inv._cold_start(X, Y)) for X, Y in sets]
+    X = np.concatenate([X for X, _ in sets])
+    Y = np.concatenate([Y for _, Y in sets])
+    whole = inv.newton_batch(X, Y, *inv._cold_start(X, Y))
+    u, th, lam, ok, rn = (np.concatenate([p[k] for p in parts]) for k in range(5))
+    assert ok.all() and np.array_equal(whole[3], ok)
+    np.testing.assert_allclose(whole[2], lam, rtol=0, atol=HEIGHT_ROUNDING)
+    np.testing.assert_allclose(whole[0], u, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(1j * whole[1]), np.exp(1j * th), rtol=0, atol=1e-12)
+
+
+def test_graph_table_matches_per_offset_stencil_loop():
+    inv = GraphInverter(SCHERK3)
+    xs = np.linspace(-1.5, 1.5, 9)
+    h = 1e-3
+    lam, lx, ly, resid, ok = graph_table(inv, xs, xs, h=h)
+    # reference: each stencil offset of each row in its own Newton batch
+    u_row, th_row = inv._cold_start(xs, np.full(9, xs[0]))
+    for i, y in enumerate(xs):
+        yy = np.full(9, y)
+        u_row, th_row, lam_row, ok_row, _ = inv.newton_batch(xs, yy, u_row, th_row)
+        L = np.empty((3, 3, 9))
+        L[1, 1] = lam_row
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if dx or dy:
+                    _, _, L[dx + 1, dy + 1], ok_s, _ = inv.newton_batch(
+                        xs + dx * h, yy + dy * h, u_row, th_row)
+                    ok_row &= ok_s
+        assert np.array_equal(lam[i], lam_row) and np.array_equal(ok[i], ok_row)
+        for got, want, tol in ((lx[i], (L[2, 1] - L[0, 1]) / (2 * h), 1 / h),
+                               (ly[i], (L[1, 2] - L[1, 0]) / (2 * h), 1 / h),
+                               (resid[i], zmc_residual_from_heights(L, h), 4 / h**2)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol * HEIGHT_ROUNDING)

@@ -190,19 +190,6 @@ def test_reduce_bad_parity(capsys):
 
 # ---------------------------------------------------------------- determinism
 
-def test_sample_deterministic_under_threads(capsys, tmp_path, monkeypatch):
-    ref = tmp_path / "ref.csv"
-    code, _, _ = run(["sample", "--gallery", "scherk:2", "--format", "csv",
-                      "--resolution", "18", "-o", str(ref)], capsys)
-    assert code == 0
-    monkeypatch.setenv("ZMC_THREADS", "4")
-    par = tmp_path / "par.csv"
-    code, _, _ = run(["sample", "--gallery", "scherk:2", "--format", "csv",
-                      "--resolution", "18", "-o", str(par)], capsys)
-    assert code == 0
-    assert ref.read_bytes() == par.read_bytes()
-
-
 def test_sample_and_graph_deterministic(capsys, tmp_path):
     a1, a2 = tmp_path / "a1.obj", tmp_path / "a2.obj"
     for path in (a1, a2):
