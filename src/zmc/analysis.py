@@ -410,11 +410,6 @@ class GraphInverter:
         return nu, nth, nlam, nok, nrn
 
 
-def invert_graph(data: KobayashiData, x: float, y: float) -> tuple[float, float, float]:
-    """One-shot inversion; build a GraphInverter directly for repeated use."""
-    return GraphInverter(data).invert(x, y)
-
-
 def zmc_residual(data_or_inverter, x: float, y: float, h: float = 1e-3) -> float:
     """Central-difference residual of (1-ly^2) lxx + 2 lx ly lxy + (1-lx^2) lyy.
 
@@ -527,6 +522,85 @@ def _chart(u, th):
     return np.exp(1j * th) / (u + 2.0)
 
 
+_FORWARD = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
+_CELL_CAP = 800
+
+
+def _near_pairs(plane, mu, local, cell, tol_param):
+    """Candidate pairs (I, J) of grid points, in enumeration order; the
+    rule is stated in `injectivity_scan`.  plane is (2, N), mu and local
+    are (N,)."""
+    keys = np.floor(plane / cell).astype(np.int64)
+    ky = keys[1] - keys[1].min() + 1  # keeps ky - 1 from wrapping a column
+    width = int(ky.max()) + 2
+    packed = (keys[0] - keys[0].min()) * width + ky
+    order = np.argsort(packed, kind="stable")  # by cell, then by index
+    cells, start, count = np.unique(packed[order], return_index=True,
+                                    return_counts=True)
+    first = order[start]  # each cell's first point in grid order
+    cid = np.repeat(np.arange(cells.size), count)
+    # the cap: a cell of more than 800 points keeps every step-th one
+    step = (count + _CELL_CAP - 1) // _CELL_CAP
+    keep = (np.arange(order.size) - start[cid]) % step[cid] == 0
+    members, cid = order[keep], cid[keep]
+    count = np.bincount(cid, minlength=cells.size)
+    start = np.cumsum(count) - count
+    mx, my, mm, ml = plane[0, members], plane[1, members], mu[members], local[members]
+    mr, mi = mm.real.copy(), mm.imag.copy()
+    del keys, ky, packed, order, keep  # set-up arrays, before the sweep
+
+    # within a cell, positions in `members` follow the point indices, so
+    # they order a and b as the indices do.  Squared distances with 1e-9
+    # slack are only a prefilter; the exact tests run on its survivors.
+    near2 = cell * cell * (1.0 + 1e-9)
+    far2 = tol_param * tol_param * (1.0 - 1e-9)
+    major, PA, PB = [], [], []
+    for o, (oi, oj) in enumerate(_FORWARD):
+        want = cells[cid] + oi * width + oj
+        nb = np.minimum(np.searchsorted(cells, want), cells.size - 1)
+        n_b = np.where(cells[nb] == want, count[nb], 0)
+        # a-points by neighbour count, descending: step k is a prefix
+        srt = np.argsort(-n_b, kind="stable")
+        b0 = start[nb[srt]]
+        ax, ay, ar, ai = mx[srt], my[srt], mr[srt], mi[srt]
+        sizes = np.searchsorted(-n_b[srt], -np.arange(n_b.max()), side="left")
+        del want, nb, n_b
+        for k, m in enumerate(sizes):
+            b = b0[:m] + k
+            dx = ax[:m] - mx[b]
+            dy = ay[:m] - my[b]
+            dr = ar[:m] - mr[b]
+            di = ai[:m] - mi[b]
+            hit = np.flatnonzero((dx * dx + dy * dy < near2)
+                                 & (dr * dr + di * di > far2))
+            pa, pb = srt[hit], b[hit]
+            d = np.hypot(mx[pa] - mx[pb], my[pa] - my[pb])
+            s = np.maximum(ml[pa], ml[pb])
+            ok = (d < cell) & (np.abs(mm[pa] - mm[pb]) > tol_param) \
+                & (s > 0.15 * cell) & (d < 2.5 * s)
+            if o == 0:
+                ok &= pa < pb
+            pa, pb = pa[ok], pb[ok]
+            major.append(first[cid[pa]] * len(_FORWARD) + o)
+            PA.append(pa)
+            PB.append(pb)
+    major, pa, pb = (np.concatenate(c) for c in (major, PA, PB))
+    pick = np.lexsort((pb, pa, major))
+    return members[pa[pick]], members[pb[pick]]
+
+
+def _dedupe_pairs(mu, I, J, h):
+    """First pair, in the given order, of each unordered pair of chart cells:
+    mu rounded to a multiple of h, ties to even."""
+    # one id per point; two complex numbers are equal when both parts are
+    q = np.rint(mu.real / h) + 1j * np.rint(mu.imag / h)
+    _, key = np.unique(q, return_inverse=True)
+    lo, hi = np.minimum(key[I], key[J]), np.maximum(key[I], key[J])
+    _, first = np.unique(lo * (key.max() + 1) + hi, return_index=True)
+    first.sort()
+    return I[first], J[first]
+
+
 def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
                      u_max: float = 3.0, margin: float = 0.01,
                      tol_param: float = 0.05,
@@ -539,6 +613,20 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
     only means the grid never straddled one.  Sampling evidence, not a
     certification.  u-samples cluster quadratically towards the boundary,
     where the interesting geometry lives.
+
+    Candidates: with `local` the plane step from a grid point to its u and
+    theta neighbours, the points are binned into square cells of side
+    2.5 * median(local); a cell of more than 800 points keeps every k-th,
+    k = ceil(size / 800).  A point pairs with the points of its own cell
+    and of the 4 forward cells (1, 0), (0, 1), (1, 1), (1, -1) when their
+    plane distance d < cell, max(local) > 0.15 cell, d < 2.5 max(local)
+    and their chart points mu = e^(i theta) / (u + 2) lie more than
+    `tol_param` apart.  Pairs are enumerated by the first appearance of the
+    first point's cell in grid order, then by offset, then by first point,
+    then by second point.  In that order, the first pair of each unordered
+    pair of chart cells (mu rounded to multiples of tol_param / 2) seeds a
+    Gauss-Newton solve.  A confirmed crossing is reported unless both its
+    chart points lie within tol_param / 2 of an earlier report's.
     """
     ev = SurfaceEvaluator(data)
     forms = build_oneforms(data)
@@ -561,49 +649,11 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
     local = np.maximum(np.pad(su_, ((0, 1), (0, 0)), mode="edge"), sth_).ravel()
     cell = 2.5 * float(np.median(local))
 
-    cells: dict[tuple[int, int], list[int]] = {}
-    keys = np.floor(plane.T / cell).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    groups = {}
-    for k, v in cells.items():
-        arr = np.asarray(v)
-        if arr.size > 800:
-            arr = arr[:: (arr.size + 799) // 800]
-        groups[k] = arr
-
-    cand_i, cand_j = [], []
-    forward = [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1)]
-    for key, A in groups.items():
-        for oi, oj in forward:
-            B = groups.get((key[0] + oi, key[1] + oj))
-            if B is None:
-                continue
-            d2 = np.hypot(plane[0, A][:, None] - plane[0, B][None, :],
-                          plane[1, A][:, None] - plane[1, B][None, :])
-            near = (d2 < cell) \
-                & (np.abs(mu[A][:, None] - mu[B][None, :]) > tol_param) \
-                & (np.maximum(local[A][:, None], local[B][None, :]) > 0.15 * cell) \
-                & (d2 < 2.5 * np.maximum(local[A][:, None], local[B][None, :]))
-            if (oi, oj) == (0, 0):
-                near &= A[:, None] < B[None, :]
-            ia, jb = np.nonzero(near)
-            cand_i.extend(A[ia])
-            cand_j.extend(B[jb])
-    if not cand_i:
+    I, J = _near_pairs(plane, mu, local, cell, tol_param)
+    if not I.size:
         return []
-
-    # dedupe candidates on the quantized parameter chart
     h = 0.5 * tol_param
-    uniq: dict[tuple, int] = {}
-    for k in range(len(cand_i)):
-        i, j = cand_i[k], cand_j[k]
-        ka = (round(mu[i].real / h), round(mu[i].imag / h))
-        kb = (round(mu[j].real / h), round(mu[j].imag / h))
-        uniq.setdefault((min(ka, kb), max(ka, kb)), k)
-    picks = list(uniq.values())
-    I = np.asarray([cand_i[k] for k in picks])
-    J = np.asarray([cand_j[k] for k in picks])
+    I, J = _dedupe_pairs(mu, I, J, h)
 
     # Gauss-Newton on f(q2) - f(q1) = 0 over the four parameters
     u1, t1 = U[I].copy(), TH[I].copy()

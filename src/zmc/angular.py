@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,8 @@ class AngularData:
         if len(self.alphas) != 2 * self.n:
             raise InputError(f"expected {2 * self.n} angles, got {len(self.alphas)}")
         a = self.alphas
+        if not all(math.isfinite(x) for x in a):
+            raise InputError(f"angles must be finite, got {a}")
         if abs(a[0]) > 0:
             raise AngularOrderError("first angle must be exactly 0")
         if any(a[i] > a[i + 1] for i in range(len(a) - 1)):
@@ -113,6 +116,8 @@ class BlaschkeParams:
 
     def __post_init__(self):
         for bi in self.b:
+            if not cmath.isfinite(bi):
+                raise InputError(f"Blaschke parameters must be finite, got {bi}")
             if abs(bi) >= 1.0:
                 raise BlaschkeOutOfDisk(f"|{bi}| >= 1")
         object.__setattr__(self, "b", tuple(complex(x) for x in self.b))

@@ -56,6 +56,14 @@ def _parse_angle(value, where: str) -> tuple[float, Fraction | None]:
     raise InputError(f"{where}: angle must be a number or string, got {type(value).__name__}")
 
 
+def _number(value, where: str, kind=float):
+    """kind(value), with a malformed value reported as an input error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{where}: expected a number, got {value!r}")
+
+
 @dataclass
 class Options:
     u_max: float = 3.0
@@ -91,10 +99,9 @@ def load_surface_document(path: str) -> Target:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
-    try:
-        n = int(doc["n"])
-    except KeyError:
+    if "n" not in doc:
         raise InputError(f"{path}: missing required field 'n'")
+    n = _number(doc["n"], f"{path}: n", int)
     raw_alphas = doc.get("alphas")
     if not isinstance(raw_alphas, list) or len(raw_alphas) != 2 * n:
         raise InputError(f"{path}: 'alphas' must list exactly {2 * n} angles")
@@ -107,17 +114,24 @@ def load_surface_document(path: str) -> Target:
     b = []
     for i, item in enumerate(doc.get("blaschke", [])):
         if isinstance(item, dict):
-            b.append(complex(float(item.get("re", 0.0)), float(item.get("im", 0.0))))
+            b.append(complex(_number(item.get("re", 0.0), f"{path}: blaschke[{i}].re"),
+                             _number(item.get("im", 0.0), f"{path}: blaschke[{i}].im")))
         elif isinstance(item, (int, float)):
             b.append(complex(item))
         else:
             raise InputError(f"{path}: blaschke[{i}] must be a number or {{re, im}}")
     opts = doc.get("options", {})
+    where = f"{path}: options"
+    base_point = opts.get("base_point")
+    if base_point:
+        if not isinstance(base_point, list) or len(base_point) != 2:
+            raise InputError(f"{where}.base_point: expected [u, theta], got {base_point!r}")
+        base_point = tuple(_number(v, f"{where}.base_point") for v in base_point)
     options = Options(
-        u_max=float(opts.get("u_max", 3.0)),
-        resolution=int(opts.get("resolution", 100)),
-        margin=float(opts.get("margin", 1e-3)),
-        base_point=tuple(opts.get("base_point")) if opts.get("base_point") else None,
+        u_max=_number(opts.get("u_max", 3.0), f"{where}.u_max"),
+        resolution=_number(opts.get("resolution", 100), f"{where}.resolution", int),
+        margin=_number(opts.get("margin", 1e-3), f"{where}.margin"),
+        base_point=base_point or None,
     )
     angular = (AngularData.from_fractions(n, fracs) if exact
                else AngularData(n, tuple(alphas)))
@@ -217,9 +231,18 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _grid(data: KobayashiData, options: Options, resolution: int | None):
-    res = resolution or options.resolution
+    """The (u, theta) sample grid; rejects options that leave it empty or
+    reach outside the domain."""
+    res = options.resolution if resolution is None else resolution
+    if res < 2:
+        raise InputError(f"resolution must be at least 2, got {res}")
+    if not (math.isfinite(options.margin) and options.margin > 0):
+        raise InputError(f"margin must be positive and finite, got {options.margin}")
     th = np.linspace(0.0, 2 * math.pi, res, endpoint=False)
     lo = np.asarray(data.angular.max_cos(th)) + options.margin
+    if not (math.isfinite(options.u_max) and np.all(options.u_max > lo)):
+        raise InputError(f"u_max = {options.u_max} must be finite and exceed every "
+                         f"sampled lower edge max cos + margin, up to {lo.max():.6g}")
     hi = np.full(res, options.u_max)
     u = np.linspace(lo, hi, res, axis=0)
     return u, th

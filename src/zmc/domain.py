@@ -100,18 +100,3 @@ class ExtensionDomain:
         """min_j cos((a_{j+1} - a_j)/2); every domain point has u above it."""
         return min(math.cos(g / 2.0) for g in self.angular.gaps())
 
-
-def contains(domain: ExtensionDomain, p: ExtendedPoint) -> bool:
-    return domain.contains(p)
-
-
-def boundary_distance(domain: ExtensionDomain, p: FinitePoint) -> float:
-    return domain.boundary_distance(p)
-
-
-def active_interval(domain: ExtensionDomain, theta: float) -> tuple[int, float]:
-    return domain.active_interval(theta)
-
-
-def lower_bound(domain: ExtensionDomain) -> float:
-    return domain.lower_bound()

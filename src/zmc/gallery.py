@@ -52,9 +52,6 @@ class Normalization:
             raise InputError("normalization does not preserve the (x, y) plane")
         return float(raw[1]), float(raw[2])
 
-    def lambda_display(self, lam_raw: float) -> float:
-        return self.scale[0] * lam_raw
-
 
 @dataclass(frozen=True)
 class GalleryEntry:

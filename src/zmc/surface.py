@@ -358,8 +358,7 @@ def graph_gradient(forms: OneFormUV, u: float, theta: float) -> tuple[float, flo
 
 
 def integrate_oneform(forms: OneFormUV, start: ExtendedPoint, stop: ExtendedPoint,
-                      base_value: SurfacePoint, margin: float = 1e-3,
-                      tol: float = 1e-11) -> SurfacePoint:
+                      base_value: SurfacePoint, tol: float = 1e-11) -> SurfacePoint:
     """Integrate the closed 1-forms along an in-domain polyline.
 
     The path raises u to a safe level, moves in theta, and descends; the

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from zmc import analysis
 from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
-                          graph_table, injectivity_scan, invert_graph,
+                          graph_table, injectivity_scan,
                           jacobian_x1x2, jacobians_x0, psi_map, umbilics,
                           zmc_residual, zmc_residual_from_heights)
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.errors import OutsideDomain, PreconditionUnmet
+from zmc.gallery import get_entry
 from zmc.polycheb import cheb_U
 from zmc.surface import SurfaceEvaluator
 from zmc.weierstrass import build
@@ -194,7 +196,7 @@ def test_invert_rejects_violated():
     data = make(3, (0.0, 0.0, 2 * math.pi / 3, 2 * math.pi / 3,
                     4 * math.pi / 3, 4 * math.pi / 3))
     with pytest.raises(PreconditionUnmet):
-        invert_graph(data, 0.3, 0.4)
+        GraphInverter(data)
 
 
 def test_invert_general_type():
@@ -290,6 +292,101 @@ def test_injectivity_scan_detects_crossings():
     n3 = make(3, (0.0, 3 * math.pi / 4, 3 * math.pi / 2, 5 * math.pi / 3,
                   7 * math.pi / 4, 11 * math.pi / 6))
     assert injectivity_scan(n3, grid_resolution=200)
+
+
+def _ref_near_pairs(plane, mu, local, cell, tol_param):
+    """The scan's candidate stage as a loop over cells; the oracle for
+    analysis._near_pairs."""
+    cells = {}
+    keys = np.floor(plane.T / cell).astype(np.int64)
+    for i, key in enumerate(map(tuple, keys)):
+        cells.setdefault(key, []).append(i)
+    groups = {}
+    for k, v in cells.items():
+        arr = np.asarray(v)
+        if arr.size > 800:
+            arr = arr[:: (arr.size + 799) // 800]
+        groups[k] = arr
+    cand_i, cand_j = [], []
+    for key, A in groups.items():
+        for oi, oj in [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1)]:
+            B = groups.get((key[0] + oi, key[1] + oj))
+            if B is None:
+                continue
+            d2 = np.hypot(plane[0, A][:, None] - plane[0, B][None, :],
+                          plane[1, A][:, None] - plane[1, B][None, :])
+            near = (d2 < cell) \
+                & (np.abs(mu[A][:, None] - mu[B][None, :]) > tol_param) \
+                & (np.maximum(local[A][:, None], local[B][None, :]) > 0.15 * cell) \
+                & (d2 < 2.5 * np.maximum(local[A][:, None], local[B][None, :]))
+            if (oi, oj) == (0, 0):
+                near &= A[:, None] < B[None, :]
+            ia, jb = np.nonzero(near)
+            cand_i.extend(A[ia])
+            cand_j.extend(B[jb])
+    return np.asarray(cand_i, dtype=int), np.asarray(cand_j, dtype=int)
+
+
+def _ref_dedupe_pairs(mu, cand_i, cand_j, h):
+    """The scan's dedupe stage as a loop over pairs; the oracle for
+    analysis._dedupe_pairs."""
+    uniq = {}
+    for k in range(len(cand_i)):
+        i, j = cand_i[k], cand_j[k]
+        ka = (round(mu[i].real / h), round(mu[i].imag / h))
+        kb = (round(mu[j].real / h), round(mu[j].imag / h))
+        uniq.setdefault((min(ka, kb), max(ka, kb)), k)
+    picks = list(uniq.values())
+    return cand_i[picks], cand_j[picks]
+
+
+@pytest.mark.parametrize("name", ["self-intersecting-n3", "self-intersecting-fb",
+                                  "scherk:3", "jorge-meeks:2"])
+def test_injectivity_scan_matches_loop_reference(name, monkeypatch):
+    data = get_entry(name).data
+    calls = []
+    near_pairs, dedupe_pairs = analysis._near_pairs, analysis._dedupe_pairs
+
+    def checked_near_pairs(*args):
+        I, J = near_pairs(*args)
+        rI, rJ = _ref_near_pairs(*args)
+        calls.append(I.size)
+        assert np.array_equal(I, rI) and np.array_equal(J, rJ)
+        return I, J
+
+    def checked_dedupe_pairs(*args):
+        I, J = dedupe_pairs(*args)
+        rI, rJ = _ref_dedupe_pairs(*args)
+        assert np.array_equal(I, rI) and np.array_equal(J, rJ)
+        return I, J
+
+    monkeypatch.setattr(analysis, "_near_pairs", checked_near_pairs)
+    monkeypatch.setattr(analysis, "_dedupe_pairs", checked_dedupe_pairs)
+    hits = injectivity_scan(data, grid_resolution=120)
+    assert len(calls) == 1
+    monkeypatch.setattr(analysis, "_near_pairs", _ref_near_pairs)
+    monkeypatch.setattr(analysis, "_dedupe_pairs", _ref_dedupe_pairs)
+    assert hits == injectivity_scan(data, grid_resolution=120)
+    assert bool(hits) == name.startswith("self-intersecting")
+
+
+def test_near_pairs_crowded_cell_matches_loop_reference():
+    # one cell of about 860 points runs the 800-point cap (every 2nd point
+    # kept); shuffled indices interleave the cells' first appearances
+    rng = np.random.default_rng(7)
+    plane = np.hstack([rng.uniform(-3.0, 3.0, (2, 1500)), rng.uniform(0.0, 1.0, (2, 820))])
+    perm = rng.permutation(plane.shape[1])
+    plane = plane[:, perm]
+    mu = 0.3 * (rng.uniform(-1, 1, plane.shape[1]) + 1j * rng.uniform(-1, 1, plane.shape[1]))
+    local = rng.uniform(0.05, 1.0, plane.shape[1])
+    I, J = analysis._near_pairs(plane, mu, local, 1.0, 0.2)
+    rI, rJ = _ref_near_pairs(plane, mu, local, 1.0, 0.2)
+    assert rI.size > 10_000
+    assert np.array_equal(I, rI) and np.array_equal(J, rJ)
+    dI, dJ = analysis._dedupe_pairs(mu, I, J, 0.1)
+    rdI, rdJ = _ref_dedupe_pairs(mu, rI, rJ, 0.1)
+    assert 0 < dI.size < I.size
+    assert np.array_equal(dI, rdI) and np.array_equal(dJ, rdJ)
 
 
 def test_umbilics_examples():

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from zmc.cli import main
 
 
@@ -64,6 +65,25 @@ def test_classify_missing_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", "x"), ("re", "a"), ("im", "b"), ("u_max", "big"), ("resolution", "many"),
+    ("margin", "thin"), ("base_point", ["a", 0.0])])
+def test_document_non_numeric_field(capsys, tmp_path, field, value):
+    doc = {"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
+           "blaschke": [{"re": 0.0, "im": 0.0}], "options": {}}
+    if field == "n":
+        doc["n"] = value
+    elif field in ("re", "im"):
+        doc["blaschke"][0][field] = value
+    else:
+        doc["options"][field] = value
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run(["classify", str(spec)], capsys)
+    assert code == 2
+    assert field in err
+
+
 # ---------------------------------------------------------------- sample
 
 def test_sample_obj_grid(capsys, tmp_path):
@@ -115,6 +135,31 @@ def test_sample_ply_header(capsys, tmp_path):
     text = out_path.read_text().splitlines()
     assert text[0] == "ply" and "end_header" in text
     assert "element vertex 64" in text
+
+
+@pytest.mark.parametrize("flags", [
+    ["--u-max", "0.5"],            # below the domain's lower edge
+    ["--u-max", "inf"],
+    ["--margin", "0"], ["--margin", "-0.1"], ["--margin", "nan"], ["--margin", "inf"],
+    ["--resolution", "1"], ["--resolution", "0"], ["--resolution", "-3"]],
+    ids="".join)
+def test_sample_rejects_options_outside_domain(capsys, tmp_path, flags):
+    out_path = tmp_path / "mesh.obj"
+    code, _, err = run(["sample", "--gallery", "scherk:2", "--format", "obj",
+                        "-o", str(out_path)] + flags, capsys)
+    assert code == 2
+    assert not out_path.exists()
+
+
+def test_sample_document_resolution_zero(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
+                                "options": {"resolution": 0}}))
+    out_path = tmp_path / "mesh.obj"
+    code, _, err = run(["sample", str(spec), "-o", str(out_path)], capsys)
+    assert code == 2
+    assert "resolution" in err
+    assert not out_path.exists()
 
 
 def test_sample_negative_entry_refused(capsys, tmp_path):

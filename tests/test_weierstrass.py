@@ -77,6 +77,19 @@ def test_build_rejects_bad_input():
         build(AngularData(2, (0.0, 1.0, 2.0, 3.0)), BlaschkeParams((0.3,)))
 
 
+@pytest.mark.parametrize("alphas", [(0.0, math.nan, 1.0, 3.0), (math.nan, 1.0, 2.0, 3.0),
+                                    (0.0, 1.0, 2.0, math.nan), (0.0, -math.inf, 1.0, 3.0)])
+def test_angular_data_rejects_non_finite(alphas):
+    with pytest.raises(InputError, match="finite"):
+        AngularData(2, alphas)
+
+
+@pytest.mark.parametrize("b", [math.nan, complex(0.2, math.nan), complex(math.inf, 0.0)])
+def test_blaschke_rejects_non_finite(b):
+    with pytest.raises(InputError, match="finite"):
+        BlaschkeParams((b,))
+
+
 def test_principal_identity_with_single_product_form():
     # prod (e^{-ia/2} z - e^{ia/2}) = conj(Lambda) prod (z - e^{ia})
     data = random_principal(3)
