@@ -18,7 +18,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .angular import TWO_PI, AngularData
-from .errors import NoConvergence, OutsideDomain, PreconditionUnmet
+from .errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from .polycheb import cheb_U, cluster_roots, reduce_anti_coeffs
 from .surface import SurfaceEvaluator, build_oneforms
 from .weierstrass import (KobayashiData, FoldTypeReport, dg_numerator,
@@ -169,7 +169,9 @@ class GraphInverter:
         report = check_conditions(data.angular)
         if report.graph_condition is Condition.VIOLATED:
             raise PreconditionUnmet(
-                "graph condition violated: some gap exceeds pi/(n-1)")
+                f"graph condition violated: max angular gap "
+                f"{max(data.angular.gaps()):.6f} exceeds pi/(n-1) = "
+                f"{math.pi / (data.n - 1):.6f}")
         if data.n > 2 and not data.angular.is_distinct:
             raise PreconditionUnmet(
                 "entire-graph certification needs distinct angles for n > 2")
@@ -380,7 +382,14 @@ class GraphInverter:
         return u, th, lam, ok
 
     def invert_grid(self, xs, ys):
-        """Row-wise warm-started grid inversion.
+        """Row-wise warm-started grid inversion: the one loop that solves
+        grid rows.
+
+        The first row starts from the seed bank, every later row from the
+        row before.  The nodes a row's Newton misses get one retry, batched
+        and cold-started from the seed bank.  A node that retry solves
+        reports residual exactly 0.0, the mark of a rescued node; a node it
+        misses keeps the row's result and converged = False.
 
         Returns (u, theta, lam, converged, residual) arrays of shape
         (len(ys), len(xs)).
@@ -394,18 +403,18 @@ class GraphInverter:
         nrn = np.empty_like(nu)
         u_row = th_row = None
         for i, y in enumerate(ys):
+            yy = np.full(xs.size, y)
             if u_row is None:
-                u_row, th_row = self._cold_start(xs, np.full(xs.size, y))
-            u_row, th_row, lam, ok, rn = self.newton_batch(
-                xs, np.full(xs.size, y), u_row, th_row)
-            if not ok.all():
-                for j in np.nonzero(~ok)[0]:
-                    try:
-                        u_row[j], th_row[j], lam[j] = self.invert(xs[j], y)
-                        ok[j] = True
-                        rn[j] = 0.0
-                    except NoConvergence:
-                        pass
+                u_row, th_row = self._cold_start(xs, yy)
+            u_row, th_row, lam, ok, rn = self.newton_batch(xs, yy, u_row, th_row)
+            miss = np.nonzero(~ok)[0]
+            if miss.size:
+                X, Y = xs[miss], yy[miss]
+                u, th, lam_m, ok_m, _ = self.newton_batch(X, Y, *self._cold_start(X, Y))
+                hit = miss[ok_m]
+                u_row[hit], th_row[hit], lam[hit] = u[ok_m], th[ok_m], lam_m[ok_m]
+                ok[hit] = True
+                rn[hit] = 0.0
             nu[i], nth[i], nlam[i], nok[i], nrn[i] = u_row, th_row, lam, ok, rn
         return nu, nth, nlam, nok, nrn
 
@@ -444,58 +453,40 @@ _STENCIL = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
                      (1, -1), (1, 0), (1, 1)])
 
 
-def stencil_heights(inverter: GraphInverter, xs, y, u_row, th_row, lam_row,
-                    hx: float, hy: float):
-    """Heights on the 3x3 stencil around every node of a solved row.
+def stencil_table(inverter: GraphInverter, xs, ys, hx: float, hy: float):
+    """Heights on the 3x3 stencil around every node of a grid.
 
-    The 8 neighbours of all nodes go to one Newton batch, warm-started from
-    the row's preimages (u_row, th_row); lam_row fills the centre.  Returns
-    (L, ok): L[i, j] sits at (x + (i-1) hx, y + (j-1) hy), shape (3, 3, nx),
-    and ok flags the nodes whose 8 neighbours all converged.
-    """
-    xs = np.asarray(xs, dtype=float)
-    nx = xs.size
-    dx = np.repeat(_STENCIL[:, 0], nx)
-    dy = np.repeat(_STENCIL[:, 1], nx)
-    _, _, lam_s, ok_s, _ = inverter.newton_batch(
-        np.tile(xs, 8) + dx * hx, y + dy * hy,
-        np.tile(u_row, 8), np.tile(th_row, 8))
-    L = np.empty((3, 3, nx))
-    L[1, 1] = lam_row
-    L[_STENCIL[:, 0] + 1, _STENCIL[:, 1] + 1] = lam_s.reshape(8, nx)
-    return L, ok_s.reshape(8, nx).all(axis=0)
-
-
-def graph_table(inverter: GraphInverter, xs, ys, h: float = 1e-3,
-                with_residual: bool = True):
-    """Tabulate lambda(x, y) over a grid, with gradients and PDE residuals.
-
-    Returns (lam, lx, ly, resid, ok), each shaped (len(ys), len(xs));
-    rows are warm-started from their neighbors.
+    `invert_grid` solves the nodes; then each row's 8 neighbours go to one
+    Newton batch, warm-started from the row's preimages.  Returns (L, ok):
+    L[i, j] sits at (x + (i-1) hx, y + (j-1) hy), shape (3, 3, len(ys),
+    len(xs)), and ok flags the nodes that converged with all 8 neighbours.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ny, nx = ys.size, xs.size
-    lam = np.empty((ny, nx))
-    lx = np.empty_like(lam)
-    ly = np.empty_like(lam)
-    resid = np.zeros_like(lam)
-    okall = np.empty(lam.shape, dtype=bool)
-    u_row = th_row = None
+    u, th, lam, ok, _ = inverter.invert_grid(xs, ys)
+    nx = xs.size
+    X = np.tile(xs, 8) + np.repeat(_STENCIL[:, 0], nx) * hx
+    dy = np.repeat(_STENCIL[:, 1], nx) * hy
+    L = np.empty((3, 3, ys.size, nx))
+    L[1, 1] = lam
     for i, y in enumerate(ys):
-        yy = np.full(nx, y)
-        if u_row is None:
-            u_row, th_row = inverter._cold_start(xs, yy)
-        u_row, th_row, lam_row, ok, _ = inverter.newton_batch(xs, yy, u_row, th_row)
-        L, ok_s = stencil_heights(inverter, xs, y, u_row, th_row, lam_row, h, h)
-        ok &= ok_s
-        lam[i] = lam_row
-        lx[i] = (L[2, 1] - L[0, 1]) / (2 * h)
-        ly[i] = (L[1, 2] - L[1, 0]) / (2 * h)
-        if with_residual:
-            resid[i] = zmc_residual_from_heights(L, h)
-        okall[i] = ok
-    return lam, lx, ly, resid, okall
+        _, _, lam_s, ok_s, _ = inverter.newton_batch(
+            X, y + dy, np.tile(u[i], 8), np.tile(th[i], 8))
+        L[_STENCIL[:, 0] + 1, _STENCIL[:, 1] + 1, i] = lam_s.reshape(8, nx)
+        ok[i] &= ok_s.reshape(8, nx).all(axis=0)
+    return L, ok
+
+
+def graph_table(inverter: GraphInverter, xs, ys, h: float = 1e-3):
+    """Tabulate lambda(x, y) over a grid, with gradients and PDE residuals
+    from the step-h stencil of `stencil_table`.
+
+    Returns (lam, lx, ly, resid, ok), each shaped (len(ys), len(xs)).
+    """
+    L, ok = stencil_table(inverter, xs, ys, h, h)
+    lx = (L[2, 1] - L[0, 1]) / (2 * h)
+    ly = (L[1, 2] - L[1, 0]) / (2 * h)
+    return L[1, 1], lx, ly, zmc_residual_from_heights(L, h), ok
 
 
 def psi_map(u: float, theta: float) -> tuple[float, float]:
@@ -628,6 +619,10 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
     Gauss-Newton solve.  A confirmed crossing is reported unless both its
     chart points lie within tol_param / 2 of an earlier report's.
     """
+    if grid_resolution < 2:
+        raise InputError(f"grid resolution must be at least 2, got {grid_resolution}")
+    if not (math.isfinite(margin) and margin > 0):
+        raise InputError(f"margin must be positive and finite, got {margin}")
     ev = SurfaceEvaluator(data)
     forms = build_oneforms(data)
     res = grid_resolution

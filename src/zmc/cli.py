@@ -24,7 +24,7 @@ from .domain import FinitePoint
 from .errors import (InputError, NumericError, PreconditionUnmet, ZmcError)
 from .gallery import GalleryEntry, Normalization, get_entry
 from .polycheb import ComplexPoly, ReciprocalClass, reduce_reciprocal
-from .surface import SurfaceEvaluator, build_oneforms, eval_on_disk
+from .surface import SurfaceEvaluator, build_oneforms, causal_character, eval_on_disk
 from .weierstrass import (KobayashiData, build, coefficients, period_check,
                           verify_fold_type)
 
@@ -64,6 +64,14 @@ def _number(value, where: str, kind=float):
         raise InputError(f"{where}: expected a number, got {value!r}")
 
 
+def _integer(value, where: str) -> int:
+    """An integral number such as 3 or 3.0; 2.7 is an input error."""
+    x = _number(value, where)
+    if not x.is_integer():
+        raise InputError(f"{where}: expected an integer, got {value!r}")
+    return int(x)
+
+
 @dataclass
 class Options:
     u_max: float = 3.0
@@ -101,7 +109,7 @@ def load_surface_document(path: str) -> Target:
         raise InputError(f"{path}: top level must be an object")
     if "n" not in doc:
         raise InputError(f"{path}: missing required field 'n'")
-    n = _number(doc["n"], f"{path}: n", int)
+    n = _integer(doc["n"], f"{path}: n")
     raw_alphas = doc.get("alphas")
     if not isinstance(raw_alphas, list) or len(raw_alphas) != 2 * n:
         raise InputError(f"{path}: 'alphas' must list exactly {2 * n} angles")
@@ -129,7 +137,7 @@ def load_surface_document(path: str) -> Target:
         base_point = tuple(_number(v, f"{where}.base_point") for v in base_point)
     options = Options(
         u_max=_number(opts.get("u_max", 3.0), f"{where}.u_max"),
-        resolution=_number(opts.get("resolution", 100), f"{where}.resolution", int),
+        resolution=_integer(opts.get("resolution", 100), f"{where}.resolution"),
         margin=_number(opts.get("margin", 1e-3), f"{where}.margin"),
         base_point=base_point or None,
     )
@@ -348,62 +356,47 @@ def cmd_sample(args) -> int:
 def _parse_range(text: str, where: str) -> tuple[float, float]:
     try:
         lo, _, hi = text.partition(":")
-        return float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
     except ValueError:
         raise InputError(f"{where}: expected LO:HI, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"{where}: both ends must be finite, got {text!r}")
+    return lo, hi
 
 
 def cmd_graph(args) -> int:
     target = resolve_target(args)
     if target.data is None:
         raise PreconditionUnmet(f"{target.name} is not a graph surface")
-    data = target.data
-    report = _analysis.check_conditions(data.angular)
-    if report.graph_condition is _analysis.Condition.VIOLATED:
-        gaps = data.angular.gaps()
-        worst = max(gaps)
-        raise PreconditionUnmet(
-            f"graph condition violated: max angular gap {worst:.6f} exceeds "
-            f"pi/(n-1) = {math.pi / (data.n - 1):.6f}")
-    norm = target.normalization
-    inverter = _analysis.GraphInverter(data)
     x0, x1 = _parse_range(args.x_range, "--x-range")
     y0, y1 = _parse_range(args.y_range, "--y-range")
     res = args.resolution
+    if res < 1:
+        raise InputError(f"--resolution must be at least 1, got {res}")
+    h = args.h
+    if not (math.isfinite(h) and h > 0):
+        raise InputError(f"--h must be positive and finite, got {h}")
+    norm = target.normalization
+    inverter = _analysis.GraphInverter(target.data)
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
-    h = args.h
-
-    sx = norm.scale[1]
-    sy = norm.scale[2]
+    raw_x = np.array([norm.raw_xy(x, 0.0)[0] for x in xs])
+    raw_y = np.array([norm.raw_xy(0.0, y)[1] for y in ys])
+    L, ok = _analysis.stencil_table(inverter, raw_x, raw_y,
+                                    h / norm.scale[1], h / norm.scale[2])
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise NumericError(f"graph inversion failed at (x, y) = ({xs[j]}, {ys[i]})")
+    L *= norm.scale[0]
+    lx = (L[2, 1] - L[0, 1]) / (2 * h)
+    ly = (L[1, 2] - L[1, 0]) / (2 * h)
+    resid = _analysis.zmc_residual_from_heights(L, h)
     lines = ["x,y,lambda,causal,zmc_residual"]
-    lam_scale = norm.scale[0]
-    raw_targets_x = np.array([norm.raw_xy(x, 0.0)[0] for x in xs])
-    u_row = th_row = None
-    for yi, y in enumerate(ys):
-        raw_y = norm.raw_xy(0.0, y)[1]
-        if u_row is None:
-            u_row, th_row = inverter._cold_start(raw_targets_x, np.full(res, raw_y))
-        u_row, th_row, lam, ok, _ = inverter.newton_batch(
-            raw_targets_x, np.full(res, raw_y), u_row, th_row)
-        if not ok.all():
-            raise NumericError(f"grid inversion failed at y = {y}")
-        # stencil heights for the PDE residual, all warm-started
-        L, sok = _analysis.stencil_heights(inverter, raw_targets_x, raw_y,
-                                           u_row, th_row, lam, h / sx, h / sy)
-        if not sok.all():
-            raise NumericError(f"stencil inversion failed at y = {y}")
-        L *= lam_scale
-        Lc = L[1, 1]
-        lx = (L[2, 1] - L[0, 1]) / (2 * h)
-        ly = (L[1, 2] - L[1, 0]) / (2 * h)
-        resid = _analysis.zmc_residual_from_heights(L, h)
-        for xi, x in enumerate(xs):
-            q = 1.0 - lx[xi] ** 2 - ly[xi] ** 2
-            causal = "lightlike" if abs(q) < 1e-6 else (
-                "spacelike" if q > 0 else "timelike")
-            lines.append(",".join([_fmt(x), _fmt(y), _fmt(Lc[xi]),
-                                   causal, _fmt(resid[xi])]))
+    for i, y in enumerate(ys):
+        for j, x in enumerate(xs):
+            causal = causal_character((lx[i, j], ly[i, j])).value
+            lines.append(",".join([_fmt(x), _fmt(y), _fmt(L[1, 1, i, j]),
+                                   causal, _fmt(resid[i, j])]))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {res * res} graph samples to {args.out}")

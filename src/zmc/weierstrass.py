@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularData, BlaschkeParams
-from .errors import InputError, PoleHit, RepeatedAngles
+from .errors import InputError, NumericError, PoleHit, RepeatedAngles
 from .polycheb import ComplexPoly, RationalFn, cluster_roots
 
 _CIRCLE_TOL = 1e-9
@@ -330,8 +330,10 @@ def principal_coefficients(angular: AngularData) -> PrincipalCoeffs:
 def coefficients(data: KobayashiData) -> PrincipalCoeffs | GeneralCoeffs:
     """Residue data for the distinct-angle closed-form extension.
 
-    Checks the residue-theorem sum rules before returning; repeated angles
-    route to the degenerate evaluators or quadrature instead.
+    Checks the residue-theorem sum rules before returning and raises
+    NumericError when rounding breaks them (nearly repeated angles);
+    repeated angles route to the degenerate evaluators or quadrature
+    instead.
     """
     if not data.angular.is_distinct:
         raise RepeatedAngles(
@@ -340,7 +342,7 @@ def coefficients(data: KobayashiData) -> PrincipalCoeffs | GeneralCoeffs:
         coeffs = principal_coefficients(data.angular)
         sums = np.abs(coeffs.weights().sum(axis=1))
         if np.max(sums) > 1e-10:
-            raise AssertionError(f"residue sum rules violated: {sums}")
+            raise NumericError(f"residue sum rules violated: {sums}")
         return coeffs
     B = []
     for k in range(3):
@@ -348,10 +350,10 @@ def coefficients(data: KobayashiData) -> PrincipalCoeffs | GeneralCoeffs:
         for a in data.angular.alphas:
             res = data.phi[k].residue(cmath.exp(1j * a))
             if abs(res.imag) > 1e-9 * (1 + abs(res)):
-                raise AssertionError(f"non-real residue {res} of phi_{k}")
+                raise NumericError(f"non-real residue {res} of phi_{k}")
             row.append(res.real)
         B.append(tuple(row))
     Bm = np.asarray(B)
     if np.max(np.abs(Bm.sum(axis=1))) > 1e-10 * max(1.0, np.abs(Bm).max()):
-        raise AssertionError("residue rows do not sum to zero")
+        raise NumericError("residue rows do not sum to zero")
     return GeneralCoeffs(alphas=tuple(data.angular.alphas), B=tuple(map(tuple, B)))

@@ -10,7 +10,7 @@ from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
                           jacobian_x1x2, jacobians_x0, psi_map, umbilics,
                           zmc_residual, zmc_residual_from_heights)
 from zmc.angular import AngularData, BlaschkeParams
-from zmc.errors import OutsideDomain, PreconditionUnmet
+from zmc.errors import InputError, OutsideDomain, PreconditionUnmet
 from zmc.gallery import get_entry
 from zmc.polycheb import cheb_U
 from zmc.surface import SurfaceEvaluator
@@ -195,7 +195,8 @@ def test_invert_j2_identity():
 def test_invert_rejects_violated():
     data = make(3, (0.0, 0.0, 2 * math.pi / 3, 2 * math.pi / 3,
                     4 * math.pi / 3, 4 * math.pi / 3))
-    with pytest.raises(PreconditionUnmet):
+    with pytest.raises(PreconditionUnmet, match=r"max angular gap 2\.094395 "
+                       r"exceeds pi/\(n-1\) = 1\.570796"):
         GraphInverter(data)
 
 
@@ -221,6 +222,46 @@ def test_invert_grid_and_table():
     assert cok.all()
     gx, gy = graph_gradient(forms, u[4, 6], th[4, 6])
     assert abs(gx - lx[4, 6]) < 1e-5 and abs(gy - ly[4, 6]) < 1e-5
+
+
+# Far from the origin, scherk:3's rows miss nodes that invert_grid's batched
+# cold-start retry misses too; they must come back flagged, which the retry
+# through invert and _homotopy never let happen.
+FAR_XS = np.linspace(3.0, 8.0, 6)
+FAR_YS = np.linspace(2.0, 4.0, 3)
+
+
+def test_invert_grid_far_grid_returns_flags():
+    inv = GraphInverter(get_entry("scherk:3").data)
+    u, th, lam, ok, rn = inv.invert_grid(FAR_XS, FAR_YS)
+    assert ok.shape == (3, 6) and ok.any() and not ok.all()
+    X, Y = np.meshgrid(FAR_XS, FAR_YS)
+    scale = 1.0 + np.maximum(np.abs(X), np.abs(Y))
+    assert np.array_equal(ok, rn <= 1e-10 * scale)
+    assert np.all(np.isfinite(lam[ok]))
+
+
+def test_invert_grid_rescued_nodes_reproduce_targets():
+    # a random principal n = 3 surface whose [-2, 2]^2 rows miss 7 nodes
+    data = make(3, (0.0, 1.0724798527999555, 1.5920117877623825,
+                    3.0747301101615054, 4.008583837552972, 4.944751739369208))
+    xs = np.linspace(-2.0, 2.0, 11)
+    u, th, lam, ok, rn = GraphInverter(data).invert_grid(xs, xs)
+    assert ok.all()
+    rescued = rn == 0.0
+    assert rescued.sum() >= 2
+    X, Y = np.meshgrid(xs, xs)
+    vals = SurfaceEvaluator(data).eval_batch(u[rescued], th[rescued])
+    np.testing.assert_allclose(vals, np.vstack([lam[rescued], X[rescued], Y[rescued]]),
+                               rtol=0, atol=1e-9)
+
+
+def test_graph_table_shares_invert_grid_solve():
+    inv = GraphInverter(get_entry("scherk:3").data)
+    _, _, lam, ok, _ = inv.invert_grid(FAR_XS, FAR_YS)
+    tlam, _, _, _, tok = graph_table(inv, FAR_XS, FAR_YS)
+    assert np.array_equal(tlam, lam)
+    assert np.all(ok[tok])
 
 
 # ---------------------------------------------------------------- PDE residual
@@ -292,6 +333,15 @@ def test_injectivity_scan_detects_crossings():
     n3 = make(3, (0.0, 3 * math.pi / 4, 3 * math.pi / 2, 5 * math.pi / 3,
                   7 * math.pi / 4, 11 * math.pi / 6))
     assert injectivity_scan(n3, grid_resolution=200)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"margin": 0.0}, {"margin": -0.01}, {"margin": float("nan")},
+    {"margin": float("inf")}, {"grid_resolution": 1}], ids=str)
+def test_injectivity_scan_rejects_bad_grid(kwargs):
+    n3 = get_entry("self-intersecting-n3").data
+    with pytest.raises(InputError):
+        injectivity_scan(n3, **kwargs)
 
 
 def _ref_near_pairs(plane, mu, local, cell, tol_param):

@@ -67,7 +67,8 @@ def test_classify_missing_input(capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("n", "x"), ("re", "a"), ("im", "b"), ("u_max", "big"), ("resolution", "many"),
-    ("margin", "thin"), ("base_point", ["a", 0.0])])
+    ("margin", "thin"), ("base_point", ["a", 0.0]),
+    ("n", 2.7), ("resolution", 12.5)])
 def test_document_non_numeric_field(capsys, tmp_path, field, value):
     doc = {"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
            "blaschke": [{"re": 0.0, "im": 0.0}], "options": {}}
@@ -82,6 +83,15 @@ def test_document_non_numeric_field(capsys, tmp_path, field, value):
     code, _, err = run(["classify", str(spec)], capsys)
     assert code == 2
     assert field in err
+
+
+def test_document_integral_floats_accepted(capsys, tmp_path):
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps({"n": 2.0, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
+                                "options": {"resolution": 12.0}}))
+    code, out, _ = run(["classify", str(spec)], capsys)
+    assert code == 0
+    assert "order n = 2" in out
 
 
 # ---------------------------------------------------------------- sample
@@ -162,6 +172,19 @@ def test_sample_document_resolution_zero(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_sample_nearly_repeated_angles_is_numeric_failure(capsys, tmp_path):
+    # the closed-form residues lose the sum rules to rounding
+    spec = tmp_path / "near.json"
+    spec.write_text(json.dumps({"n": 3, "alphas": [0, 1e-9, 2, 2.000000001,
+                                                   4, 4.000000001]}))
+    out_path = tmp_path / "mesh.csv"
+    code, _, err = run(["sample", str(spec), "--format", "csv", "--resolution", "4",
+                        "-o", str(out_path)], capsys)
+    assert code == 4
+    assert "residue" in err
+    assert not out_path.exists()
+
+
 def test_sample_negative_entry_refused(capsys, tmp_path):
     code, _, err = run(["sample", "--gallery", "helicoid-negative",
                         "--format", "obj", "-o", str(tmp_path / "x.obj")], capsys)
@@ -204,6 +227,30 @@ def test_graph_violated_condition_exit_code(capsys, tmp_path):
                         "-o", str(tmp_path / "g.csv")], capsys)
     assert code == 3
     assert "pi/(n-1)" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--resolution", "-1"], ["--resolution", "0"],
+    ["--h", "0"], ["--h=-1e-3"], ["--h", "nan"], ["--h", "inf"],
+    ["--x-range=-inf:2"], ["--y-range=0:nan"]],
+    ids="".join)
+def test_graph_rejects_bad_options(capsys, tmp_path, flags):
+    out_path = tmp_path / "g.csv"
+    code, _, err = run(["graph", "--gallery", "scherk:3", "-o", str(out_path)] + flags,
+                       capsys)
+    assert code == 2
+    assert flags[0].split("=")[0] in err
+    assert not out_path.exists()
+
+
+def test_graph_failure_names_node(capsys, tmp_path):
+    out_path = tmp_path / "g.csv"
+    code, _, err = run(["graph", "--gallery", "scherk:3", "--x-range=3:8",
+                        "--y-range=2:4", "--resolution", "6", "-o", str(out_path)],
+                       capsys)
+    assert code == 4
+    assert "at (x, y) = (" in err
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- check / reduce
