@@ -19,8 +19,8 @@ import numpy.polynomial.polynomial as npoly
 
 from .angular import TWO_PI, AngularData
 from .errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
-from .polycheb import cheb_U, cluster_roots, reduce_anti_coeffs
-from .surface import SurfaceEvaluator, build_oneforms
+from .polycheb import cheb_U, cheb_U_table, cluster_roots, reduce_anti_coeffs
+from .surface import SurfaceEvaluator
 from .weierstrass import (KobayashiData, FoldTypeReport, dg_numerator,
                           hopf_zero_pole_orders, period_check, verify_fold_type)
 
@@ -150,6 +150,38 @@ def jacobians_x0(data: KobayashiData, u: float, theta: float) -> tuple[float, fl
     return common * math.sin(k * theta), -common * math.cos(k * theta)
 
 
+def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
+    """Determinant of the induced metric of f~ in (u, theta), in closed form.
+
+    On the disk the metric is |omega|^2 (1 - |g|^2)^2 |dz|^2, and
+    prod |1 - conj(b_i) z|^2 - prod |z - b_i|^2 = r^{n-1} (r - 1/r) Q with
+    Q = sum_k (p_{m+k} - p_{m-k}) U_{k-1}(u), where p are the coefficients
+    of prod (1 - 2 Re(conj(b_i) e^{i theta}) r + |b_i|^2 r^2) and m = n - 1
+    (Q = -U_{n-2}(u) for principal data).  In (u, theta) this gives
+
+        16 (u^2 - 1) Q^4 / (4^{2n} prod_j (u - cos(theta - alpha_j))^2),
+
+    which continues across the fold: space-like for u > 1, time-like for
+    u < 1, degenerate where Q vanishes.  The Gram determinant of the
+    derivative vectors cannot stand in for it near the boundary, where both
+    vectors are null to more digits than a double holds.
+    """
+    u = np.asarray(u, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    m = data.n - 1
+    p = np.zeros((2 * m + 1,) + u.shape)
+    p[0] = 1.0
+    for b in data.blaschke.b:
+        c = (b.conjugate() * np.exp(1j * theta)).real
+        prev = p.copy()
+        p[1:] -= 2.0 * c * prev[:-1]
+        p[2:] += abs(b) ** 2 * prev[:-2]
+    U = cheb_U_table(m - 1, u)
+    Q = sum((p[m + k] - p[m - k]) * U[k - 1] for k in range(1, m + 1))
+    D = u[..., None] - np.cos(theta[..., None] - np.asarray(data.angular.alphas))
+    return 16.0 * (u * u - 1.0) * Q**4 / (4.0 ** (2 * data.n) * np.prod(D, axis=-1) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # Newton inversion of (x1, x2)
 # ---------------------------------------------------------------------------
@@ -178,14 +210,6 @@ class GraphInverter:
         self.data = data
         self.evaluator = SurfaceEvaluator(data)
         self.angular = data.angular
-        self._betas = np.asarray(data.angular.betas)
-        self._log_mode = self.evaluator._mode == "log"
-        if self._log_mode:
-            self._W = self.evaluator._weights
-            self._alphas = self.evaluator._alphas
-        else:
-            self._forms = build_oneforms(data)
-            self._alphas = np.asarray(data.angular.alphas)
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         seeds_l, seeds_th = [], []
         for dl in (-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0):
@@ -196,49 +220,20 @@ class GraphInverter:
         vals, _, _ = self._chart_values(self._seed_l, self._seed_th, partials=False)
         self._seed_xy = vals[1:, :]
 
-    def _active(self, th):
-        cosines = np.cos(th[None, :] - self._betas[:, None])
-        a = np.argmax(cosines, axis=0)
-        mc = cosines[a, np.arange(th.size)]
-        return a, mc
-
     def _chart_values(self, l, th, partials=True):
         """Values of f~ and (d/dl, d/dtheta) of (x1, x2) in the chart."""
         l = np.asarray(l, dtype=float)
         th = np.asarray(th, dtype=float)
-        a, mc = self._active(th)
         delta = np.exp(l)
-        beta_a = self._betas[a]
-        if self._log_mode:
-            al = self._alphas[:, None]
-            # cos(th - beta_a) - cos(th - alpha_j), evaluated without
-            # cancellation via the product formula; >= 0 since beta_a is
-            # the active maximum, so rounding may only be clipped upward
-            dcos = -2.0 * np.sin(th[None, :] - (beta_a[None, :] + al) / 2.0) \
-                * np.sin((al - beta_a[None, :]) / 2.0)
-            D = delta[None, :] + np.maximum(dcos, 0.0)
-            vals = self._W @ np.log(D)
-            if not partials:
-                return vals, None, None
-            invD = 1.0 / D
-            du = self._W @ invD
-            dth_u = self._W @ (np.sin(th[None, :] - al) * invD)
-            dl = du * delta[None, :]
-            dth = dth_u - du * np.sin(th - beta_a)[None, :]
-            return vals, dl[1:], dth[1:]
-        u = mc + delta
-        vals = self.evaluator.eval_batch(u, th)
+        vals, dd, dth = self.evaluator.jet(delta, th, order=1 if partials else 0)
         if not partials:
             return vals, None, None
-        du, dth_u = self._forms.partials(u, th)
-        dl = du * delta[None, :]
-        dth = dth_u - du * np.sin(th - beta_a)[None, :]
-        return vals, dl[1:], dth[1:]
+        return vals, (dd * delta)[1:], dth[1:]
 
     def _to_chart(self, u, th):
         u = np.asarray(u, dtype=float).ravel()
         th = np.asarray(th, dtype=float).ravel()
-        _, mc = self._active(th)
+        _, mc = self.evaluator.active_end(th)
         return np.log(np.maximum(u - mc, 1e-300)), th
 
     def _unkink(self, th, eps=3e-9):
@@ -251,7 +246,7 @@ class GraphInverter:
         return out
 
     def _from_chart(self, l, th):
-        _, mc = self._active(th)
+        _, mc = self.evaluator.active_end(th)
         return mc + np.exp(l), th % TWO_PI
 
     def _nearest_seed(self, X, Y):
@@ -624,7 +619,6 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
     if not (math.isfinite(margin) and margin > 0):
         raise InputError(f"margin must be positive and finite, got {margin}")
     ev = SurfaceEvaluator(data)
-    forms = build_oneforms(data)
     res = grid_resolution
     th = np.linspace(0.0, TWO_PI, res, endpoint=False)
     lo = np.asarray(data.angular.max_cos(th)) + margin
@@ -665,8 +659,8 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
         if not todo.any():
             break
         idx = np.nonzero(todo)[0]
-        d1u, d1t = forms.partials(u1[idx], t1[idx])
-        d2u, d2t = forms.partials(u2[idx], t2[idx])
+        d1u, d1t = ev.partials(u1[idx], t1[idx])
+        d2u, d2t = ev.partials(u2[idx], t2[idx])
         Jm = np.stack([-d1u, -d1t, d2u, d2t], axis=1)  # (3, 4, n)
         M = np.einsum("akn,bkn->nab", Jm, Jm)
         try:

@@ -21,10 +21,10 @@ import numpy as np
 from . import analysis as _analysis
 from .angular import AngularData, BlaschkeParams
 from .domain import FinitePoint
-from .errors import (InputError, NumericError, PreconditionUnmet, ZmcError)
+from .errors import InputError, NumericError, OutsideDomain, PreconditionUnmet, ZmcError
 from .gallery import GalleryEntry, Normalization, get_entry
 from .polycheb import ComplexPoly, ReciprocalClass, reduce_reciprocal
-from .surface import SurfaceEvaluator, build_oneforms, causal_character, eval_on_disk
+from .surface import SurfaceEvaluator, causal_character, eval_on_disk
 from .weierstrass import (KobayashiData, build, coefficients, period_check,
                           verify_fold_type)
 
@@ -135,6 +135,8 @@ def load_surface_document(path: str) -> Target:
         if not isinstance(base_point, list) or len(base_point) != 2:
             raise InputError(f"{where}.base_point: expected [u, theta], got {base_point!r}")
         base_point = tuple(_number(v, f"{where}.base_point") for v in base_point)
+        if not all(math.isfinite(v) for v in base_point):
+            raise InputError(f"{where}.base_point: must be finite, got {list(base_point)}")
     options = Options(
         u_max=_number(opts.get("u_max", 3.0), f"{where}.u_max"),
         resolution=_integer(opts.get("resolution", 100), f"{where}.resolution"),
@@ -256,23 +258,11 @@ def _grid(data: KobayashiData, options: Options, resolution: int | None):
     return u, th
 
 
-def _causal_labels(data: KobayashiData, U, TH) -> list[str]:
-    """Tangent-plane causal type from the induced metric determinant."""
-    forms = build_oneforms(data)
-    du, dth = forms.partials(U, TH)
-    lorentz = np.array([-1.0, 1.0, 1.0])
-    E = (lorentz[:, None] * du * du).sum(axis=0)
-    G = (lorentz[:, None] * dth * dth).sum(axis=0)
-    F = (lorentz[:, None] * du * dth).sum(axis=0)
-    det = E * G - F * F
-    scale = np.maximum(np.abs(E * G), F * F) + 1e-300
-    out = []
-    for d, s in zip(det, scale):
-        if abs(d) < 1e-9 * s:
-            out.append("lightlike")
-        else:
-            out.append("spacelike" if d > 0 else "timelike")
-    return out
+def _causal_labels(data: KobayashiData, U, TH) -> np.ndarray:
+    """Tangent-plane causal type from the sign of the induced metric
+    determinant, in closed form; zero is light-like."""
+    det = _analysis.metric_determinant(data, U, TH)
+    return np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
 
 
 def cmd_sample(args) -> int:
@@ -289,12 +279,15 @@ def cmd_sample(args) -> int:
     u, th = _grid(data, options, args.resolution)
     res = u.shape[0]
     evaluator = SurfaceEvaluator(data)
-    vals = evaluator.eval_batch(u.ravel(), np.tile(th, res))
+    base = np.zeros(3)
     if options.base_point is not None:
-        bp = FinitePoint(*options.base_point)
-        vals = vals - evaluator.eval(bp).as_array()[:, None]
-    vals = target.normalization.apply_batch(vals)
+        try:
+            base = evaluator.eval(FinitePoint(*options.base_point)).as_array()
+        except OutsideDomain:
+            raise InputError(f"options.base_point {list(options.base_point)} is not "
+                             "strictly inside the extension domain")
     U, TH = u.ravel(), np.tile(th, res)
+    vals = target.normalization.apply_batch(evaluator.eval_batch(U, TH) - base[:, None])
 
     order = [("t", 0), ("x", 1), ("y", 2)]
     if args.axis_order:
@@ -452,30 +445,27 @@ def _check_surface(target: Target, rng, lines: list[str]) -> bool:
     note(worst < 1e-10, f"nullity residual {worst:.2e}")
 
     # Jacobian formula vs finite differences of the evaluator
-    try:
-        ev = SurfaceEvaluator(data)
-        u, th = _random_domain_points(data, rng, 8)
-        hh = 1e-5
-        worst = 0.0
-        for ui, ti in zip(u, th):
-            J = _analysis.jacobian_x1x2(data, ui, ti)
-            fp = ev.eval_batch(np.array([ui + hh, ui - hh, ui, ui]),
-                               np.array([ti, ti, ti + hh, ti - hh]))
-            fu = (fp[:, 0] - fp[:, 1]) / (2 * hh)
-            ft = (fp[:, 2] - fp[:, 3]) / (2 * hh)
-            Jfd = fu[1] * ft[2] - ft[1] * fu[2]
-            worst = max(worst, abs(J - Jfd) / max(1e-12, abs(Jfd)))
-        note(worst < 1e-5, f"jacobian vs finite differences, rel err {worst:.2e}")
+    ev = SurfaceEvaluator(data)
+    u, th = _random_domain_points(data, rng, 8)
+    hh = 1e-5
+    worst = 0.0
+    for ui, ti in zip(u, th):
+        J = _analysis.jacobian_x1x2(data, ui, ti)
+        fp = ev.eval_batch(np.array([ui + hh, ui - hh, ui, ui]),
+                           np.array([ti, ti, ti + hh, ti - hh]))
+        fu = (fp[:, 0] - fp[:, 1]) / (2 * hh)
+        ft = (fp[:, 2] - fp[:, 3]) / (2 * hh)
+        Jfd = fu[1] * ft[2] - ft[1] * fu[2]
+        worst = max(worst, abs(J - Jfd) / max(1e-12, abs(Jfd)))
+    note(worst < 1e-5, f"jacobian vs finite differences, rel err {worst:.2e}")
 
-        # closed form against the disk-side quadrature at two points
-        worst = 0.0
-        for z in (0.35 + 0.1j, -0.2 + 0.45j):
-            a = ev.eval_disk(z).as_array()
-            b = eval_on_disk(data, z).as_array()
-            worst = max(worst, np.abs(a - b).max())
-        note(worst < 1e-8, f"closed form vs quadrature, diff {worst:.2e}")
-    except PreconditionUnmet:
-        lines.append(f"[SKIP] {name}: closed forms unavailable, quadrature only")
+    # closed form against the disk-side quadrature at two points
+    worst = 0.0
+    for z in (0.35 + 0.1j, -0.2 + 0.45j):
+        a = ev.eval_disk(z).as_array()
+        b = eval_on_disk(data, z).as_array()
+        worst = max(worst, np.abs(a - b).max())
+    note(worst < 1e-8, f"closed form vs quadrature, diff {worst:.2e}")
     return ok_all
 
 

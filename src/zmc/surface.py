@@ -1,14 +1,15 @@
 """Evaluation of the analytically extended surface on the (u, theta) domain.
 
-Four independent routes are provided and cross-checked in the tests:
+`SurfaceEvaluator` is the one production route: a closed form built from
+the partial fractions of the phi forms, for ends of any pole order, with
+analytic first derivatives.  The other routes are independent oracles that
+the tests and `zmc check` hold it against:
 
-* log-sum closed forms for distinct angles (principal and general type),
 * pattern closed forms for the degenerate order-2 angle patterns,
-* a partial-fraction engine valid for any end of pole order <= 4,
-* quadrature of the closed real 1-forms, and of the holomorphic forms on
-  the disk side.
+* quadrature of the closed real 1-forms (`OneFormUV`, `integrate_oneform`),
+* quadrature of the holomorphic forms on the disk side (`eval_on_disk`).
 
-All closed-form evaluators share the base value f(p_infinity) = 0.
+All of them share the base value f(p_infinity) = 0.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ import numpy.polynomial.polynomial as npoly
 from scipy.integrate import quad_vec
 
 from .angular import TWO_PI, AngularData
-from .domain import (ExtendedPoint, ExtensionDomain, FinitePoint, P_INFINITY,
-                     PointAtInfinity, iota)
-from .errors import (NumericError, OutsideDomain, PathBlocked, PatternMismatch,
-                     PreconditionUnmet)
+from .domain import (ExtendedPoint, ExtensionDomain, FinitePoint, PointAtInfinity,
+                     iota)
+from .errors import NumericError, OutsideDomain, PathBlocked, PatternMismatch
 from .polycheb import cheb_T_table, cheb_U_table, partial_fractions
-from .weierstrass import (GeneralCoeffs, KobayashiData, PrincipalCoeffs,
-                          coefficients)
+from .weierstrass import KobayashiData
 
 _EDGE = 1e-12
 
@@ -64,116 +63,142 @@ def causal_character(grad: tuple[float, float], tol: float = 1e-6) -> CausalChar
     return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
 
 
-# ---------------------------------------------------------------------------
-# distinct-angle closed forms
-# ---------------------------------------------------------------------------
-
-def _require_inside(alphas: np.ndarray, u: float, theta: float) -> np.ndarray:
-    D = u - np.cos(theta - alphas)
+def _require_inside(betas: np.ndarray, u: float, theta: float) -> np.ndarray:
+    D = u - np.cos(theta - betas)
     if np.min(D) < _EDGE:
         raise OutsideDomain(f"(u, theta) = ({u}, {theta}) too close to the boundary")
     return D
 
 
-def _log_eval(weights: np.ndarray, alphas: np.ndarray, p: ExtendedPoint) -> SurfacePoint:
-    if isinstance(p, PointAtInfinity):
-        return SurfacePoint(0.0, 0.0, 0.0)
-    D = _require_inside(alphas, p.u, p.theta)
-    vals = weights @ np.log(D)
-    return SurfacePoint.from_array(vals)
-
-
-def log_eval_batch(weights: np.ndarray, alphas: np.ndarray,
-                   u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Vectorized log-sum evaluation; shape (3, N).  No domain checks."""
-    D = u[None, :] - np.cos(theta[None, :] - alphas[:, None])
-    return weights @ np.log(D)
-
-
-def eval_principal(coeffs: PrincipalCoeffs, p: ExtendedPoint) -> SurfacePoint:
-    """Principal-type extension: weighted logs of u - cos(theta - alpha_j)."""
-    return _log_eval(coeffs.weights(), np.asarray(coeffs.alphas), p)
-
-
-def eval_general_distinct(coeffs: GeneralCoeffs, p: ExtendedPoint) -> SurfacePoint:
-    """General-type extension, distinct angles: (1/2) sum B_kj log(...)."""
-    return _log_eval(coeffs.weights(), np.asarray(coeffs.alphas), p)
-
-
 # ---------------------------------------------------------------------------
-# partial-fraction engine for repeated angles (pole order <= 4)
+# the evaluator: partial fractions for ends of any pole order
 # ---------------------------------------------------------------------------
 
-def _sym_re(k: int, u, cs, sn, D):
-    """Inversion-symmetric part of Re (z e^{-i beta} - 1)^-k, zeroed at p_inf."""
-    if k == 1:
-        return np.zeros_like(D)
-    if k == 2:
-        return u / (2 * D) - sn**2 / (2 * D**2) - 0.5
-    if k == 3:
-        return -(2 * cs**2 - u * cs + 2 * u**2 - 3) / (4 * D**2) + 0.5
-    raise NotImplementedError(f"order {k}")
+class SurfaceEvaluator:
+    """f~ on the extension domain, in closed form, with analytic first
+    derivatives.
 
+    The partial fractions of the phi forms give each end beta_j a real
+    residue and, for every higher pole order k + 1, a coefficient gamma of
+    (w - 1)^-k, w = z e^{-i beta_j}.  With s = theta - beta_j and
+    D = u - cos s, the inversion-symmetric part of (w - 1)^-k, zeroed at
+    p_infinity, is
 
-def _sym_im(k: int, u, cs, sn, D):
-    """Inversion-symmetric part of Im (z e^{-i beta} - 1)^-k."""
-    if k == 1:
-        return -sn / (2 * D)
-    if k == 2:
-        return sn / (2 * D)
-    if k == 3:
-        return sn * (2 * sn**2 + 3 * u * cs - 3 * u**2) / (4 * D**3)
-    raise NotImplementedError(f"order {k}")
+        S_k = sum_i C(k, i) (-1)^i e^{-i (k-i) s} T_i(u) / (2D)^k - (-1)^k / 2,
 
-
-class ClosedFormExtension:
-    """f-tilde from the partial fractions of the phi forms.
-
-    Handles any angular data whose largest end multiplicity stays <= 4,
-    which covers every order-2 pattern.  Antiderivatives of the principal
-    parts are symmetrized under r -> 1/r, which turns them into real
-    functions of (u, theta) valid on the whole extension domain.
+    since |w - 1|^2 = 2 r D.  So f~ is one real matrix times the basis
+    log D_j, Re S_k(s_j), Im S_k(s_j), which for distinct angles is the
+    residue-weighted log sum.  The sum over i is the power sum
+    q_k = a^k + b^k of a, b = (e^{-is} - r^{+-1}) / 2D, formed by the
+    recurrence q_k = -(1 + i t) q_{k-1} + c q_{k-2} with t = sin s / D and
+    c = e^{-is} / 2D, so S_k = (q_k - (-1)^k) / 2 keeps the digits that
+    expanding the binomial would cancel near the boundary.
     """
 
-    MAX_ORDER = 4
-
     def __init__(self, data: KobayashiData):
-        self.angular = data.angular
         self.betas = np.asarray(data.angular.betas)
-        self.res = np.zeros((3, len(self.betas)))
-        self.terms: list[list[tuple[int, int, complex]]] = [[] for _ in range(3)]
+        K = max(data.angular.multiplicities) - 1
+        res = np.zeros((3, self.betas.size))
+        gamma = np.zeros((3, K, self.betas.size), dtype=complex)
         for k in range(3):
             for part in partial_fractions(data.phi[k]):
-                if part.order > self.MAX_ORDER:
-                    raise PreconditionUnmet(
-                        f"end of order {part.order} > {self.MAX_ORDER}; use quadrature")
                 beta = cmath.phase(part.pole) % TWO_PI
                 j = int(np.argmin(np.minimum((self.betas - beta) % TWO_PI,
                                              (beta - self.betas) % TWO_PI)))
-                res = part.coeffs[0]
-                if abs(res.imag) > 1e-9 * (1 + abs(res)):
-                    raise NumericError(f"non-real residue {res}")
-                self.res[k, j] = res.real
+                r = part.coeffs[0]
+                if abs(r.imag) > 1e-9 * (1 + abs(r)):
+                    raise NumericError(f"non-real residue {r} of phi_{k}")
+                res[k, j] = r.real
                 for m in range(2, part.order + 1):
-                    c = part.coeffs[m - 1]
-                    gamma = -c * cmath.exp(-1j * (m - 1) * self.betas[j]) / (m - 1)
-                    self.terms[k].append((j, m - 1, gamma))
-        if np.max(np.abs(self.res.sum(axis=1))) > 1e-9 * max(1.0, np.abs(self.res).max()):
-            raise NumericError("residues do not sum to zero")
+                    gamma[k, m - 2, j] = (-part.coeffs[m - 1] / (m - 1)
+                                          * cmath.exp(-1j * (m - 1) * self.betas[j]))
+        if np.max(np.abs(res.sum(axis=1))) > 1e-10 * max(1.0, np.abs(res).max()):
+            raise NumericError("residue sum rules violated: the residues of a form "
+                               "do not sum to zero")
+        self._order = K
+        # product formula tables, indexed [j, a]
+        self._mid = (self.betas[:, None] + self.betas[None, :]) / 2.0
+        self._half = np.sin((self.betas[:, None] - self.betas[None, :]) / 2.0)
+        # columns: log D_j, then Re S_k(s_j) and Im S_k(s_j), k-major
+        self._M = np.hstack([res / 2.0, gamma.real.reshape(3, -1),
+                             -gamma.imag.reshape(3, -1)])
 
-    def eval_batch(self, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+    def active_end(self, theta):
+        """(index of the end nearest in angle, max_j cos(theta - beta_j))."""
+        cosines = np.cos(theta[None, :] - self.betas[:, None])
+        a = np.argmax(cosines, axis=0)
+        return a, cosines[a, np.arange(theta.size)]
+
+    def jet(self, delta, theta, order: int = 0):
+        """f~ at boundary clearance delta = u - max_j cos(theta - beta_j).
+
+        Returns (values, d/d delta, d/d theta at fixed delta), each of shape
+        (3, N); the two derivatives are None for order 0 and analytic for
+        order 1.  d/d delta is d/du.  Every D_j is delta plus
+        cos(theta - beta_a) - cos(theta - beta_j) for the nearest end a,
+        formed by the product formula, so a clearance that u itself cannot
+        resolve keeps its digits; at fixed delta the nearest end's D is
+        constant, so its pole drops out of d/d theta exactly.
+        """
+        return self._jet(np.asarray(theta, dtype=float), order,
+                         delta=np.asarray(delta, dtype=float))
+
+    def eval_batch(self, u, theta) -> np.ndarray:
+        """Values of shape (3, N); no domain checks."""
+        return self._jet(np.asarray(theta, dtype=float), 0,
+                         u=np.asarray(u, dtype=float))[0]
+
+    def partials(self, u, theta) -> tuple[np.ndarray, np.ndarray]:
+        """(d f~/du, d f~/dtheta), each of shape (3, N)."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return self._jet(theta, 1, u=u)[1:]
+
+    def _jet(self, theta, order, delta=None, u=None):
+        """`jet`, or with u in place of delta: then delta = u - max cos and
+        d/dtheta is taken at fixed u."""
         s = theta[None, :] - self.betas[:, None]
-        cs, sn = np.cos(s), np.sin(s)
-        D = u[None, :] - cs
-        logD = np.log(D)
-        out = self.res @ logD / 2.0
-        for k in range(3):
-            for j, order, gamma in self.terms[k]:
-                out[k] += gamma.real * _sym_re(order, u, cs[j], sn[j], D[j])
-                out[k] -= gamma.imag * _sym_im(order, u, cs[j], sn[j], D[j])
-        return out
+        cs = np.cos(s)
+        a = np.argmax(cs, axis=0)
+        cols = np.arange(theta.size)
+        if delta is None:
+            delta = u - cs[a, cols]
+        # >= 0 since beta_a is the nearest end, so rounding is only
+        # clipped upward
+        dcos = -2.0 * np.sin(theta[None, :] - self._mid.take(a, axis=1)) \
+            * self._half.take(a, axis=1)
+        D = delta[None, :] + np.maximum(dcos, 0.0)
+        rows = [np.log(D)]
+        K = self._order
+        if not (K or order):
+            return self._M @ rows[0], None, None
+        sn = np.sin(s)
+        invD = 1.0 / D
+        t = sn * invD
+        # dD/dtheta: sin s at fixed u, sin s - sin s_a at fixed delta
+        Dth = sn if u is not None else sn - sn[a, cols]
+        if K:
+            c = (cs - 1j * sn) * (0.5 * invD)
+            b1 = -1.0 - 1j * t
+            q = [2.0, b1]
+            for k in range(2, K + 1):
+                q.append(b1 * q[-1] + c * q[-2])
+            S = [(q[k] - (-1) ** k) / 2.0 for k in range(1, K + 1)]
+            rows += [x.real for x in S] + [x.imag for x in S]
+        vals = self._M @ np.concatenate(rows)
+        if not order:
+            return vals, None, None
+        dd, dth = [invD], [Dth * invD]
+        if K:
+            # the derivatives of t = sin s / D and c = e^{-is} / 2D
+            for drows, dt, dc in ((dd, -t * invD, -c * invD),
+                                  (dth, (cs - t * Dth) * invD, -c * (1j + Dth * invD))):
+                db1 = -1j * dt
+                dq = [0.0, db1]
+                for k in range(2, K + 1):
+                    dq.append(db1 * q[k - 1] + b1 * dq[-1] + dc * q[k - 2] + c * dq[-2])
+                drows += [x.real / 2.0 for x in dq[1:]] + [x.imag / 2.0 for x in dq[1:]]
+        return vals, self._M @ np.concatenate(dd), self._M @ np.concatenate(dth)
 
     def eval(self, p: ExtendedPoint) -> SurfacePoint:
         if isinstance(p, PointAtInfinity):
@@ -181,6 +206,9 @@ class ClosedFormExtension:
         _require_inside(self.betas, p.u, p.theta)
         vals = self.eval_batch(np.array([p.u]), np.array([p.theta]))
         return SurfacePoint.from_array(vals[:, 0])
+
+    def eval_disk(self, z: complex) -> SurfacePoint:
+        return self.eval(iota(z))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +248,7 @@ def eval_degenerate_n2(data: KobayashiData, p: ExtendedPoint) -> SurfacePoint:
 
     (0,0,a,b) and (0,0,a,a) use the explicit coefficient matrices of the
     embedding proof; (0,0,0,0) uses the ruled-surface display; (0,0,0,a)
-    falls back to the partial-fraction engine (the literature only records
+    falls back to `SurfaceEvaluator` (the literature only records
     two of its three coordinate combinations).
     """
     pattern = _n2_pattern(data.angular)
@@ -268,8 +296,8 @@ def eval_degenerate_n2(data: KobayashiData, p: ExtendedPoint) -> SurfacePoint:
         ])
         return SurfacePoint.from_array(M @ np.array([X0, X1, X2]))
 
-    # (0,0,0,a): completed via the partial-fraction engine
-    return ClosedFormExtension(data).eval(p)
+    # (0,0,0,a): completed by the partial-fraction evaluator
+    return SurfaceEvaluator(data).eval(p)
 
 
 # ---------------------------------------------------------------------------
@@ -480,50 +508,3 @@ def eval_on_disk(data: KobayashiData, z: complex, z0: complex = 0j,
         val, _ = quad_vec(f, 0.0, 1.0, epsabs=tol, epsrel=tol)
         total += val
     return SurfacePoint.from_array(f0.as_array() + total.real)
-
-
-# ---------------------------------------------------------------------------
-# evaluator dispatch
-# ---------------------------------------------------------------------------
-
-class SurfaceEvaluator:
-    """Uniform batch/scalar evaluation choosing the best available route."""
-
-    def __init__(self, data: KobayashiData):
-        self.data = data
-        self.domain = ExtensionDomain(data.angular)
-        self._mode = None
-        if data.angular.is_distinct:
-            c = coefficients(data)
-            self._weights = c.weights()
-            self._alphas = np.asarray(c.alphas)
-            self._mode = "log"
-        elif max(data.angular.multiplicities) <= ClosedFormExtension.MAX_ORDER:
-            self._ext = ClosedFormExtension(data)
-            self._mode = "engine"
-        else:
-            self._forms = build_oneforms(data)
-            self._mode = "quad"
-
-    def eval_batch(self, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        if self._mode == "log":
-            return log_eval_batch(self._weights, self._alphas, u, theta)
-        if self._mode == "engine":
-            return self._ext.eval_batch(u, theta)
-        out = np.empty((3, len(u)))
-        for i in range(len(u)):
-            pt = integrate_oneform(self._forms, P_INFINITY,
-                                   FinitePoint(u[i], theta[i]),
-                                   SurfacePoint(0.0, 0.0, 0.0))
-            out[:, i] = pt.as_array()
-        return out
-
-    def eval(self, p: ExtendedPoint) -> SurfacePoint:
-        if isinstance(p, PointAtInfinity):
-            return SurfacePoint(0.0, 0.0, 0.0)
-        _require_inside(np.asarray(self.data.angular.betas), p.u, p.theta)
-        vals = self.eval_batch(np.array([p.u]), np.array([p.theta]))
-        return SurfacePoint.from_array(vals[:, 0])
-
-    def eval_disk(self, z: complex) -> SurfacePoint:
-        return self.eval(iota(z))

@@ -328,16 +328,15 @@ def principal_coefficients(angular: AngularData) -> PrincipalCoeffs:
 
 
 def coefficients(data: KobayashiData) -> PrincipalCoeffs | GeneralCoeffs:
-    """Residue data for the distinct-angle closed-form extension.
+    """Residue data for the distinct-angle closed-form extension, kept as
+    an oracle: `surface.SurfaceEvaluator` takes its own from the partial
+    fractions, for repeated angles too.
 
     Checks the residue-theorem sum rules before returning and raises
-    NumericError when rounding breaks them (nearly repeated angles);
-    repeated angles route to the degenerate evaluators or quadrature
-    instead.
+    NumericError when rounding breaks them (nearly repeated angles).
     """
     if not data.angular.is_distinct:
-        raise RepeatedAngles(
-            "angles repeat; use the degenerate closed forms or quadrature")
+        raise RepeatedAngles("angles repeat; use surface.SurfaceEvaluator")
     if data.principal:
         coeffs = principal_coefficients(data.angular)
         sums = np.abs(coeffs.weights().sum(axis=1))

@@ -7,13 +7,13 @@ import pytest
 from zmc import analysis
 from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
                           graph_table, injectivity_scan,
-                          jacobian_x1x2, jacobians_x0, psi_map, umbilics,
-                          zmc_residual, zmc_residual_from_heights)
+                          jacobian_x1x2, jacobians_x0, metric_determinant, psi_map,
+                          umbilics, zmc_residual, zmc_residual_from_heights)
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.errors import InputError, OutsideDomain, PreconditionUnmet
 from zmc.gallery import get_entry
 from zmc.polycheb import cheb_U
-from zmc.surface import SurfaceEvaluator
+from zmc.surface import SurfaceEvaluator, build_oneforms
 from zmc.weierstrass import build
 
 RNG = np.random.default_rng(123)
@@ -157,6 +157,21 @@ def test_immersion_witness_all_jacobians_vanish():
     j01, j02 = jacobians_x0(data, u0, th0)
     assert abs(j01) < 1e-10 and abs(j02) < 1e-10
     assert abs(jacobian_x1x2(data, u0, th0)) < 1e-10
+
+
+@pytest.mark.parametrize("data", [SCHERK3, GEN3, J2, make(3, (0.0,) * 6),
+                                  make(3, (0.0, 0.9, 2.0, 3.1, 4.2, 5.2), b=(0.3 - 0.2j,))])
+def test_metric_determinant_matches_gram_determinant(data):
+    # oracle: the Lorentz Gram determinant of the 1-form partials, which
+    # rounds like the product of the Euclidean lengths of its vectors
+    u, th = domain_points(data, 64, np.random.default_rng(8))
+    du, dt = build_oneforms(data).partials(u, th)
+    lor = np.array([-1.0, 1.0, 1.0])[:, None]
+    E, G, F = (lor * du * du).sum(0), (lor * dt * dt).sum(0), (lor * du * dt).sum(0)
+    size = (du * du).sum(0) * (dt * dt).sum(0)
+    det = metric_determinant(data, u, th)
+    assert np.all(np.abs(det - (E * G - F * F)) <= 1e-10 * size)
+    assert np.all(np.sign(det) == np.sign(u - 1))
 
 
 def test_jacobian_outside_domain():

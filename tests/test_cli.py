@@ -185,6 +185,64 @@ def test_sample_nearly_repeated_angles_is_numeric_failure(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("base_point", [[math.nan, 0.0], [2.0, math.inf],
+                                        [math.inf, 0.0], [0.0, 0.0]])
+def test_sample_rejects_bad_base_point(capsys, tmp_path, base_point):
+    # non-finite, or outside the extension domain ([0, 0] lies below every
+    # cosine of scherk:2)
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps({"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
+                                "options": {"base_point": base_point}}))
+    out_path = tmp_path / "mesh.csv"
+    code, _, err = run(["sample", str(spec), "--format", "csv", "--resolution", "4",
+                        "-o", str(out_path)], capsys)
+    assert code == 2
+    assert "base_point" in err
+    assert not out_path.exists()
+
+
+ORDER6_DOC = {"n": 3, "alphas": [0, 0, 0, 0, 0, 0]}  # one end of pole order 6
+
+
+def test_sample_order6_csv(capsys, tmp_path):
+    from zmc.angular import AngularData, BlaschkeParams
+    from zmc.domain import FinitePoint, iota_inverse
+    from zmc.surface import eval_on_disk
+    from zmc.weierstrass import build
+    spec = tmp_path / "order6.json"
+    spec.write_text(json.dumps(ORDER6_DOC))
+    out_path = tmp_path / "mesh.csv"
+    code, _, _ = run(["sample", str(spec), "--format", "csv", "--resolution", "12",
+                      "-o", str(out_path)], capsys)
+    assert code == 0
+    rows = [r.split(",") for r in out_path.read_text().splitlines()[1:]]
+    assert len(rows) == 144
+    nums = np.array([r[:5] for r in rows], dtype=float)
+    assert np.all(np.isfinite(nums))
+    labels = np.array([r[5] for r in rows])
+    u = nums[:, 0]
+    # the fold rule: space-like outside the unit circle, time-like inside
+    assert np.all(labels[u > 1 + 1e-9] == "spacelike")
+    assert np.all(labels[u < 1 - 1e-9] == "timelike")
+    data = build(AngularData(3, (0.0,) * 6), BlaschkeParams(()))
+    far = np.nonzero(u >= 1.001)[0]
+    assert far.size > 60
+    for i in far:
+        z = iota_inverse(FinitePoint(u[i], nums[i, 1]))
+        want = eval_on_disk(data, z).as_array()
+        assert np.max(np.abs(nums[i, 2:] - want)) < 1e-9 * (1 + np.abs(want).max())
+
+
+def test_check_order6_document(capsys, tmp_path):
+    spec = tmp_path / "order6.json"
+    spec.write_text(json.dumps(ORDER6_DOC))
+    code, out, _ = run(["check", str(spec)], capsys)
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert len(lines) == 5
+    assert all(ln.startswith("[PASS]") for ln in lines)
+
+
 def test_sample_negative_entry_refused(capsys, tmp_path):
     code, _, err = run(["sample", "--gallery", "helicoid-negative",
                         "--format", "obj", "-o", str(tmp_path / "x.obj")], capsys)
