@@ -1,4 +1,4 @@
-"""Graph / immersion criteria, Newton inversion, PDE residuals, scans.
+"""Graph / immersion criteria, Newton inversion, analytic PDE residuals, scans.
 
 The two gap conditions on the angular data decide everything: gaps up to
 pi/(n-1) make (x1, x2) a diffeomorphism onto the plane (an entire graph),
@@ -414,74 +414,62 @@ class GraphInverter:
         return nu, nth, nlam, nok, nrn
 
 
-def zmc_residual(data_or_inverter, x: float, y: float, h: float = 1e-3) -> float:
-    """Central-difference residual of (1-ly^2) lxx + 2 lx ly lxy + (1-lx^2) lyy.
+def graph_derivatives(inverter: GraphInverter, u, th, scale=(1.0, 1.0, 1.0)):
+    """Analytic gradient, Hessian and ZMC residual of the graph height
+    lambda at preimages (u, theta), from one order-2 `jet` at their chart
+    points.
 
-    Zero mean curvature makes this O(h^2) small wherever the graph height
-    lambda is smooth.
+    In a chart p with J = d(x1, x2)/dp, implicit differentiation of
+    x0 = lambda(x1, x2) gives grad lambda = J^-T grad_p x0 and the Hessian
+    J^-T (Hess_p x0 - lambda_x Hess_p x1 - lambda_y Hess_p x2) J^-1.  With
+    `scale`, lambda is the graph t = scale[0] x0 over (scale[1] x1,
+    scale[2] x2).  Returns (grad, hess, resid, finite), of shapes (2,),
+    (2, 2) and () + u.shape; finite is False where J is singular or a
+    result is not finite.
     """
-    inv = data_or_inverter if isinstance(data_or_inverter, GraphInverter) \
-        else GraphInverter(data_or_inverter)
-    uc, thc, _ = inv.invert(x, y)
-    dx = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1]) * h
-    dy = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1]) * h
-    u, th, lam, ok, _ = inv.newton_batch(x + dx, y + dy,
-                                         np.full(9, uc), np.full(9, thc))
-    if not ok.all():
-        raise NoConvergence(f"stencil inversion failed near ({x}, {y})", x=x, y=y)
-    L = lam.reshape(3, 3)  # L[i, j] at (x + (i-1) h, y + (j-1) h)
-    return float(zmc_residual_from_heights(L, h))
+    shape, u = np.shape(u), np.ravel(u)
+    l, t = inverter._to_chart(u, th)
+    delta = np.exp(l)
+    with np.errstate(all="ignore"):
+        _, Fd, Ft, Fdd, Fdt, Ftt = inverter.evaluator.jet(delta, t, order=2)
+        # the chart (l, theta), delta = e^l
+        F = [delta * Fd, Ft, delta * delta * Fdd + delta * Fd, delta * Fdt, Ftt]
+        # towards p_infinity (the origin's node sits at the l cap) d/dl sums
+        # nearly cancelling 1/D_j; so for u > 2 the chart is the disk point
+        # z = p1 + i p2 of (u, theta), where f~ = Re of the integral of phi
+        far = u > 2.0
+        z = np.exp(1j * t[far]) / (u[far] + np.sqrt(u[far] ** 2 - 1.0))
+        f1 = np.array([phi(z) for phi in inverter.data.phi])
+        f2 = np.array([(phi.num.deriv()(z) - phi(z) * phi.den.deriv()(z)) / phi.den(z)
+                       for phi in inverter.data.phi])
+        for Fk, Dk in zip(F, (f1.real, -f1.imag, f2.real, -f2.imag, -f2.real)):
+            Fk[:, far] = Dk
+        F1, F2, F11, F12, F22 = F
+        det = F1[1] * F2[2] - F2[1] * F1[2]
+        Jinv = np.array([[F2[2], -F2[1]], [-F1[2], F1[1]]]) / det  # [p, i]
+        grad = np.einsum("pin,pn->in", Jinv, np.array([F1[0], F2[0]]))
+        Hp = np.array([[F11, F12], [F12, F22]])
+        M = Hp[:, :, 0] - grad[0] * Hp[:, :, 1] - grad[1] * Hp[:, :, 2]
+        hess = np.einsum("pin,pqn,qjn->ijn", Jinv, M, Jinv)
+        # display_i = scale_i raw_i
+        s = np.array(scale[1:])
+        grad *= scale[0] / s[:, None]
+        hess *= scale[0] / np.outer(s, s)[:, :, None]
+        (lx, ly), H = grad, hess
+        resid = (1 - ly**2) * H[0, 0] + 2 * lx * ly * H[0, 1] + (1 - lx**2) * H[1, 1]
+    finite = np.isfinite(grad).all(axis=0) & np.isfinite(resid)
+    return tuple(a.reshape(a.shape[:-1] + shape) for a in (grad, hess, resid, finite))
 
 
-def zmc_residual_from_heights(L: np.ndarray, h: float):
-    """PDE residual from a 3x3 stencil of graph heights; L[i, j] sits at
-    (x + (i-1) h, y + (j-1) h).  Vectorizes over trailing axes."""
-    lx = (L[2, 1] - L[0, 1]) / (2 * h)
-    ly = (L[1, 2] - L[1, 0]) / (2 * h)
-    lxx = (L[2, 1] - 2 * L[1, 1] + L[0, 1]) / h**2
-    lyy = (L[1, 2] - 2 * L[1, 1] + L[1, 0]) / h**2
-    lxy = (L[2, 2] - L[2, 0] - L[0, 2] + L[0, 0]) / (4 * h**2)
-    return (1 - ly**2) * lxx + 2 * lx * ly * lxy + (1 - lx**2) * lyy
-
-
-_STENCIL = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
-                     (1, -1), (1, 0), (1, 1)])
-
-
-def stencil_table(inverter: GraphInverter, xs, ys, hx: float, hy: float):
-    """Heights on the 3x3 stencil around every node of a grid.
-
-    `invert_grid` solves the nodes; then each row's 8 neighbours go to one
-    Newton batch, warm-started from the row's preimages.  Returns (L, ok):
-    L[i, j] sits at (x + (i-1) hx, y + (j-1) hy), shape (3, 3, len(ys),
-    len(xs)), and ok flags the nodes that converged with all 8 neighbours.
+def graph_table(inverter: GraphInverter, xs, ys, h: float | None = None):
+    """lambda(x, y) over a grid, with the gradient and ZMC residual of
+    `graph_derivatives` at the nodes `invert_grid` solves; `h` is ignored
+    (accepted for one release).  Returns (lam, lx, ly, resid, ok), each
+    shaped (len(ys), len(xs)); ok is False where a result is not finite.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     u, th, lam, ok, _ = inverter.invert_grid(xs, ys)
-    nx = xs.size
-    X = np.tile(xs, 8) + np.repeat(_STENCIL[:, 0], nx) * hx
-    dy = np.repeat(_STENCIL[:, 1], nx) * hy
-    L = np.empty((3, 3, ys.size, nx))
-    L[1, 1] = lam
-    for i, y in enumerate(ys):
-        _, _, lam_s, ok_s, _ = inverter.newton_batch(
-            X, y + dy, np.tile(u[i], 8), np.tile(th[i], 8))
-        L[_STENCIL[:, 0] + 1, _STENCIL[:, 1] + 1, i] = lam_s.reshape(8, nx)
-        ok[i] &= ok_s.reshape(8, nx).all(axis=0)
-    return L, ok
-
-
-def graph_table(inverter: GraphInverter, xs, ys, h: float = 1e-3):
-    """Tabulate lambda(x, y) over a grid, with gradients and PDE residuals
-    from the step-h stencil of `stencil_table`.
-
-    Returns (lam, lx, ly, resid, ok), each shaped (len(ys), len(xs)).
-    """
-    L, ok = stencil_table(inverter, xs, ys, h, h)
-    lx = (L[2, 1] - L[0, 1]) / (2 * h)
-    ly = (L[1, 2] - L[1, 0]) / (2 * h)
-    return L[1, 1], lx, ly, zmc_residual_from_heights(L, h), ok
+    grad, _, resid, finite = graph_derivatives(inverter, u, th)
+    return lam, grad[0], grad[1], resid, ok & finite
 
 
 def psi_map(u: float, theta: float) -> tuple[float, float]:

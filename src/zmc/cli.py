@@ -366,29 +366,26 @@ def cmd_graph(args) -> int:
     res = args.resolution
     if res < 1:
         raise InputError(f"--resolution must be at least 1, got {res}")
-    h = args.h
-    if not (math.isfinite(h) and h > 0):
-        raise InputError(f"--h must be positive and finite, got {h}")
+    # --h is still checked, but ignored: the residual is analytic
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise InputError(f"--h must be positive and finite, got {args.h}")
     norm = target.normalization
     inverter = _analysis.GraphInverter(target.data)
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
     raw_x = np.array([norm.raw_xy(x, 0.0)[0] for x in xs])
     raw_y = np.array([norm.raw_xy(0.0, y)[1] for y in ys])
-    L, ok = _analysis.stencil_table(inverter, raw_x, raw_y,
-                                    h / norm.scale[1], h / norm.scale[2])
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0]
-        raise NumericError(f"graph inversion failed at (x, y) = ({xs[j]}, {ys[i]})")
-    L *= norm.scale[0]
-    lx = (L[2, 1] - L[0, 1]) / (2 * h)
-    ly = (L[1, 2] - L[1, 0]) / (2 * h)
-    resid = _analysis.zmc_residual_from_heights(L, h)
+    u, th, lam, ok, _ = inverter.invert_grid(raw_x, raw_y)
+    (lx, ly), _, resid, finite = _analysis.graph_derivatives(inverter, u, th, norm.scale)
+    if not (ok & finite).all():
+        i, j = np.argwhere(~(ok & finite))[0]
+        why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
+        raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
     lines = ["x,y,lambda,causal,zmc_residual"]
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
             causal = causal_character((lx[i, j], ly[i, j])).value
-            lines.append(",".join([_fmt(x), _fmt(y), _fmt(L[1, 1, i, j]),
+            lines.append(",".join([_fmt(x), _fmt(y), _fmt(norm.scale[0] * lam[i, j]),
                                    causal, _fmt(resid[i, j])]))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -444,20 +441,14 @@ def _check_surface(target: Target, rng, lines: list[str]) -> bool:
                     / max(1.0, abs(v[0]) ** 2))
     note(worst < 1e-10, f"nullity residual {worst:.2e}")
 
-    # Jacobian formula vs finite differences of the evaluator
+    # Jacobian formula vs the evaluator's analytic derivatives
     ev = SurfaceEvaluator(data)
     u, th = _random_domain_points(data, rng, 8)
-    hh = 1e-5
-    worst = 0.0
-    for ui, ti in zip(u, th):
-        J = _analysis.jacobian_x1x2(data, ui, ti)
-        fp = ev.eval_batch(np.array([ui + hh, ui - hh, ui, ui]),
-                           np.array([ti, ti, ti + hh, ti - hh]))
-        fu = (fp[:, 0] - fp[:, 1]) / (2 * hh)
-        ft = (fp[:, 2] - fp[:, 3]) / (2 * hh)
-        Jfd = fu[1] * ft[2] - ft[1] * fu[2]
-        worst = max(worst, abs(J - Jfd) / max(1e-12, abs(Jfd)))
-    note(worst < 1e-5, f"jacobian vs finite differences, rel err {worst:.2e}")
+    du, dth = ev.partials(u, th)
+    J_ev = du[1] * dth[2] - dth[1] * du[2]
+    J = np.array([_analysis.jacobian_x1x2(data, ui, ti) for ui, ti in zip(u, th)])
+    worst = float(np.max(np.abs(J - J_ev) / np.maximum(1e-12, np.abs(J_ev))))
+    note(worst < 1e-10, f"jacobian vs evaluator derivatives, rel err {worst:.2e}")
 
     # closed form against the disk-side quadrature at two points
     worst = 0.0
@@ -569,7 +560,8 @@ def main(argv=None) -> int:
     p.add_argument("--x-range", default="-2:2")
     p.add_argument("--y-range", default="-2:2")
     p.add_argument("--resolution", type=int, default=41)
-    p.add_argument("--h", type=float, default=1e-3, help="FD step for the PDE residual")
+    p.add_argument("--h", type=float, default=1e-3,
+                   help="ignored: the PDE residual is analytic (accepted for one release)")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_graph)
 

@@ -2,8 +2,8 @@
 
 `SurfaceEvaluator` is the one production route: a closed form built from
 the partial fractions of the phi forms, for ends of any pole order, with
-analytic first derivatives.  The other routes are independent oracles that
-the tests and `zmc check` hold it against:
+analytic first and second derivatives.  The other routes are independent
+oracles that the tests and `zmc check` hold it against:
 
 * pattern closed forms for the degenerate order-2 angle patterns,
 * quadrature of the closed real 1-forms (`OneFormUV`, `integrate_oneform`),
@@ -75,8 +75,8 @@ def _require_inside(betas: np.ndarray, u: float, theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class SurfaceEvaluator:
-    """f~ on the extension domain, in closed form, with analytic first
-    derivatives.
+    """f~ on the extension domain, in closed form, with analytic first and
+    second derivatives.
 
     The partial fractions of the phi forms give each end beta_j a real
     residue and, for every higher pole order k + 1, a coefficient gamma of
@@ -134,7 +134,8 @@ class SurfaceEvaluator:
 
         Returns (values, d/d delta, d/d theta at fixed delta), each of shape
         (3, N); the two derivatives are None for order 0 and analytic for
-        order 1.  d/d delta is d/du.  Every D_j is delta plus
+        order 1; order 2 appends d2/d delta2, d2/d delta d theta and
+        d2/d theta2.  d/d delta is d/du.  Every D_j is delta plus
         cos(theta - beta_a) - cos(theta - beta_j) for the nearest end a,
         formed by the product formula, so a clearance that u itself cannot
         resolve keeps its digits; at fixed delta the nearest end's D is
@@ -191,14 +192,33 @@ class SurfaceEvaluator:
         dd, dth = [invD], [Dth * invD]
         if K:
             # the derivatives of t = sin s / D and c = e^{-is} / 2D
-            for drows, dt, dc in ((dd, -t * invD, -c * invD),
-                                  (dth, (cs - t * Dth) * invD, -c * (1j + Dth * invD))):
+            dq, dc = [], (-c * invD, -c * (1j + Dth * invD))
+            for drows, dt, dcx in zip((dd, dth), (-t * invD, (cs - t * Dth) * invD), dc):
                 db1 = -1j * dt
-                dq = [0.0, db1]
+                dqx = [0.0, db1]
                 for k in range(2, K + 1):
-                    dq.append(db1 * q[k - 1] + b1 * dq[-1] + dc * q[k - 2] + c * dq[-2])
-                drows += [x.real / 2.0 for x in dq[1:]] + [x.imag / 2.0 for x in dq[1:]]
-        return vals, self._M @ np.concatenate(dd), self._M @ np.concatenate(dth)
+                    dqx.append(db1 * q[k - 1] + b1 * dqx[-1] + dcx * q[k - 2] + c * dqx[-2])
+                drows += [x.real / 2.0 for x in dqx[1:]] + [x.imag / 2.0 for x in dqx[1:]]
+                dq.append(dqx)
+        first = vals, self._M @ np.concatenate(dd), self._M @ np.concatenate(dth)
+        if order == 1:
+            return first
+        # d2D/dtheta2 is cos s at fixed u, cos s - cos s_a at fixed delta
+        Dthth = cs if u is not None else cs - cs[a, cols]
+        w = Dth * invD
+        second = ([-invD * invD], [-w * invD], [Dthth * invD - w * w])
+        if K:
+            # as t = -2 Im c, b1 = -1 + 2i Im c follows c
+            d2c = (2.0 * c * invD * invD, (c * w - dc[1]) * invD,
+                   -dc[1] * (1j + w) - c * (Dthth * invD - w * w))
+            for drows, (i, j), d2cx in zip(second, ((0, 0), (0, 1), (1, 1)), d2c):
+                d2q = [0.0, 2j * d2cx.imag]
+                for k in range(2, K + 1):
+                    d2q.append(d2q[1] * q[k - 1] + dq[i][1] * dq[j][k - 1]
+                               + dq[j][1] * dq[i][k - 1] + b1 * d2q[-1] + d2cx * q[k - 2]
+                               + dc[i] * dq[j][k - 2] + dc[j] * dq[i][k - 2] + c * d2q[-2])
+                drows += [x.real / 2.0 for x in d2q[1:]] + [x.imag / 2.0 for x in d2q[1:]]
+        return first + tuple(self._M @ np.concatenate(rows) for rows in second)
 
     def eval(self, p: ExtendedPoint) -> SurfacePoint:
         if isinstance(p, PointAtInfinity):

@@ -6,9 +6,9 @@ import pytest
 
 from zmc import analysis
 from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
-                          graph_table, injectivity_scan,
+                          graph_derivatives, graph_table, injectivity_scan,
                           jacobian_x1x2, jacobians_x0, metric_determinant, psi_map,
-                          umbilics, zmc_residual, zmc_residual_from_heights)
+                          umbilics)
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.errors import InputError, OutsideDomain, PreconditionUnmet
 from zmc.gallery import get_entry
@@ -229,14 +229,78 @@ def test_invert_grid_and_table():
     ys = np.linspace(-1.5, 1.5, 9)
     lam, lx, ly, resid, ok = graph_table(inv, xs, ys, h=1e-3)
     assert ok.all()
-    assert np.max(np.abs(resid)) < 1e-4
-    # gradients from the table match analytic graph gradients
+    assert np.max(np.abs(resid)) < 1e-9
+    # gradients from the table match the 1-form graph gradients at every node
     from zmc.surface import build_oneforms, graph_gradient
     forms = build_oneforms(SCHERK3)
     u, th, _, cok, _ = inv.invert_grid(xs, ys)
     assert cok.all()
-    gx, gy = graph_gradient(forms, u[4, 6], th[4, 6])
-    assert abs(gx - lx[4, 6]) < 1e-5 and abs(gy - ly[4, 6]) < 1e-5
+    for i, j in np.ndindex(u.shape):
+        gx, gy = graph_gradient(forms, u[i, j], th[i, j])
+        assert abs(gx - lx[i, j]) < 1e-10 and abs(gy - ly[i, j]) < 1e-10
+
+
+def closed_form_derivatives(name, x, y, lam):
+    """(lx, ly, lxx, lxy, lyy) of the gallery graphs in display
+    coordinates: cosh x = e^t cosh y, t = x tanh 2y, and parabolic's
+    implicit form (e^(4s) - 1) / 2 + 2 (t - x) = 4 y^2, s = t + x,
+    differentiated at height lam."""
+    if name == "scherk:2":
+        return (np.tanh(x), -np.tanh(y), 1 / np.cosh(x) ** 2, 0 * x, -1 / np.cosh(y) ** 2)
+    if name == "jorge-meeks:2":
+        sech2 = 1 / np.cosh(2 * y) ** 2
+        return (np.tanh(2 * y), 2 * x * sech2, 0 * x, 2 * sech2,
+                -8 * x * np.tanh(2 * y) * sech2)
+    e = np.exp(4 * (lam + x))
+    lx, ly = -np.tanh(2 * (lam + x)), 4 * y / (e + 1)
+    sech2 = 4 * e / (e + 1) ** 2  # 1 / cosh^2 2s
+    return (lx, ly, -2 * sech2 * (lx + 1), -2 * sech2 * ly,
+            4 / (e + 1) - 16 * y * e * ly / (e + 1) ** 2)
+
+
+# measured at most 1.3e-12 on the gradient and 6.4e-12 on the Hessian
+GRAD_TOL, HESS_TOL = 1e-11, 5e-11
+
+
+@pytest.mark.parametrize("name", ["scherk:2", "jorge-meeks:2", "parabolic"])
+def test_graph_derivatives_match_closed_forms(name):
+    # every node of the 41^2 grid over [-2, 2]^2 of `zmc graph`, the origin
+    # (p_infinity, parked at the l cap) and nodes next to the fold included.
+    # The residual cannot vouch for the Hessian: both charts are harmonic
+    # (l = log D_a, theta and z), so Hess_p of each coordinate alone has a
+    # zero residual, whatever multiples of them M carries.
+    entry = get_entry(name)
+    norm = entry.normalization
+    grid = np.linspace(-2.0, 2.0, 41)
+    inv = GraphInverter(entry.data)
+    u, th, lam, ok, _ = inv.invert_grid(grid / norm.scale[1], grid / norm.scale[2])
+    grad, hess, resid, finite = graph_derivatives(inv, u, th, norm.scale)
+    assert ok.all() and finite.all()
+    X, Y = np.meshgrid(grid, grid)
+    want = closed_form_derivatives(name, X, Y, norm.scale[0] * lam)
+    got = (grad[0], grad[1], hess[0, 0], hess[0, 1], hess[1, 1])
+    err = [np.abs(g - w).max() for g, w in zip(got, want)]
+    assert max(err[:2]) < GRAD_TOL and max(err[2:]) < HESS_TOL
+    assert np.abs(resid).max() < 1e-9
+
+
+def test_graph_table_flags_non_finite_derivatives(monkeypatch):
+    # a converged node whose chart Jacobian is singular reports ok = False,
+    # and only that node
+    inv = GraphInverter(SCHERK3)
+    xs = np.linspace(-1.5, 1.5, 5)
+    jet = inv.evaluator.jet
+
+    def singular_at_first_node(delta, theta, order=0):
+        out = jet(delta, theta, order)
+        if order == 2:
+            out[2][1:, 0] = 0.0  # d(x1, x2)/dtheta
+        return out
+
+    monkeypatch.setattr(inv.evaluator, "jet", singular_at_first_node)
+    _, lx, ly, resid, ok = graph_table(inv, xs, xs)
+    assert not ok[0, 0] and ok.sum() == ok.size - 1
+    assert np.isfinite(np.array([lx, ly, resid])[:, ok]).all()
 
 
 # Far from the origin, scherk:3's rows miss nodes that invert_grid's batched
@@ -280,6 +344,48 @@ def test_graph_table_shares_invert_grid_solve():
 
 
 # ---------------------------------------------------------------- PDE residual
+
+# The finite-difference route, the oracle for graph_table's analytic
+# gradient and residual: graph heights on a 3x3 stencil of step h, each
+# from its own Newton solve.
+
+def zmc_residual_from_heights(L, h):
+    """PDE residual from a 3x3 stencil of graph heights; L[i, j] sits at
+    (x + (i-1) h, y + (j-1) h).  Vectorizes over trailing axes."""
+    lx = (L[2, 1] - L[0, 1]) / (2 * h)
+    ly = (L[1, 2] - L[1, 0]) / (2 * h)
+    lxx = (L[2, 1] - 2 * L[1, 1] + L[0, 1]) / h**2
+    lyy = (L[1, 2] - 2 * L[1, 1] + L[1, 0]) / h**2
+    lxy = (L[2, 2] - L[2, 0] - L[0, 2] + L[0, 0]) / (4 * h**2)
+    return (1 - ly**2) * lxx + 2 * lx * ly * lxy + (1 - lx**2) * lyy
+
+
+def zmc_residual(data_or_inverter, x, y, h=1e-3):
+    """Central-difference residual of (1-ly^2) lxx + 2 lx ly lxy + (1-lx^2) lyy
+    at one point; O(h^2) small wherever lambda is smooth."""
+    inv = data_or_inverter if isinstance(data_or_inverter, GraphInverter) \
+        else GraphInverter(data_or_inverter)
+    uc, thc, _ = inv.invert(x, y)
+    L, ok = stencil_heights(inv, np.array([x]), y, np.array([uc]), np.array([thc]), h)
+    assert ok.all()
+    return float(zmc_residual_from_heights(L, h)[0])
+
+
+def stencil_heights(inv, xs, y, u_row, th_row, h):
+    """(L, ok) on the 3x3 stencil around the nodes (xs, y): each offset is
+    its own Newton batch, warm-started from the nodes' preimages; L[i, j]
+    sits at (xs + (i-1) h, y + (j-1) h), ok flags the nodes whose eight
+    neighbours all converged."""
+    L = np.empty((3, 3, xs.size))
+    ok = np.ones(xs.size, dtype=bool)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            _, _, L[dx + 1, dy + 1], ok_s, _ = inv.newton_batch(
+                xs + dx * h, np.full(xs.size, y + dy * h), u_row, th_row)
+            if dx or dy:
+                ok &= ok_s
+    return L, ok
+
 
 def test_zmc_residual_scherk():
     assert abs(zmc_residual(SCHERK2, 0.5, 0.3)) < 1e-4
@@ -553,26 +659,28 @@ def test_newton_batch_concatenation_matches_separate_calls(data):
     np.testing.assert_allclose(np.exp(1j * whole[1]), np.exp(1j * th), rtol=0, atol=1e-12)
 
 
+# On scherk:3 over [-1.5, 1.5]^2 the stencil's truncation error is at most
+# 1.41 h^2 on lx, 1.02 h^2 on ly and 2.40 h^2 on the residual, the same
+# constants at h = 4e-3, 2e-3 and 1e-3.
+STENCIL_C = 3.0
+
+
 def test_graph_table_matches_per_offset_stencil_loop():
     inv = GraphInverter(SCHERK3)
     xs = np.linspace(-1.5, 1.5, 9)
-    h = 1e-3
-    lam, lx, ly, resid, ok = graph_table(inv, xs, xs, h=h)
-    # reference: each stencil offset of each row in its own Newton batch
+    lam, lx, ly, resid, ok = graph_table(inv, xs, xs)
+    # reference: each row's Newton, and each stencil offset of each row in
+    # its own Newton batch
     u_row, th_row = inv._cold_start(xs, np.full(9, xs[0]))
     for i, y in enumerate(xs):
         yy = np.full(9, y)
         u_row, th_row, lam_row, ok_row, _ = inv.newton_batch(xs, yy, u_row, th_row)
-        L = np.empty((3, 3, 9))
-        L[1, 1] = lam_row
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx or dy:
-                    _, _, L[dx + 1, dy + 1], ok_s, _ = inv.newton_batch(
-                        xs + dx * h, yy + dy * h, u_row, th_row)
-                    ok_row &= ok_s
         assert np.array_equal(lam[i], lam_row) and np.array_equal(ok[i], ok_row)
-        for got, want, tol in ((lx[i], (L[2, 1] - L[0, 1]) / (2 * h), 1 / h),
-                               (ly[i], (L[1, 2] - L[1, 0]) / (2 * h), 1 / h),
-                               (resid[i], zmc_residual_from_heights(L, h), 4 / h**2)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=tol * HEIGHT_ROUNDING)
+        for h in (2e-3, 1e-3):
+            L, ok_s = stencil_heights(inv, xs, y, u_row, th_row, h)
+            assert ok_s.all()
+            for got, want, tol in ((lx[i], (L[2, 1] - L[0, 1]) / (2 * h), 1 / h),
+                                   (ly[i], (L[1, 2] - L[1, 0]) / (2 * h), 1 / h),
+                                   (resid[i], zmc_residual_from_heights(L, h), 4 / h**2)):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=STENCIL_C * h**2 + tol * HEIGHT_ROUNDING)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from zmc.cli import main
 
 
@@ -264,7 +268,7 @@ def test_graph_scherk2_identity(capsys, tmp_path):
         x, y, lam, causal, resid = row.split(",")
         worst = max(worst, abs(math.cosh(float(x))
                                - math.exp(float(lam)) * math.cosh(float(y))))
-        assert abs(float(resid)) < 1e-4
+        assert abs(float(resid)) < 1e-9
     assert worst < 1e-8
 
 
@@ -309,6 +313,71 @@ def test_graph_failure_names_node(capsys, tmp_path):
     assert code == 4
     assert "at (x, y) = (" in err
     assert not out_path.exists()
+
+
+def test_graph_h_is_ignored(capsys, tmp_path):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, h in zip(outs, ("1e-3", "0.5")):
+        code, _, _ = run(["graph", "--gallery", "scherk:3", "--resolution", "7",
+                          "--h", h, "-o", str(path)], capsys)
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_graph_non_finite_derivatives_name_node(capsys, tmp_path, monkeypatch):
+    # a converged node whose chart Jacobian is singular: exit 4, naming the
+    # node, and no file
+    from zmc.surface import SurfaceEvaluator
+    jet = SurfaceEvaluator.jet
+
+    def singular_at_first_node(self, delta, theta, order=0):
+        out = jet(self, delta, theta, order)
+        if order == 2:
+            out[2][1:, 0] = 0.0  # d(x1, x2)/dtheta
+        return out
+
+    monkeypatch.setattr(SurfaceEvaluator, "jet", singular_at_first_node)
+    out_path = tmp_path / "g.csv"
+    code, _, err = run(["graph", "--gallery", "scherk:3", "--x-range=-1:1",
+                        "--y-range=-1:1", "--resolution", "3", "-o", str(out_path)], capsys)
+    assert code == 4
+    assert "non-finite graph derivatives at (x, y) = (-1.0, -1.0)" in err
+    assert not out_path.exists()
+
+
+# a random principal n = 3 surface whose [-2, 2]^2 rows miss nodes that
+# invert_grid's retry rescues
+RANDOM_N3 = {"n": 3, "alphas": [0.0, 1.0724798527999555, 1.5920117877623825,
+                                 3.0747301101615054, 4.008583837552972, 4.944751739369208]}
+ENDS = st.floats(-6.0, 6.0, allow_nan=False)
+
+
+@given(st.sampled_from(["scherk:2", "scherk:3", "scherk:4", "random-n3"]),
+       ENDS, ENDS, ENDS, ENDS, st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_graph_exit_codes_and_finite_output(surface, x0, x1, y0, y1, res):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "g.csv")
+        if surface == "random-n3":
+            doc = os.path.join(tmp, "s.json")
+            with open(doc, "w") as fh:
+                json.dump(RANDOM_N3, fh)
+            target = [doc]
+        else:
+            target = ["--gallery", surface]
+        code = main(["graph", *target, f"--x-range={x0!r}:{x1!r}",
+                     f"--y-range={y0!r}:{y1!r}", "--resolution", str(res), "-o", out])
+        assert code in (0, 3, 4)
+        assert os.path.exists(out) == (code == 0)
+        if code == 0:
+            with open(out) as fh:
+                rows = fh.read().splitlines()
+            assert rows[0] == "x,y,lambda,causal,zmc_residual"
+            assert len(rows) == res * res + 1
+            for row in rows[1:]:
+                x, y, lam, causal, resid = row.split(",")
+                assert causal in ("spacelike", "lightlike", "timelike")
+                assert all(math.isfinite(float(v)) for v in (x, y, lam, resid))
 
 
 # ---------------------------------------------------------------- check / reduce
