@@ -187,15 +187,18 @@ def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class GraphInverter:
-    """Damped Newton solver for (x1, x2)(u, theta) = (x, y).
+    """Damped Newton solver for (x1, x2)(u, theta) = (x, y), in two charts.
 
-    Valid when the graph condition is not violated.  Internally works in
-    the chart (l, theta) with u = maxcos(theta) + e^l, which removes the
-    domain constraint, keeps the boundary logarithm exact, and makes the
-    map well conditioned arbitrarily close to the boundary.
+    Valid when the graph condition is not violated.  The end chart (l, theta),
+    u = maxcos(theta) + e^l, removes the domain constraint and keeps the
+    boundary logarithm exact.  Far out between two end directions both their
+    clearances fall below what a double theta resolves; the corner chart
+    (p, q) = (log D_a, log D_b) of each sector between simple ends a, b of gap
+    below pi (`SurfaceEvaluator.corner`) reaches there.
     """
 
     L_CAP = 30.0
+    DEEP = -25.0  # corner seeds with min(p, q) below this skip the end chart
 
     def __init__(self, data: KobayashiData):
         report = check_conditions(data.angular)
@@ -210,25 +213,32 @@ class GraphInverter:
         self.data = data
         self.evaluator = SurfaceEvaluator(data)
         self.angular = data.angular
-        th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-        seeds_l, seeds_th = [], []
-        for dl in (-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0):
-            seeds_l.append(np.full(th.size, dl))
-            seeds_th.append(th)
-        self._seed_l = np.concatenate(seeds_l)
-        self._seed_th = np.concatenate(seeds_th)
+        l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0),
+                            np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
+        self._seed_l, self._seed_th = l.ravel(), th.ravel()
         vals, _, _ = self._chart_values(self._seed_l, self._seed_th, partials=False)
         self._seed_xy = vals[1:, :]
+        # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
+        # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
+        # its seeds are clipped to e^p, e^q <= sin g, inside the chart
+        b, m = self.evaluator.betas, np.array(self.angular.multiplicities) == 1
+        g = (np.roll(b, -1) - b) % TWO_PI / 2
+        sec = np.flatnonzero(m & np.roll(m, -1) & (2 * g < math.pi - _GAP_TOL))
+        self._sec = np.array([sec, (sec + 1) % b.size]).T
+        p0 = np.full(sec.size, -800.0)
+        _, v, dp, dq = self.evaluator.corner(*self._sec.T, p0, p0, 1)
+        det = dp[1] * dq[2] - dq[1] * dp[2]
+        self._affine = (v[1:] - (dp[1:] + dq[1:]) * p0,  # c, J^-1, log sin g
+                        np.array([[dq[2], -dq[1]], [-dp[2], dp[1]]]) / det,
+                        np.log(np.sin(g[sec]))[:, None])
 
     def _chart_values(self, l, th, partials=True):
-        """Values of f~ and (d/dl, d/dtheta) of (x1, x2) in the chart."""
+        """Values of f~ and its (d/dl, d/dtheta) in the end chart."""
         l = np.asarray(l, dtype=float)
         th = np.asarray(th, dtype=float)
         delta = np.exp(l)
         vals, dd, dth = self.evaluator.jet(delta, th, order=1 if partials else 0)
-        if not partials:
-            return vals, None, None
-        return vals, (dd * delta)[1:], dth[1:]
+        return (vals, dd * delta, dth) if partials else (vals, dd, dth)
 
     def _to_chart(self, u, th):
         u = np.asarray(u, dtype=float).ravel()
@@ -256,8 +266,9 @@ class GraphInverter:
         best = np.argmin(d2, axis=0)
         return best, np.sqrt(d2[best, np.arange(X.size)])
 
-    def newton_batch(self, X, Y, u0, th0, maxiter: int = 60, atol: float = 1e-13):
-        """Solve for every target.
+    def newton_batch(self, X, Y, u0, th0, maxiter: int = 60, atol: float = 1e-13,
+                     chart: bool = False):
+        """Solve for every target in the end chart.
 
         Iterates on a node while its residual exceeds ``atol * scale``, with
         scale = 1 + max(|x|, |y|), for at most ``maxiter`` sweeps; the
@@ -273,13 +284,11 @@ class GraphInverter:
         node that sweeps alone can end a few ulps from where it would end in
         company.
 
-        Returns (u, theta, lambda, converged, residual); the residual is
+        Returns (u, theta, lambda, converged, residual), with `chart` the
+        chart point (l, theta) in place of (u, theta); the residual is
         measured in the numerically exact boundary chart.
         """
-        X = np.asarray(X, dtype=float).ravel()
-        Y = np.asarray(Y, dtype=float).ravel()
-        target = np.vstack([X, Y])
-        scale = 1.0 + np.abs(target).max(axis=0)
+        target = np.array([np.ravel(X), np.ravel(Y)], dtype=float)
         l, th = self._to_chart(u0, th0)
         th = self._unkink(th)
 
@@ -288,114 +297,152 @@ class GraphInverter:
         rn = np.hypot(R[0], R[1])
 
         # fall back to the seed bank wherever the warm start is poor
-        best, srn = self._nearest_seed(X, Y)
+        best, srn = self._nearest_seed(*target)
         swap = srn < rn
         if swap.any():
             l[swap] = self._seed_l[best[swap]]
             th[swap] = self._seed_th[best[swap]]
             vals, _, _ = self._chart_values(l, th, partials=False)
-            R = vals[1:] - target
-            rn = np.hypot(R[0], R[1])
+        l, th, *res = self._newton(lambda k, *c: self._chart_values(*c), l, th, vals, target,
+                                   maxiter, atol, cap=self.L_CAP, shove=self._unkink)
+        return ((l, th) if chart else self._from_chart(l, th)) + tuple(res)
 
-        frozen = np.zeros(X.size, dtype=bool)
+    def _newton(self, chart, c1, c2, vals, target, maxiter, atol, cap=np.inf, shove=None):
+        """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
+        (f~, d f~/dc1, d f~/dc2) at nodes k; c1 is capped at `cap`, and `shove`
+        moves nodes no step improves.  Returns (c1, c2, lambda, ok, residual)."""
+        scale = 1.0 + np.abs(target).max(axis=0)
+        R = vals[1:] - target
+        rn = np.hypot(R[0], R[1])
+        frozen = np.zeros(c1.size, dtype=bool)
         for _ in range(maxiter):
             active = (rn > atol * scale) & ~frozen
             if not active.any():
                 break
-            la, tha = l[active], th[active]
-            _, dl, dth = self._chart_values(la, tha)
-            det = dl[0] * dth[1] - dth[0] * dl[1]
+            ca, cb = c1[active], c2[active]
+            _, d1, d2 = chart(active, ca, cb)
+            det = d1[1] * d2[2] - d2[1] * d1[2]
             Ra = R[:, active]
             # a singular Jacobian gives inf/NaN steps, which the line
             # search below rejects
             with np.errstate(divide="ignore", invalid="ignore"):
-                sl = -(dth[1] * Ra[0] - dth[0] * Ra[1]) / det
-                sth = -(-dl[1] * Ra[0] + dl[0] * Ra[1]) / det
-                step = np.hypot(sl, sth)
+                s1 = -(d2[2] * Ra[0] - d2[1] * Ra[1]) / det
+                s2 = -(-d1[2] * Ra[0] + d1[1] * Ra[1]) / det
+                step = np.hypot(s1, s2)
                 shrink = np.minimum(1.0, 8.0 / np.maximum(step, 1e-300))
-                sl *= shrink
-                sth *= shrink
-            alpha = np.ones_like(sl)
-            best_l, best_th = la.copy(), tha.copy()
+                s1 *= shrink
+                s2 *= shrink
+            alpha = np.ones_like(s1)
+            best1, best2 = ca.copy(), cb.copy()
             best_rn = rn[active].copy()
-            undone = np.ones(sl.shape, dtype=bool)
+            undone = np.ones(s1.shape, dtype=bool)
             for _try in range(40):
-                cl = np.minimum(la + alpha * sl, self.L_CAP)
-                cth = tha + alpha * sth
-                v, _, _ = self._chart_values(cl, cth, partials=False)
+                t1 = np.minimum(ca + alpha * s1, cap)
+                t2 = cb + alpha * s2
+                v, _, _ = chart(active, t1, t2, False)
                 rr = v[1:] - target[:, active]
                 crn = np.hypot(rr[0], rr[1])
                 improved = undone & (crn <= best_rn * (1 - 1e-4 * alpha))
-                best_l[improved] = cl[improved]
-                best_th[improved] = cth[improved]
+                best1[improved] = t1[improved]
+                best2[improved] = t2[improved]
                 best_rn[improved] = crn[improved]
                 undone &= ~improved
                 if not undone.any():
                     break
                 alpha[undone] /= 2.0
-            # points that accepted no step are usually parked on a corner;
-            # shove them off it and let the next sweep retry
-            best_th[undone] = self._unkink(best_th[undone], eps=1e-7)
-            # those on no corner would repeat this very sweep: freeze them
-            frozen[active] = undone & (best_th == tha)
-            l[active], th[active] = best_l, best_th
-            vals, _, _ = self._chart_values(l, th, partials=False)
+            if shove is not None:
+                # points that accepted no step are usually parked on a
+                # corner; shove them off it and let the next sweep retry
+                best2[undone] = shove(best2[undone], eps=1e-7)
+            # those left where they were would repeat this very sweep
+            frozen[active] = undone & (best2 == cb)
+            c1[active], c2[active] = best1, best2
+            vals, _, _ = chart(slice(None), c1, c2, False)
             R = vals[1:] - target
             rn = np.hypot(R[0], R[1])
-        lam = vals[0]
-        u, th_out = self._from_chart(l, th)
-        return u, th_out, lam, rn <= 1e-10 * scale, rn
+        return c1, c2, vals[0], rn <= 1e-10 * scale, rn
+
+    def _corner_seed(self, X, Y):
+        """The affine model's solution on every sector, ranked per target by
+        the residual the chart leaves there: (a, b, p, q), each (sectors, n),
+        p = q = NaN where a seed is not finite."""
+        n, target = X.size, np.array([X, Y])[:, None, :]
+        c, Jinv, cap = self._affine
+        p, q = np.minimum(np.einsum("ijs,jsn->isn", Jinv, target - c[:, :, None]), cap)
+        with np.errstate(all="ignore"):
+            v = self.evaluator.corner(*np.repeat(self._sec.T, n, axis=1), p.ravel(), q.ravel())[1]
+            rn = np.hypot(*(v[1:].reshape((2,) + p.shape) - target))
+        k = np.argsort(np.where(rn >= 0, rn, np.inf), axis=0, kind="stable")
+        p, q = (np.where(np.isfinite(np.take_along_axis(rn, k, 0)), np.take_along_axis(m, k, 0),
+                         np.nan) for m in (p, q))
+        return self._sec[k, 0], self._sec[k, 1], p, q
 
     def _cold_start(self, X, Y):
-        X = np.asarray(X, dtype=float).ravel()
-        Y = np.asarray(Y, dtype=float).ravel()
-        best, _ = self._nearest_seed(X, Y)
+        best, _ = self._nearest_seed(*(np.asarray(v, dtype=float).ravel() for v in (X, Y)))
         return self._from_chart(self._seed_l[best], self._seed_th[best])
 
-    def invert(self, x: float, y: float) -> tuple[float, float, float]:
-        """Unique preimage of (x, y) plus the graph height lambda = x0."""
-        u0, th0 = self._cold_start([x], [y])
-        u, th, lam, ok, _ = self.newton_batch([x], [y], u0, th0)
-        if not ok[0]:
-            u, th, lam, ok = self._homotopy(x, y, u0[0], th0[0])
-        if not ok[0]:
-            raise NoConvergence(f"inversion failed at ({x}, {y})",
-                                x=x, y=y, last=(float(u[0]), float(th[0])))
-        return float(u[0]), float(th[0]), float(lam[0])
+    def _solve(self, X, Y):
+        """`invert`'s dispatch, batched.  Returns (u, theta, lambda,
+        converged, residual, (a, b, s, t)): the corner point (p, q) = (s, t)
+        of sector (a, b), or with a = -1 the end point (l, theta)."""
+        X, Y = (np.asarray(v, dtype=float).ravel() for v in (X, Y))
+        sa, sb, p, q = self._corner_seed(X, Y)
+        out = np.full((9, X.size), np.nan)  # u, theta, lambda, ok, residual, s, t, a, b
+        out[3], out[7:] = 0.0, -1.0
+        end = np.flatnonzero(~(np.minimum(p, q)[:1] < self.DEEP).any(axis=0))
+        if end.size:
+            l, th, *res = self.newton_batch(X[end], Y[end], *self._cold_start(X[end], Y[end]),
+                                            chart=True)
+            out[:7, end] = self._from_chart(l, th) + tuple(res) + (l, th)
+        for r in range(len(p)):  # the sectors in the order of their seeds
+            k = np.flatnonzero((out[3] == 0.0) & ~np.isnan(p[r]))
+            if not k.size:
+                break
+            ka, kb = sa[r, k], sb[r, k]
+            v = self.evaluator.corner(ka, kb, p[r, k], q[r, k])[1]
+            pk, qk, *res = self._newton(
+                lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
+                p[r, k], q[r, k], v, np.array([X[k], Y[k]]), 60, 1e-13)
+            thk = self.evaluator.corner(ka, kb, pk, qk)[0]
+            near = np.where(pk <= qk, ka, kb)  # u formed there, as `_from_chart` does
+            uk = np.cos(thk - self.evaluator.betas[near]) + np.exp(np.minimum(pk, qk))
+            take = ~(res[2] >= out[4, k])
+            out[:, k[take]] = np.array([uk, thk % TWO_PI, *res, pk, qk, ka, kb])[:, take]
+        u, th, lam, ok, rn, s, t, a, b = out
+        return u, th, lam, ok == 1.0, rn, (a.astype(np.int64), b.astype(np.int64), s, t)
 
-    def _homotopy(self, x, y, u0, th0):
-        vals = self._values(np.array([u0]), np.array([th0]))
-        x0, y0 = float(vals[1, 0]), float(vals[2, 0])
-        u, th = np.array([u0]), np.array([th0])
-        ok = np.array([True])
-        lam = vals[:1]
-        for t in np.linspace(0.0, 1.0, 33)[1:]:
-            xt, yt = x0 + t * (x - x0), y0 + t * (y - y0)
-            u, th, lam, ok, _ = self.newton_batch([xt], [yt], u, th)
-            if not ok[0]:
-                return u, th, lam, ok
-        return u, th, lam, ok
+    def invert(self, x: float, y: float) -> tuple[float, float, float]:
+        """Unique preimage (u, theta) of (x, y), plus the graph height lambda.
+
+        A target whose best corner seed has min(p, q) < DEEP = -25 is solved
+        in the corner chart, any other in the end chart from the seed bank,
+        then in the corner chart if that misses; `NoConvergence` carries the
+        residual when both miss.  u = cos(theta - beta) + e^l is formed at
+        the chart's nearest end: below a clearance of about 1e-8 it no longer
+        reproduces (x, y), though the chart point it came from does.
+        """
+        u, th, lam, ok, rn, _ = self._solve([x], [y])
+        if not ok[0]:
+            raise NoConvergence(f"inversion failed at ({x}, {y})", x=x, y=y,
+                                last=(float(u[0]), float(th[0])), residual=float(rn[0]))
+        return float(u[0]), float(th[0]), float(lam[0])
 
     def invert_grid(self, xs, ys):
         """Row-wise warm-started grid inversion: the one loop that solves
         grid rows.
 
         The first row starts from the seed bank, every later row from the
-        row before.  The nodes a row's Newton misses get one retry, batched
-        and cold-started from the seed bank.  A node that retry solves
-        reports residual exactly 0.0, the mark of a rescued node; a node it
-        misses keeps the row's result and converged = False.
+        row before.  The nodes a row's Newton misses get one retry, batched,
+        through `invert`'s dispatch.  A node that retry solves reports
+        residual exactly 0.0, the mark of a rescued node; a node it misses
+        keeps the row's result and converged = False.
 
         Returns (u, theta, lam, converged, residual) arrays of shape
         (len(ys), len(xs)).
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        nu = np.empty((ys.size, xs.size))
-        nth = np.empty_like(nu)
-        nlam = np.empty_like(nu)
-        nok = np.empty(nu.shape, dtype=bool)
-        nrn = np.empty_like(nu)
+        out = np.empty((5, ys.size, xs.size))
         u_row = th_row = None
         for i, y in enumerate(ys):
             yy = np.full(xs.size, y)
@@ -404,14 +451,13 @@ class GraphInverter:
             u_row, th_row, lam, ok, rn = self.newton_batch(xs, yy, u_row, th_row)
             miss = np.nonzero(~ok)[0]
             if miss.size:
-                X, Y = xs[miss], yy[miss]
-                u, th, lam_m, ok_m, _ = self.newton_batch(X, Y, *self._cold_start(X, Y))
+                u, th, lam_m, ok_m, _, _ = self._solve(xs[miss], yy[miss])
                 hit = miss[ok_m]
                 u_row[hit], th_row[hit], lam[hit] = u[ok_m], th[ok_m], lam_m[ok_m]
                 ok[hit] = True
                 rn[hit] = 0.0
-            nu[i], nth[i], nlam[i], nok[i], nrn[i] = u_row, th_row, lam, ok, rn
-        return nu, nth, nlam, nok, nrn
+            out[:, i] = u_row, th_row, lam, ok, rn
+        return out[0], out[1], out[2], out[3] == 1.0, out[4]
 
 
 def graph_derivatives(inverter: GraphInverter, u, th, scale=(1.0, 1.0, 1.0)):

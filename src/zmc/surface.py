@@ -122,6 +122,7 @@ class SurfaceEvaluator:
         # columns: log D_j, then Re S_k(s_j) and Im S_k(s_j), k-major
         self._M = np.hstack([res / 2.0, gamma.real.reshape(3, -1),
                              -gamma.imag.reshape(3, -1)])
+        self._dead = ~self._M.any(axis=0)
 
     def active_end(self, theta):
         """(index of the end nearest in angle, max_j cos(theta - beta_j))."""
@@ -141,38 +142,70 @@ class SurfaceEvaluator:
         resolve keeps its digits; at fixed delta the nearest end's D is
         constant, so its pole drops out of d/d theta exactly.
         """
-        return self._jet(np.asarray(theta, dtype=float), order,
-                         delta=np.asarray(delta, dtype=float))
+        return self._apply(self._rows(np.asarray(theta, dtype=float), order,
+                                      delta=np.asarray(delta, dtype=float)))
 
     def eval_batch(self, u, theta) -> np.ndarray:
         """Values of shape (3, N); no domain checks."""
-        return self._jet(np.asarray(theta, dtype=float), 0,
-                         u=np.asarray(u, dtype=float))[0]
+        return self._apply(self._rows(np.asarray(theta, dtype=float), 0,
+                                      u=np.asarray(u, dtype=float)))[0]
 
     def partials(self, u, theta) -> tuple[np.ndarray, np.ndarray]:
         """(d f~/du, d f~/dtheta), each of shape (3, N)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return self._jet(theta, 1, u=u)[1:]
+        return self._apply(self._rows(theta, 1, u=u))[1:]
 
-    def _jet(self, theta, order, delta=None, u=None):
-        """`jet`, or with u in place of delta: then delta = u - max cos and
-        d/dtheta is taken at fixed u."""
+    def corner(self, a, b, p, q, order: int = 0):
+        """f~ in the corner chart (p, q) = (log D_a, log D_b) of the sector
+        between adjacent simple ends a and b (index arrays) of gap 2g < pi.
+
+        D_a - D_b = 2 sin g sin(theta - m), m the sector's middle, so theta
+        = m + asin((e^p - e^q) / (2 sin g)); the other D_j follow from the
+        product formula relative to a.  However deep the corner, log D_a and
+        log D_b stay exact, and f~ is affine in (p, q) up to O(max(D_a, D_b)).
+        Returns (theta, values, d/dp, d/dq) as `jet` does for order 0 or 1;
+        NaN off the chart.
+        """
+        g = (self.betas[b] - self.betas[a]) % TWO_PI / 2.0
+        with np.errstate(all="ignore"):
+            ep, eq = np.exp(p), np.exp(q)
+            x = (ep - eq) / (2.0 * np.sin(g))
+            theta = self.betas[a] + g + np.arcsin(x)
+            rows, cols = list(self._rows(theta, order, delta=ep, ref=a)), np.arange(theta.size)
+            if order:
+                w = 1.0 / (2.0 * np.sin(g) * np.sqrt(1.0 - x * x))  # d theta / d(e^p - e^q)
+                rows[1:] = rows[1] * ep + rows[2] * (ep * w), rows[2] * (-eq * w)
+            # log D_a, log D_b are the coordinates; zero-weight rows may be NaN
+            for r, ra, rb in zip(rows, (p, 1.0, 0.0), (q, 0.0, 1.0)):
+                r[self._dead] = 0.0
+                r[a, cols], r[b, cols] = ra, rb
+            return (theta,) + self._apply(rows)
+
+    def _apply(self, rows):
+        """f~ and its derivatives, as `jet` returns them, from their basis rows."""
+        out = tuple(self._M @ r for r in rows)
+        return out if len(out) > 1 else out + (None, None)
+
+    def _rows(self, theta, order, delta=None, u=None, ref=None):
+        """The basis rows of `jet`, or with u in place of delta: then delta =
+        u - max cos and d/dtheta is taken at fixed u.  With `ref`, delta is
+        the clearance of end ref, not the nearest end's, and D is unclipped."""
         s = theta[None, :] - self.betas[:, None]
         cs = np.cos(s)
-        a = np.argmax(cs, axis=0)
+        a = np.argmax(cs, axis=0) if ref is None else ref
         cols = np.arange(theta.size)
         if delta is None:
             delta = u - cs[a, cols]
-        # >= 0 since beta_a is the nearest end, so rounding is only
-        # clipped upward
+        # >= 0 when beta_a is the nearest end, so rounding is only clipped
+        # upward
         dcos = -2.0 * np.sin(theta[None, :] - self._mid.take(a, axis=1)) \
             * self._half.take(a, axis=1)
-        D = delta[None, :] + np.maximum(dcos, 0.0)
+        D = delta[None, :] + (np.maximum(dcos, 0.0) if ref is None else dcos)
         rows = [np.log(D)]
         K = self._order
         if not (K or order):
-            return self._M @ rows[0], None, None
+            return rows
         sn = np.sin(s)
         invD = 1.0 / D
         t = sn * invD
@@ -186,9 +219,9 @@ class SurfaceEvaluator:
                 q.append(b1 * q[-1] + c * q[-2])
             S = [(q[k] - (-1) ** k) / 2.0 for k in range(1, K + 1)]
             rows += [x.real for x in S] + [x.imag for x in S]
-        vals = self._M @ np.concatenate(rows)
+        vals = np.concatenate(rows)
         if not order:
-            return vals, None, None
+            return [vals]
         dd, dth = [invD], [Dth * invD]
         if K:
             # the derivatives of t = sin s / D and c = e^{-is} / 2D
@@ -200,7 +233,7 @@ class SurfaceEvaluator:
                     dqx.append(db1 * q[k - 1] + b1 * dqx[-1] + dcx * q[k - 2] + c * dqx[-2])
                 drows += [x.real / 2.0 for x in dqx[1:]] + [x.imag / 2.0 for x in dqx[1:]]
                 dq.append(dqx)
-        first = vals, self._M @ np.concatenate(dd), self._M @ np.concatenate(dth)
+        first = [vals, np.concatenate(dd), np.concatenate(dth)]
         if order == 1:
             return first
         # d2D/dtheta2 is cos s at fixed u, cos s - cos s_a at fixed delta
@@ -218,7 +251,7 @@ class SurfaceEvaluator:
                                + dq[j][1] * dq[i][k - 1] + b1 * d2q[-1] + d2cx * q[k - 2]
                                + dc[i] * dq[j][k - 2] + dc[j] * dq[i][k - 2] + c * d2q[-2])
                 drows += [x.real / 2.0 for x in d2q[1:]] + [x.imag / 2.0 for x in d2q[1:]]
-        return first + tuple(self._M @ np.concatenate(rows) for rows in second)
+        return first + [np.concatenate(rows) for rows in second]
 
     def eval(self, p: ExtendedPoint) -> SurfacePoint:
         if isinstance(p, PointAtInfinity):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zmc import analysis
 from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
@@ -10,11 +12,13 @@ from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
                           jacobian_x1x2, jacobians_x0, metric_determinant, psi_map,
                           umbilics)
 from zmc.angular import AngularData, BlaschkeParams
-from zmc.errors import InputError, OutsideDomain, PreconditionUnmet
+from zmc.errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from zmc.gallery import get_entry
 from zmc.polycheb import cheb_U
 from zmc.surface import SurfaceEvaluator, build_oneforms
 from zmc.weierstrass import build
+
+from mp_oracle import mp_corner, mp_end
 
 RNG = np.random.default_rng(123)
 
@@ -303,21 +307,169 @@ def test_graph_table_flags_non_finite_derivatives(monkeypatch):
     assert np.isfinite(np.array([lx, ly, resid])[:, ok]).all()
 
 
-# Far from the origin, scherk:3's rows miss nodes that invert_grid's batched
-# cold-start retry misses too; they must come back flagged, which the retry
-# through invert and _homotopy never let happen.
+# Far from the origin scherk:3's rows miss nodes, which invert_grid's
+# batched retry solves in the corner chart.
 FAR_XS = np.linspace(3.0, 8.0, 6)
 FAR_YS = np.linspace(2.0, 4.0, 3)
 
 
-def test_invert_grid_far_grid_returns_flags():
+def chart_values_mp(data, a, b, s, t):
+    """f~ in 50 digits at a chart point of `GraphInverter._solve`: the corner
+    point (p, q) = (s, t) of sector (a, b), or with a = -1 the end point
+    (l, theta) = (s, t) of the end nearest theta."""
+    if a >= 0:
+        return [float(v) for v in mp_corner(data, a, b)(s, t)]
+    j = int(np.argmax(np.cos(t - np.asarray(data.angular.betas))))
+    return [float(v) for v in mp_end(data, j, s, t)]
+
+
+def assert_chart_point_reproduces(inv, x, y, lam=None):
+    """The chart point `_solve` finds for (x, y) reproduces it in 50 digits
+    to 1e-10 * scale, and gives the height lam."""
+    *_, ok, _, chart = inv._solve([x], [y])
+    assert ok[0]
+    want = chart_values_mp(inv.data, *(int(c[0]) if k < 2 else c[0] for k, c in enumerate(chart)))
+    scale = 1.0 + max(abs(x), abs(y))
+    assert max(abs(want[1] - x), abs(want[2] - y)) <= 1e-10 * scale
+    if lam is not None:
+        assert abs(want[0] - lam) <= 1e-10 * scale
+
+
+def test_invert_grid_far_grid_converges():
+    # every node converges; invert_grid returns no chart points, so each
+    # node's height is held against the one at the chart point `invert`'s
+    # dispatch finds, which reproduces the target in 50 digits: the
+    # preimage is unique
     inv = GraphInverter(get_entry("scherk:3").data)
     u, th, lam, ok, rn = inv.invert_grid(FAR_XS, FAR_YS)
+    assert ok.shape == (3, 6) and ok.all()
+    assert (rn == 0.0).any()  # some nodes only the retry solved
+    X, Y = np.meshgrid(FAR_XS, FAR_YS)
+    for x, y, l in zip(X.ravel(), Y.ravel(), lam.ravel()):
+        assert_chart_point_reproduces(inv, x, y, l)
+
+
+def test_invert_grid_far_grid_returns_flags(monkeypatch):
+    # with f~ undefined (NaN) wherever x1 > 6.5, in both charts, the nodes
+    # at x = 7 and 8 cannot converge: they come back flagged, and the flag
+    # is the residual test
+    inv = GraphInverter(get_entry("scherk:3").data)
+    jet, corner = inv.evaluator.jet, inv.evaluator.corner
+
+    def poison(vals):
+        vals[:, vals[1] > 6.5] = np.nan
+
+    def poisoned_jet(delta, theta, order=0):
+        out = jet(delta, theta, order)
+        poison(out[0])
+        return out
+
+    def poisoned_corner(a, b, p, q, order=0):
+        out = corner(a, b, p, q, order)
+        poison(out[1])
+        return out
+
+    monkeypatch.setattr(inv.evaluator, "jet", poisoned_jet)
+    monkeypatch.setattr(inv.evaluator, "corner", poisoned_corner)
+    u, th, lam, ok, rn = inv.invert_grid(FAR_XS, FAR_YS)
     assert ok.shape == (3, 6) and ok.any() and not ok.all()
+    assert not ok[:, 4:].any()
     X, Y = np.meshgrid(FAR_XS, FAR_YS)
     scale = 1.0 + np.maximum(np.abs(X), np.abs(Y))
     assert np.array_equal(ok, rn <= 1e-10 * scale)
     assert np.all(np.isfinite(lam[ok]))
+
+
+@pytest.mark.parametrize("name, x, y", [("scherk:3", 5.0, 3.0), ("scherk:3", 20.0, 20.0),
+                                        ("scherk:2", 1e3, -2e3)])
+def test_invert_far_points(name, x, y):
+    # each of these raised AttributeError before the corner chart
+    inv = GraphInverter(get_entry(name).data)
+    u, th, lam = inv.invert(x, y)
+    assert np.isfinite([u, th, lam]).all()
+    assert_chart_point_reproduces(inv, x, y, lam)
+
+
+def test_invert_raises_no_convergence_with_diagnostics(monkeypatch):
+    # with both charts' Jacobians singular, Newton takes no step: invert
+    # raises NoConvergence carrying the residual and the last (u, theta),
+    # for a target the end chart takes first and for a deep one, along the
+    # end direction 0, whose corner seed the model leaves 0.2 away
+    inv = GraphInverter(SCHERK3)
+    jet, corner = inv.evaluator.jet, inv.evaluator.corner
+
+    def flat_jet(delta, theta, order=0):
+        out = jet(delta, theta, order)
+        if order:
+            out[2][:] = 0.0
+        return out
+
+    def flat_corner(a, b, p, q, order=0):
+        out = corner(a, b, p, q, order)
+        if order:
+            out[3][:] = 0.0
+        return out
+
+    monkeypatch.setattr(inv.evaluator, "jet", flat_jet)
+    monkeypatch.setattr(inv.evaluator, "corner", flat_corner)
+    for x, y in ((0.5, 0.5), (30.0, 0.0)):
+        with pytest.raises(NoConvergence) as info:
+            inv.invert(x, y)
+        err = info.value
+        assert (err.x, err.y) == (x, y)
+        assert math.isfinite(err.residual)
+        assert err.residual > 1e-10 * (1 + max(abs(x), abs(y)))
+        assert np.isfinite(err.last).all()
+
+
+def random_gap_data(seed):
+    """Principal n = 3 data with every gap below pi/2, by rejection."""
+    rng = np.random.default_rng(seed)
+    while True:
+        gaps = rng.uniform(0.05, 1.0, size=6)
+        gaps *= 2 * math.pi / gaps.sum()
+        if gaps.max() < math.pi / 2:
+            return make(3, np.concatenate([[0.0], np.cumsum(gaps[:-1])]))
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=12, deadline=None)
+# targets along an end direction: their unclipped corner seeds leave the
+# chart, and for the second the best seed's sector is the wrong one
+@example(seed=1, turn=0.0)
+@example(seed=1416186938, turn=0.303194829291645)
+def test_invert_whole_plane(seed, turn):
+    # the paper's claim far out: every target on a log-spaced radial grid to
+    # |x| = 1e3, and on a ring at 1e6, has a preimage whose chart point
+    # reproduces it; 50 digits on a sample, doubles on all
+    inv = GraphInverter(random_gap_data(seed))
+    angles = 2 * math.pi * (np.arange(6) + turn) / 6
+    radii = np.append(np.logspace(0.0, 3.0, 7), 1e6)
+    X, Y = (np.outer(radii, f(angles)).ravel() for f in (np.cos, np.sin))
+    u, th, lam, ok, rn, (a, b, s, t) = inv._solve(X, Y)
+    assert ok.all()
+    corner = a >= 0
+    vals = np.empty((3, X.size))
+    vals[:, corner] = inv.evaluator.corner(a[corner], b[corner], s[corner], t[corner])[1]
+    vals[:, ~corner] = inv.evaluator.jet(np.exp(s[~corner]), t[~corner])[0]
+    scale = 1 + np.maximum(np.abs(X), np.abs(Y))
+    assert np.all(np.abs(vals[1:] - [X, Y]).max(axis=0) <= 1e-10 * scale)
+    # u carries the clearance of the chart's nearest end as far as a double can
+    near = np.where(~corner, np.argmax(np.cos(t[:, None] - inv.evaluator.betas), axis=1),
+                    np.where(s <= t, a, b))
+    l = np.where(corner, np.minimum(s, t), s)
+    assert np.all(np.abs(u - np.cos(th - inv.evaluator.betas[near]) - np.exp(l)) <= 2e-15 * (1 + u))
+    for i in (np.argmin(np.where(corner, np.minimum(s, t), s)), X.size - 1, 0, 20):
+        x, y = X[i], Y[i]
+        assert_chart_point_reproduces(inv, x, y, inv.invert(x, y)[2])
+    # where the seed lies above depth -25, invert is the end chart's answer
+    # to the bit
+    _, _, p, q = inv._corner_seed(X, Y)
+    for i in np.flatnonzero(~(np.minimum(p[0], q[0]) < -25.0)):
+        x, y = [X[i]], [Y[i]]
+        end = inv.newton_batch(x, y, *inv._cold_start(x, y))
+        if end[3][0]:
+            assert np.array_equal(inv.invert(X[i], Y[i]), [r[0] for r in end[:3]])
 
 
 def test_invert_grid_rescued_nodes_reproduce_targets():

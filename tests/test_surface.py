@@ -15,6 +15,8 @@ from zmc.surface import (CausalCharacter, SurfaceEvaluator, SurfacePoint, build_
                          graph_gradient, integrate_oneform)
 from zmc.weierstrass import GeneralCoeffs, build, coefficients
 
+from mp_oracle import mp_corner, mp_reference
+
 RNG = np.random.default_rng(99)
 mp.mp.dps = 50  # the accuracy references
 
@@ -451,39 +453,6 @@ CLEARANCES = np.logspace(-8, 1, 10)
 MP_BOUNDS = (5e-15, 2e-15, 2e-15)
 
 
-def mp_reference(data):
-    """f~(u, theta) in 50 digits, from the closed form
-    S_k = sum_i C(k, i) (-1)^i e^{-i(k-i)s} T_i(u) / (2D)^k - (-1)^k / 2
-    summed term by term, with the double partial-fraction coefficients as
-    exact input."""
-    betas = [mp.mpf(float(b)) for b in data.angular.betas]
-    terms = []  # (component, end, k, coefficient); k = 0 is the log term
-    for c in range(3):
-        for part in partial_fractions(data.phi[c]):
-            j = int(np.argmin([abs(cmath.exp(1j * float(b)) - part.pole) for b in betas]))
-            terms.append((c, j, 0, part.coeffs[0].real / 2))
-            for m in range(2, part.order + 1):
-                g = -part.coeffs[m - 1] * cmath.exp(-1j * (m - 1) * float(betas[j])) / (m - 1)
-                terms.append((c, j, m - 1, g))
-
-    def f(u, th):
-        out = [mp.mpf(0)] * 3
-        for c, j, k, g in terms:
-            s = th - betas[j]
-            D = u - mp.cos(s)
-            if k == 0:
-                out[c] += g * mp.log(D)
-                continue
-            T = [mp.mpf(1), u]
-            while len(T) <= k:
-                T.append(2 * u * T[-1] - T[-2])
-            S = mp.fsum(mp.binomial(k, i) * (-1) ** i * mp.expj(-(k - i) * s) * T[i]
-                        for i in range(k + 1)) / (2 * D) ** k - mp.mpf(-1) ** k / 2
-            out[c] += (mp.mpc(g.real, g.imag) * S).real
-        return out
-    return f
-
-
 def mp_errors(data, values, partials, thetas):
     """Worst scaled error of (values, d/du, d/dtheta) at each clearance
     against `mp_reference`; shape (clearances, 3)."""
@@ -553,3 +522,74 @@ def test_jet_accuracy_in_chart(name):
                 w = np.array([float(x) for x in w])
                 bound = 1e-13 if q < 3 else JET2_BOUND
                 assert np.abs(gq[:, i] - w).max() <= bound * (1 + np.abs(w).max())
+
+
+# ---------------------------------------------------------------- corner chart
+
+RANDOM_N3 = make(3, (0.0, 1.0724798527999555, 1.5920117877623825, 3.0747301101615054,
+                     4.008583837552972, 4.944751739369208))
+CORNER_SECTORS = [("scherk:2", SURFACES["scherk:2"], 0, 1), ("scherk:2", SURFACES["scherk:2"], 3, 0),
+                  ("scherk:3", SURFACES["scherk:3"], 5, 0), ("scherk:4", SURFACES["scherk:4"], 2, 3),
+                  ("random-n3", RANDOM_N3, 2, 3), ("random-n3", RANDOM_N3, 1, 2),
+                  ("double-end", make(2, (0.0, 0.0, 2.0, 4.0)), 1, 2)]
+CORNER_DEPTHS = (-1.0, -30.0, -700.0, -4000.0)
+# scaled error of values, d/dp and d/dq against the 50-digit reference:
+# measured at most 2.2e-16
+CORNER_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("name, data, a, b", CORNER_SECTORS,
+                         ids=[f"{s[0]}-{s[2]}{s[3]}" for s in CORNER_SECTORS])
+def test_corner_chart_against_mpmath(name, data, a, b):
+    # theta, u and every D_j rebuilt from (p, q) in 50 digits; where the
+    # reference leaves the domain (some D_j < 0, only on random-n3's narrow
+    # sector from end 1 to end 2) the chart gives NaN.  double-end has a
+    # pole end at 0 next to the sector, whose pole terms the chart carries
+    ev = SurfaceEvaluator(data)
+    F = mp_corner(data, a, b)
+    p, q = (m.ravel() for m in np.meshgrid(CORNER_DEPTHS, CORNER_DEPTHS))
+    _, vals, dp, dq = ev.corner(np.full(p.size, a), np.full(p.size, b), p, q, order=1)
+    off = 0
+    for i in range(p.size):
+        want = F(p[i], q[i])
+        if any(isinstance(w, mp.mpc) for w in want):
+            assert np.isnan(vals[:, i]).all()
+            off += 1
+            continue
+        want = (want, [mp.diff(lambda x: F(x, q[i])[c], p[i]) for c in range(3)],
+                [mp.diff(lambda x: F(p[i], x)[c], q[i]) for c in range(3)])
+        for got, w in zip((vals, dp, dq), want):
+            w = np.array([float(x) for x in w])
+            assert np.abs(got[:, i] - w).max() <= CORNER_BOUND * (1 + np.abs(w).max())
+    assert off == (3 if name == "random-n3" and a == 1 else 0)
+
+
+# against `jet` the error is the input rounding of theta, about 1e-16 over
+# the larger of D_a and D_b (measured at most 6.3e-16 times 1 + 1 / max D)
+CORNER_JET_BOUND = 5e-15
+
+
+@pytest.mark.parametrize("name, data, a, b", CORNER_SECTORS,
+                         ids=[f"{s[0]}-{s[2]}{s[3]}" for s in CORNER_SECTORS])
+def test_corner_chart_matches_jet(name, data, a, b):
+    # where the clearances are at least 1e-6 both charts apply: the end
+    # chart at the nearest end n, delta = D_n, takes d/d delta = d/dp / D_a
+    # + d/dq / D_b and d/d theta = sum over j in (a, b) of d/d log D_j
+    # (sin s_j - sin s_n) / D_j
+    ev = SurfaceEvaluator(data)
+    depths = (-0.5, -3.0, -8.0, math.log(1e-6))
+    p, q = (m.ravel() for m in np.meshgrid(depths, depths))
+    th, vals, dp, dq = ev.corner(np.full(p.size, a), np.full(p.size, b), p, q, order=1)
+    near, _ = ev.active_end(th)
+    keep = np.isfinite(vals).all(axis=0) & ((near == a) | (near == b))
+    assert keep.sum() >= 10
+    p, q, th, near, vals, dp, dq = (x[..., keep] for x in (p, q, th, near, vals, dp, dq))
+    Da, Db = np.exp(p), np.exp(q)
+    sn = np.sin(th[None, :] - ev.betas[:, None])
+    sn_near = sn[near, np.arange(th.size)]
+    got = ev.jet(np.where(near == a, Da, Db), th, order=1)
+    want = (vals, dp / Da + dq / Db,
+            dp * (sn[a] - sn_near) / Da + dq * (sn[b] - sn_near) / Db)
+    bound = CORNER_JET_BOUND * (1 + 1 / np.maximum(Da, Db))
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w).max(axis=0) <= bound * (1 + np.abs(w).max(axis=0)))
