@@ -139,17 +139,6 @@ def jacobian_x1x2(data: KobayashiData, u: float, theta: float) -> float:
     return float(-Y) / (4**n * prod)
 
 
-def jacobians_x0(data: KobayashiData, u: float, theta: float) -> tuple[float, float]:
-    """(d(x0,x1)/d(u,theta), d(x0,x2)/d(u,theta)) for principal data."""
-    if not data.principal:
-        raise PreconditionUnmet("x0 Jacobian closed forms hold for principal type")
-    n = data.n
-    prod = _domain_product(data.angular, u, theta)
-    common = float(cheb_U(n - 2, u)) / (2 ** (2 * n - 2) * prod)
-    k = n - 1
-    return common * math.sin(k * theta), -common * math.cos(k * theta)
-
-
 def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
     """Determinant of the induced metric of f~ in (u, theta), in closed form.
 
@@ -516,14 +505,6 @@ def graph_table(inverter: GraphInverter, xs, ys, h: float | None = None):
     u, th, lam, ok, _ = inverter.invert_grid(xs, ys)
     grad, _, resid, finite = graph_derivatives(inverter, u, th)
     return lam, grad[0], grad[1], resid, ok & finite
-
-
-def psi_map(u: float, theta: float) -> tuple[float, float]:
-    """(cos theta, sin theta) / (u - cos theta); injective on each domain."""
-    c = math.cos(theta)
-    if u <= c:
-        raise OutsideDomain(f"psi map needs u > cos(theta), got ({u}, {theta})")
-    return c / (u - c), math.sin(theta) / (u - c)
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,13 @@ from .domain import FinitePoint
 from .errors import InputError, NumericError, OutsideDomain, PreconditionUnmet, ZmcError
 from .gallery import GalleryEntry, Normalization, get_entry
 from .polycheb import ComplexPoly, ReciprocalClass, reduce_reciprocal
-from .surface import SurfaceEvaluator, causal_character, eval_on_disk
+from .surface import SurfaceEvaluator, eval_on_disk
 from .weierstrass import (KobayashiData, build, coefficients, period_check,
                           verify_fold_type)
 
 REPORT_SCHEMA = "zmc-report/1"
 
 _ANGLE_RE = re.compile(r"^\s*(?P<sign>[+-])?\s*(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*)?pi\s*$")
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _parse_angle(value, where: str) -> tuple[float, Fraction | None]:
@@ -258,11 +254,41 @@ def _grid(data: KobayashiData, options: Options, resolution: int | None):
     return u, th
 
 
-def _causal_labels(data: KobayashiData, U, TH) -> np.ndarray:
-    """Tangent-plane causal type from the sign of the induced metric
-    determinant, in closed form; zero is light-like."""
-    det = _analysis.metric_determinant(data, U, TH)
-    return np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
+def _reprs(a: np.ndarray):
+    """Each value of a 1-D array as Python's shortest round-trip repr."""
+    return map(repr, a.tolist())
+
+
+def _write(path: str, head: list[str], rows) -> None:
+    """The header lines, then each chunk of text in `rows` as it comes."""
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in head))
+        fh.writelines(rows)
+
+
+def _sample_rows(fmt: str, U, th, vals, labels):
+    """The body of a `zmc sample` file, one chunk of text per u-row of
+    vertices and per band of faces; theta takes only `res` values, so it is
+    formatted once."""
+    res = th.size
+    starts = range(0, U.size, res)
+    if fmt == "csv":
+        th_s = list(_reprs(th))
+        for a in starts:
+            s = slice(a, a + res)
+            yield "".join(map("{},{},{},{},{},{}\n".format, _reprs(U[s]), th_s,
+                              *map(_reprs, vals[:, s]), labels[s].tolist()))
+        return
+    obj = fmt == "obj"
+    vertex = "v {} {} {}\n" if obj else "{} {} {}\n"
+    for a in starts:
+        yield "".join(map(vertex.format, *map(_reprs, vals[:, a:a + res])))
+    # quad (i, j) -> (i, j + 1) -> (i + 1, j + 1) -> (i + 1, j), closed in theta
+    j = np.stack([np.arange(res), np.roll(np.arange(res), -1)])
+    quad = np.concatenate([j, j[::-1] + res]) + obj
+    face = "f {} {} {} {}\n" if obj else "4 {} {} {} {}\n"
+    for a in starts[:-1]:
+        yield "".join(map(face.format, *(quad + a).tolist()))
 
 
 def cmd_sample(args) -> int:
@@ -276,6 +302,14 @@ def cmd_sample(args) -> int:
         options.u_max = args.u_max
     if args.margin is not None:
         options.margin = args.margin
+    fmt = args.format
+    if fmt not in ("obj", "ply", "csv"):
+        raise InputError(f"unknown format {fmt!r}")
+    names = ["t", "x", "y"]
+    if args.axis_order:
+        names = [s.strip() for s in args.axis_order.split(",")]
+        if sorted(names) != ["t", "x", "y"]:
+            raise InputError("--axis-order must be a permutation of t,x,y")
     u, th = _grid(data, options, args.resolution)
     res = u.shape[0]
     evaluator = SurfaceEvaluator(data)
@@ -287,57 +321,28 @@ def cmd_sample(args) -> int:
             raise InputError(f"options.base_point {list(options.base_point)} is not "
                              "strictly inside the extension domain")
     U, TH = u.ravel(), np.tile(th, res)
-    vals = target.normalization.apply_batch(evaluator.eval_batch(U, TH) - base[:, None])
+    with np.errstate(all="ignore"):
+        vals = target.normalization.apply_batch(evaluator.eval_batch(U, TH) - base[:, None])
+        det = _analysis.metric_determinant(data, U, TH) if fmt == "csv" else 1.0
+    bad = ~(np.isfinite(vals).all(axis=0) & np.isfinite(det))
+    if bad.any():
+        i = np.argmax(bad)
+        raise NumericError(f"non-finite value at (u, theta) = ({U[i]}, {TH[i]})")
 
-    order = [("t", 0), ("x", 1), ("y", 2)]
-    if args.axis_order:
-        names = [s.strip() for s in args.axis_order.split(",")]
-        if sorted(names) != ["t", "x", "y"]:
-            raise InputError("--axis-order must be a permutation of t,x,y")
-        lookup = {"t": 0, "x": 1, "y": 2}
-        order = [(nm, lookup[nm]) for nm in names]
-
-    fmt = args.format
-    lines: list[str] = []
     if fmt == "csv":
-        causal = _causal_labels(data, U, TH)
-        lines.append("u,theta,t,x,y,causal")
-        for i in range(U.size):
-            lines.append(",".join([_fmt(U[i]), _fmt(TH[i]), _fmt(vals[0, i]),
-                                   _fmt(vals[1, i]), _fmt(vals[2, i]), causal[i]]))
-    elif fmt == "obj":
-        lines.append(f"# zmc surface {target.name}; axis order " +
-                     ",".join(nm for nm, _ in order))
-        for i in range(U.size):
-            lines.append("v " + " ".join(_fmt(vals[k, i]) for _, k in order))
-        for i in range(res - 1):
-            for j in range(res):
-                j2 = (j + 1) % res
-                a = i * res + j + 1
-                b = i * res + j2 + 1
-                c = (i + 1) * res + j2 + 1
-                d = (i + 1) * res + j + 1
-                lines.append(f"f {a} {b} {c} {d}")
-    elif fmt == "ply":
-        nfaces = (res - 1) * res
-        lines += ["ply", "format ascii 1.0",
-                  f"comment zmc surface {target.name}",
-                  f"element vertex {U.size}",
-                  "property float x", "property float y", "property float z",
-                  f"element face {nfaces}",
-                  "property list uchar int vertex_indices", "end_header"]
-        for i in range(U.size):
-            lines.append(" ".join(_fmt(vals[k, i]) for _, k in order))
-        for i in range(res - 1):
-            for j in range(res):
-                j2 = (j + 1) % res
-                lines.append(f"4 {i * res + j} {i * res + j2} "
-                             f"{(i + 1) * res + j2} {(i + 1) * res + j}")
+        # causal type from the sign of the closed-form metric determinant
+        labels = np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
+        head = ["u,theta,t,x,y,causal"]
     else:
-        raise InputError(f"unknown format {fmt!r}")
-
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        vals = vals[["txy".index(nm) for nm in names]]
+        labels = None
+        head = ([f"# zmc surface {target.name}; axis order " + ",".join(names)] if fmt == "obj"
+                else ["ply", "format ascii 1.0", f"comment zmc surface {target.name}",
+                      f"element vertex {U.size}",
+                      "property float x", "property float y", "property float z",
+                      f"element face {(res - 1) * res}",
+                      "property list uchar int vertex_indices", "end_header"])
+    _write(args.out, head, _sample_rows(fmt, U, th, vals, labels))
     print(f"wrote {U.size} vertices to {args.out}")
     return 0
 
@@ -381,14 +386,13 @@ def cmd_graph(args) -> int:
         i, j = np.argwhere(~(ok & finite))[0]
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
-    lines = ["x,y,lambda,causal,zmc_residual"]
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            causal = causal_character((lx[i, j], ly[i, j])).value
-            lines.append(",".join([_fmt(x), _fmt(y), _fmt(norm.scale[0] * lam[i, j]),
-                                   causal, _fmt(resid[i, j])]))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    q = 1.0 - lx**2 - ly**2  # as surface.causal_character, vectorized
+    causal = np.where(np.abs(q) < 1e-6, "lightlike", np.where(q > 0, "spacelike", "timelike"))
+    xs_s = list(_reprs(xs))
+    rows = ("".join(map(f"{{}},{y!r},{{}},{{}},{{}}\n".format, xs_s, _reprs(l), c.tolist(),
+                        _reprs(r)))
+            for y, l, c, r in zip(ys.tolist(), norm.scale[0] * lam, causal, resid))
+    _write(args.out, ["x,y,lambda,causal,zmc_residual"], rows)
     print(f"wrote {res * res} graph samples to {args.out}")
     return 0
 

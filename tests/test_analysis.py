@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from zmc import analysis
 from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
                           graph_derivatives, graph_table, injectivity_scan,
-                          jacobian_x1x2, jacobians_x0, metric_determinant, psi_map,
-                          umbilics)
+                          jacobian_x1x2, metric_determinant, umbilics)
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from zmc.gallery import get_entry
@@ -25,6 +24,28 @@ RNG = np.random.default_rng(123)
 
 def make(n, alphas, b=()):
     return build(AngularData(n, tuple(alphas)), BlaschkeParams(tuple(b)))
+
+
+# oracles: closed forms from the paper with no production caller
+
+
+def jacobians_x0(data, u: float, theta: float) -> tuple[float, float]:
+    """(d(x0,x1)/d(u,theta), d(x0,x2)/d(u,theta)) for principal data."""
+    if not data.principal:
+        raise PreconditionUnmet("x0 Jacobian closed forms hold for principal type")
+    n = data.n
+    prod = analysis._domain_product(data.angular, u, theta)
+    common = float(cheb_U(n - 2, u)) / (2 ** (2 * n - 2) * prod)
+    k = n - 1
+    return common * math.sin(k * theta), -common * math.cos(k * theta)
+
+
+def psi_map(u: float, theta: float) -> tuple[float, float]:
+    """(cos theta, sin theta) / (u - cos theta); injective on each domain."""
+    c = math.cos(theta)
+    if u <= c:
+        raise OutsideDomain(f"psi map needs u > cos(theta), got ({u}, {theta})")
+    return c / (u - c), math.sin(theta) / (u - c)
 
 
 SCHERK2 = make(2, tuple(math.pi * j / 2 for j in range(4)))

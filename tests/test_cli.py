@@ -2,12 +2,18 @@ import json
 import math
 import os
 import tempfile
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from zmc import cli
+from zmc.analysis import GraphInverter, graph_derivatives, metric_determinant
 from zmc.cli import main
+from zmc.domain import FinitePoint
+from zmc.surface import SurfaceEvaluator, causal_character
 
 
 def run(argv, capsys):
@@ -251,6 +257,187 @@ def test_sample_negative_entry_refused(capsys, tmp_path):
     code, _, err = run(["sample", "--gallery", "helicoid-negative",
                         "--format", "obj", "-o", str(tmp_path / "x.obj")], capsys)
     assert code == 3
+
+
+# ------------------------------------------------ non-finite values, robustness
+
+@pytest.mark.parametrize("source, flags", [
+    (["--gallery", "scherk:3"], ["--format", "obj", "--resolution", "8", "--margin", "1e-17"]),
+    ("order6", ["--format", "csv", "--resolution", "4", "--margin", "1e-30"])],
+    ids=["scherk3-obj", "order6-csv"])
+def test_sample_non_finite_is_numeric_failure(capsys, tmp_path, source, flags):
+    # lo + margin rounds onto max cos, so the lowest row sits on the boundary
+    if source == "order6":
+        spec = tmp_path / "order6.json"
+        spec.write_text(json.dumps(ORDER6_DOC))
+        source = [str(spec)]
+    out_path = tmp_path / "mesh.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(["sample", *source, *flags, "-o", str(out_path)], capsys)
+    assert code == 4
+    assert err.splitlines() == ["numeric failure: non-finite value at (u, theta) = (1.0, 0.0)"]
+    assert not out_path.exists()
+
+
+MARGINS = st.one_of(st.floats(-20.0, 0.0).map(lambda e: 10.0**e),
+                    st.sampled_from([0.0, -0.1, math.inf, math.nan]))
+U_MAXES = st.one_of(st.floats(2.5, 6.0), st.floats(-2.0, 2.5))  # edge + margin <= 2
+AXIS_ORDERS = st.one_of(st.permutations(["t", "x", "y"]).map(",".join),
+                        st.sampled_from(["", "t,x", "t,x,y,y", " y , t , x", "a,b,c", "t;x;y"]))
+SAMPLE_SURFACES = ["scherk:2", "scherk:3", "jorge-meeks:2", "jorge-meeks:3", "ruled-enneper",
+                   "parabolic", "self-intersecting-fb", "helicoid-negative", "order6"]
+
+
+@given(st.sampled_from(SAMPLE_SURFACES), st.sampled_from(["obj", "ply", "csv"]),
+       st.integers(2, 12), MARGINS, U_MAXES, AXIS_ORDERS)
+@settings(max_examples=50, deadline=None)
+def test_sample_exit_codes_and_finite_output(surface, fmt, res, margin, u_max, axis_order):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "mesh." + fmt)
+        if surface == "order6":
+            doc = os.path.join(tmp, "s.json")
+            with open(doc, "w") as fh:
+                json.dump(ORDER6_DOC, fh)
+            target = [doc]
+        else:
+            target = ["--gallery", surface]
+        code = main(["sample", *target, "--format", fmt, "--resolution", str(res),
+                     f"--margin={margin!r}", f"--u-max={u_max!r}",
+                     f"--axis-order={axis_order}", "-o", out])
+        assert code in (0, 2, 3, 4)
+        assert os.path.exists(out) == (code == 0)
+        if code == 0:
+            with open(out) as fh:
+                lines = fh.read().splitlines()
+            if fmt == "csv":
+                vertices = [ln.split(",")[:5] for ln in lines[1:]]
+            elif fmt == "obj":
+                vertices = [ln.split()[1:] for ln in lines if ln.startswith("v ")]
+            else:
+                vertices = [ln.split() for ln in lines[lines.index("end_header") + 1:][:res * res]]
+            nums = np.array(vertices, dtype=float)
+            assert nums.shape == (res * res, 5 if fmt == "csv" else 3)
+            assert np.isfinite(nums).all()
+
+
+# ------------------------------------------------ byte identity against the old loops
+# The per-vertex and per-node loops the row-streamed writers replaced, kept
+# as the oracle for their bytes.
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def oracle_sample_text(name, fmt, order, U, TH, vals, causal, res):
+    lines = []
+    if fmt == "csv":
+        lines.append("u,theta,t,x,y,causal")
+        for i in range(U.size):
+            lines.append(",".join([_fmt(U[i]), _fmt(TH[i]), _fmt(vals[0, i]),
+                                   _fmt(vals[1, i]), _fmt(vals[2, i]), causal[i]]))
+    elif fmt == "obj":
+        lines.append(f"# zmc surface {name}; axis order " + ",".join(nm for nm, _ in order))
+        for i in range(U.size):
+            lines.append("v " + " ".join(_fmt(vals[k, i]) for _, k in order))
+        for i in range(res - 1):
+            for j in range(res):
+                j2 = (j + 1) % res
+                a = i * res + j + 1
+                b = i * res + j2 + 1
+                c = (i + 1) * res + j2 + 1
+                d = (i + 1) * res + j + 1
+                lines.append(f"f {a} {b} {c} {d}")
+    else:
+        nfaces = (res - 1) * res
+        lines += ["ply", "format ascii 1.0",
+                  f"comment zmc surface {name}",
+                  f"element vertex {U.size}",
+                  "property float x", "property float y", "property float z",
+                  f"element face {nfaces}",
+                  "property list uchar int vertex_indices", "end_header"]
+        for i in range(U.size):
+            lines.append(" ".join(_fmt(vals[k, i]) for _, k in order))
+        for i in range(res - 1):
+            for j in range(res):
+                j2 = (j + 1) % res
+                lines.append(f"4 {i * res + j} {i * res + j2} "
+                             f"{(i + 1) * res + j2} {(i + 1) * res + j}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_graph_text(name, x0, x1, y0, y1, res):
+    entry = cli.get_entry(name)
+    norm = entry.normalization
+    inverter = GraphInverter(entry.data)
+    xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
+    raw_x = np.array([norm.raw_xy(x, 0.0)[0] for x in xs])
+    raw_y = np.array([norm.raw_xy(0.0, y)[1] for y in ys])
+    u, th, lam, ok, _ = inverter.invert_grid(raw_x, raw_y)
+    (lx, ly), _, resid, finite = graph_derivatives(inverter, u, th, norm.scale)
+    assert (ok & finite).all()
+    lines = ["x,y,lambda,causal,zmc_residual"]
+    for i, y in enumerate(ys):
+        for j, x in enumerate(xs):
+            causal = causal_character((lx[i, j], ly[i, j])).value
+            lines.append(",".join([_fmt(x), _fmt(y), _fmt(norm.scale[0] * lam[i, j]),
+                                   causal, _fmt(resid[i, j])]))
+    return "\n".join(lines) + "\n"
+
+
+BASE_POINT_DOC = {"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
+                  "options": {"u_max": 2.5, "margin": 0.1, "base_point": [2.0, 0.0]}}
+
+
+@pytest.mark.parametrize("res", [2, 7])
+@pytest.mark.parametrize("axis_order", [None, "y,t,x"])
+@pytest.mark.parametrize("fmt", ["obj", "ply", "csv"])
+@pytest.mark.parametrize("source", ["scherk:3", "base-point-doc"])
+def test_sample_bytes_match_oracle(capsys, tmp_path, source, fmt, axis_order, res):
+    if source == "base-point-doc":
+        spec = tmp_path / "doc.json"
+        spec.write_text(json.dumps(BASE_POINT_DOC))
+        target_args = [str(spec)]
+        target = cli.load_surface_document(str(spec))
+    else:
+        target_args = ["--gallery", source]
+        target = cli.resolve_target(SimpleNamespace(gallery=source, surface=None))
+    out_path = tmp_path / f"mesh.{fmt}"
+    argv = ["sample", *target_args, "--format", fmt, "--resolution", str(res),
+            "-o", str(out_path)]
+    code, _, _ = run(argv + (["--axis-order", axis_order] if axis_order else []), capsys)
+    assert code == 0
+
+    data, options = target.data, target.options
+    u, th = cli._grid(data, options, res)
+    ev = SurfaceEvaluator(data)
+    base = (ev.eval(FinitePoint(*options.base_point)).as_array()
+            if options.base_point else np.zeros(3))
+    U, TH = u.ravel(), np.tile(th, res)
+    vals = target.normalization.apply_batch(ev.eval_batch(U, TH) - base[:, None])
+    det = metric_determinant(data, U, TH)
+    causal = np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
+    names = axis_order.split(",") if axis_order else ["t", "x", "y"]
+    order = [(nm, "txy".index(nm)) for nm in names]
+    want = oracle_sample_text(target.name, fmt, order, U, TH, vals, causal, res)
+    assert out_path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("name, ranges, res", [
+    ("scherk:3", ("-1", "1", "-1", "1"), 9),
+    ("parabolic", ("-2", "2", "-2", "2"), 7),
+    ("scherk:2", ("-1.5", "0.5", "-0.3", "1.9"), 5),      # display scale 2
+    ("jorge-meeks:2", ("-1", "1", "-1", "1"), 5),         # display x flipped
+    ("scherk:3", ("0.25", "0.75", "-0.5", "0.5"), 1)])
+def test_graph_bytes_match_oracle(capsys, tmp_path, name, ranges, res):
+    x0, x1, y0, y1 = ranges
+    out_path = tmp_path / "g.csv"
+    code, _, _ = run(["graph", "--gallery", name, f"--x-range={x0}:{x1}",
+                      f"--y-range={y0}:{y1}", "--resolution", str(res),
+                      "-o", str(out_path)], capsys)
+    assert code == 0
+    want = oracle_graph_text(name, *map(float, ranges), res)
+    assert out_path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------- graph
