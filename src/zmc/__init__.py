@@ -1,8 +1,7 @@
 """Zero-mean-curvature entire graphs of mixed type in Lorentz-Minkowski 3-space."""
 
 from .angular import AngularData, BlaschkeParams
-from .domain import (ExtensionDomain, FinitePoint, P_INFINITY, PointAtInfinity,
-                     iota, iota_inverse)
+from .domain import FinitePoint, P_INFINITY, PointAtInfinity, iota, iota_inverse
 from .surface import SurfacePoint
 from .weierstrass import KobayashiData, build
 
@@ -11,7 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularData",
     "BlaschkeParams",
-    "ExtensionDomain",
     "FinitePoint",
     "P_INFINITY",
     "PointAtInfinity",

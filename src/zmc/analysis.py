@@ -18,6 +18,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .angular import TWO_PI, AngularData
+from .domain import sample_edges
 from .errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from .polycheb import cheb_U, cheb_U_table, cluster_roots, reduce_anti_coeffs
 from .surface import SurfaceEvaluator
@@ -104,13 +105,6 @@ def check_conditions(angular: AngularData) -> ConditionReport:
 # Jacobian formulas
 # ---------------------------------------------------------------------------
 
-def _domain_product(angular: AngularData, u: float, theta: float) -> float:
-    D = u - np.cos(theta - np.asarray(angular.alphas))
-    if np.min(D) <= 0:
-        raise OutsideDomain(f"({u}, {theta}) outside the extension domain")
-    return float(np.prod(D))
-
-
 def jacobian_x1x2(data: KobayashiData, u: float, theta: float) -> float:
     """d(x1, x2)/d(u, theta) of the extension.
 
@@ -119,7 +113,9 @@ def jacobian_x1x2(data: KobayashiData, u: float, theta: float) -> float:
     prod |conj(b) z - 1|^4 - prod |z - b|^4.
     """
     n = data.n
-    prod = _domain_product(data.angular, u, theta)
+    if u - data.angular.max_cos(theta) <= 0:
+        raise OutsideDomain(f"({u}, {theta}) outside the extension domain")
+    prod = float(np.prod(u - np.cos(theta - np.asarray(data.angular.alphas))))
     if data.principal:
         return float(cheb_U(2 * n - 3, u)) / (2 ** (2 * n - 1) * prod)
     plus = np.array([1.0])
@@ -232,8 +228,7 @@ class GraphInverter:
     def _to_chart(self, u, th):
         u = np.asarray(u, dtype=float).ravel()
         th = np.asarray(th, dtype=float).ravel()
-        _, mc = self.evaluator.active_end(th)
-        return np.log(np.maximum(u - mc, 1e-300)), th
+        return np.log(np.maximum(u - self.angular.max_cos(th), 1e-300)), th
 
     def _unkink(self, th, eps=3e-9):
         """Shift theta off the boundary corners, where the chart Jacobian
@@ -245,8 +240,7 @@ class GraphInverter:
         return out
 
     def _from_chart(self, l, th):
-        _, mc = self.evaluator.active_end(th)
-        return mc + np.exp(l), th % TWO_PI
+        return self.angular.max_cos(th) + np.exp(l), th % TWO_PI
 
     def _nearest_seed(self, X, Y):
         """Index of the seed-bank point nearest each target, and its distance."""
@@ -628,15 +622,15 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
     pair of chart cells (mu rounded to multiples of tol_param / 2) seeds a
     Gauss-Newton solve.  A confirmed crossing is reported unless both its
     chart points lie within tol_param / 2 of an earlier report's.
+
+    Raises `InputError` for a grid that `domain.sample_edges` rejects and
+    for a tol_param that is not positive and finite.
     """
-    if grid_resolution < 2:
-        raise InputError(f"grid resolution must be at least 2, got {grid_resolution}")
-    if not (math.isfinite(margin) and margin > 0):
-        raise InputError(f"margin must be positive and finite, got {margin}")
-    ev = SurfaceEvaluator(data)
+    if not (math.isfinite(tol_param) and tol_param > 0):
+        raise InputError(f"tol_param must be positive and finite, got {tol_param}")
     res = grid_resolution
-    th = np.linspace(0.0, TWO_PI, res, endpoint=False)
-    lo = np.asarray(data.angular.max_cos(th)) + margin
+    th, lo = sample_edges(data.angular, res, margin, u_max)
+    ev = SurfaceEvaluator(data)
     s = (np.arange(res) / (res - 1.0)) ** 2
     u = lo[None, :] + s[:, None] * (u_max - lo)[None, :]
     U = u.ravel()

@@ -100,13 +100,6 @@ class AngularData:
         return np.max(np.cos(th[..., None] - b), axis=-1) if th.ndim else float(
             np.max(np.cos(th - b)))
 
-    def intervals(self) -> list[tuple[float, float] | tuple[tuple[float, float], ...]]:
-        """The closed intervals I_j; I_0 wraps around 0 and is a pair of pieces."""
-        g = self.gammas
-        out: list = [((0.0, g[0]), (g[-1], TWO_PI))]
-        out.extend((g[j - 1], g[j]) for j in range(1, len(self.betas)))
-        return out
-
 
 @dataclass(frozen=True)
 class BlaschkeParams:

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import analysis as _analysis
 from .angular import AngularData, BlaschkeParams
-from .domain import FinitePoint
-from .errors import InputError, NumericError, OutsideDomain, PreconditionUnmet, ZmcError
+from .domain import FinitePoint, sample_edges
+from .errors import (InputError, NumericError, OutsideDomain, ParityError, PreconditionUnmet,
+                     ZmcError)
 from .gallery import GalleryEntry, Normalization, get_entry
 from .polycheb import ComplexPoly, ReciprocalClass, reduce_reciprocal
 from .surface import SurfaceEvaluator, eval_on_disk
@@ -237,18 +238,10 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _grid(data: KobayashiData, options: Options, resolution: int | None):
-    """The (u, theta) sample grid; rejects options that leave it empty or
-    reach outside the domain."""
+    """The (u, theta) sample grid: rows evenly spaced in u from the checked
+    lower edges of `sample_edges` up to u_max."""
     res = options.resolution if resolution is None else resolution
-    if res < 2:
-        raise InputError(f"resolution must be at least 2, got {res}")
-    if not (math.isfinite(options.margin) and options.margin > 0):
-        raise InputError(f"margin must be positive and finite, got {options.margin}")
-    th = np.linspace(0.0, 2 * math.pi, res, endpoint=False)
-    lo = np.asarray(data.angular.max_cos(th)) + options.margin
-    if not (math.isfinite(options.u_max) and np.all(options.u_max > lo)):
-        raise InputError(f"u_max = {options.u_max} must be finite and exceed every "
-                         f"sampled lower edge max cos + margin, up to {lo.max():.6g}")
+    th, lo = sample_edges(data.angular, res, options.margin, options.u_max)
     hi = np.full(res, options.u_max)
     u = np.linspace(lo, hi, res, axis=0)
     return u, th
@@ -520,7 +513,10 @@ def cmd_reduce(args) -> int:
         else:
             raise InputError(f"--coeffs[{i}]: expected number or [re, im]")
     parity = ReciprocalClass.SELF if args.parity == "self" else ReciprocalClass.ANTI
-    combo = reduce_reciprocal(ComplexPoly(coeffs), args.m, parity)
+    try:
+        combo = reduce_reciprocal(ComplexPoly(coeffs), args.m, parity)
+    except ParityError as exc:
+        raise InputError(f"--coeffs, --m, --parity: {exc}")
     factor = "" if parity is ReciprocalClass.SELF else " * ((r - 1/r)/2)"
     print(f"p(r) = r^{args.m}{factor} * q(u),  u = (r + 1/r)/2")
     print(f"q(u) = {combo}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import TWO_PI, AngularData
-from .errors import BelowOne, OutOfDisk
+from .errors import BelowOne, InputError, OutOfDisk
 
 
 class PointAtInfinity:
@@ -69,34 +69,23 @@ def iota_inverse(p: ExtendedPoint) -> complex:
     return r * complex(math.cos(p.theta), math.sin(p.theta))
 
 
-@dataclass(frozen=True)
-class ExtensionDomain:
-    """Membership and clearance tests for the extended parameter region."""
-
-    angular: AngularData
-
-    def contains(self, p: ExtendedPoint) -> bool:
-        if isinstance(p, PointAtInfinity):
-            return True
-        return p.u > self.angular.max_cos(p.theta)
-
-    def boundary_distance(self, p: FinitePoint) -> float:
-        """u minus the largest cosine; positive exactly inside the domain."""
-        return float(p.u - self.angular.max_cos(p.theta))
-
-    def active_interval(self, theta: float) -> tuple[int, float]:
-        """Index j of the dominating angle beta_j at theta, and its cosine.
-
-        Ties at the interval endpoints resolve to the lower index (the two
-        cosines agree there, so the returned value is unaffected).
-        """
-        th = float(theta) % TWO_PI
-        cosines = np.cos(th - np.asarray(self.angular.betas))
-        best = float(cosines.max())
-        j = int(np.nonzero(cosines >= best - 1e-12)[0][0])
-        return j, float(cosines[j])
-
-    def lower_bound(self) -> float:
-        """min_j cos((a_{j+1} - a_j)/2); every domain point has u above it."""
-        return min(math.cos(g / 2.0) for g in self.angular.gaps())
-
+def sample_edges(angular: AngularData, resolution: int, margin: float,
+                 u_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The theta samples of a (u, theta) grid and the lower edge
+    max cos(theta) + margin of each; rejects options that leave the grid
+    empty, put a row on the domain boundary or reach outside the domain."""
+    if resolution < 2:
+        raise InputError(f"resolution must be at least 2, got {resolution}")
+    if not (math.isfinite(margin) and margin > 0):
+        raise InputError(f"margin must be positive and finite, got {margin}")
+    th = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+    mc = angular.max_cos(th)
+    lo = mc + margin
+    if not np.all(lo > mc):
+        i = int(np.argmin(lo > mc))
+        raise InputError(f"margin {margin} rounds away: max cos + margin == max cos "
+                         f"= {mc[i]} at theta = {th[i]}")
+    if not (math.isfinite(u_max) and np.all(u_max > lo)):
+        raise InputError(f"u_max = {u_max} must be finite and exceed every "
+                         f"sampled lower edge max cos + margin, up to {lo.max():.6g}")
+    return th, lo

@@ -63,10 +63,6 @@ class GalleryEntry:
     implicit: Callable[[float, float, float], float] | None = None
     expected: dict = field(default_factory=dict)
 
-    @property
-    def is_negative(self) -> bool:
-        return self.data is None
-
 
 def implicit_residual(entry: GalleryEntry, p: SurfacePoint) -> float:
     """|Phi| at the normalized image of a raw surface point."""

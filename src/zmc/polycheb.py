@@ -376,14 +376,6 @@ def reduce_anti_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
     return w
 
 
-def reduce_self_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """T-coefficients of the self-reciprocal reduction, no checks."""
-    w = np.zeros(m + 1, dtype=coeffs.dtype)
-    for k in range(len(coeffs)):
-        w[abs(k - m)] += coeffs[k]
-    return w
-
-
 def contour_residue(f, pole: complex, radius: float, nodes: int = 4096) -> complex:
     """Trapezoid contour integral (1/2pi i) * oint f dz on a circle around pole.
 

@@ -24,8 +24,7 @@ import numpy.polynomial.polynomial as npoly
 from scipy.integrate import quad_vec
 
 from .angular import TWO_PI, AngularData
-from .domain import (ExtendedPoint, ExtensionDomain, FinitePoint, PointAtInfinity,
-                     iota)
+from .domain import ExtendedPoint, FinitePoint, PointAtInfinity, iota
 from .errors import NumericError, OutsideDomain, PathBlocked, PatternMismatch
 from .polycheb import cheb_T_table, cheb_U_table, partial_fractions
 from .weierstrass import KobayashiData
@@ -63,11 +62,9 @@ def causal_character(grad: tuple[float, float], tol: float = 1e-6) -> CausalChar
     return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
 
 
-def _require_inside(betas: np.ndarray, u: float, theta: float) -> np.ndarray:
-    D = u - np.cos(theta - betas)
-    if np.min(D) < _EDGE:
+def _require_inside(angular: AngularData, u: float, theta: float) -> None:
+    if u - angular.max_cos(theta) < _EDGE:
         raise OutsideDomain(f"(u, theta) = ({u}, {theta}) too close to the boundary")
-    return D
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +93,7 @@ class SurfaceEvaluator:
     """
 
     def __init__(self, data: KobayashiData):
+        self.angular = data.angular
         self.betas = np.asarray(data.angular.betas)
         K = max(data.angular.multiplicities) - 1
         res = np.zeros((3, self.betas.size))
@@ -123,12 +121,6 @@ class SurfaceEvaluator:
         self._M = np.hstack([res / 2.0, gamma.real.reshape(3, -1),
                              -gamma.imag.reshape(3, -1)])
         self._dead = ~self._M.any(axis=0)
-
-    def active_end(self, theta):
-        """(index of the end nearest in angle, max_j cos(theta - beta_j))."""
-        cosines = np.cos(theta[None, :] - self.betas[:, None])
-        a = np.argmax(cosines, axis=0)
-        return a, cosines[a, np.arange(theta.size)]
 
     def jet(self, delta, theta, order: int = 0):
         """f~ at boundary clearance delta = u - max_j cos(theta - beta_j).
@@ -256,7 +248,7 @@ class SurfaceEvaluator:
     def eval(self, p: ExtendedPoint) -> SurfacePoint:
         if isinstance(p, PointAtInfinity):
             return SurfacePoint(0.0, 0.0, 0.0)
-        _require_inside(self.betas, p.u, p.theta)
+        _require_inside(self.angular, p.u, p.theta)
         vals = self.eval_batch(np.array([p.u]), np.array([p.theta]))
         return SurfacePoint.from_array(vals[:, 0])
 
@@ -278,8 +270,6 @@ def _n2_pattern(angular: AngularData) -> str:
             "rotate the data so the repeated angle sits at 0")
     if m == (4,):
         return "0000"
-    if m == (3, 1):
-        return "000a"
     if m == (2, 2):
         return "00aa"
     if m == (2, 1, 1):
@@ -300,15 +290,14 @@ def eval_degenerate_n2(data: KobayashiData, p: ExtendedPoint) -> SurfacePoint:
     """Closed forms for the repeated-angle order-2 patterns.
 
     (0,0,a,b) and (0,0,a,a) use the explicit coefficient matrices of the
-    embedding proof; (0,0,0,0) uses the ruled-surface display; (0,0,0,a)
-    falls back to `SurfaceEvaluator` (the literature only records
-    two of its three coordinate combinations).
+    embedding proof; (0,0,0,0) uses the ruled-surface display.  (0,0,0,a)
+    has no such form (the literature only records two of its three
+    coordinate combinations) and raises `PatternMismatch`.
     """
     pattern = _n2_pattern(data.angular)
     if isinstance(p, PointAtInfinity):
         return SurfacePoint(0.0, 0.0, 0.0)
-    alphas = np.asarray(data.angular.alphas)
-    _require_inside(alphas, p.u, p.theta)
+    _require_inside(data.angular, p.u, p.theta)
     u, th = p.u, p.theta
 
     if pattern == "0000":
@@ -333,24 +322,21 @@ def eval_degenerate_n2(data: KobayashiData, p: ExtendedPoint) -> SurfacePoint:
         ])
         return SurfacePoint.from_array(M @ np.array([X0, X1, X2]))
 
-    if pattern == "00ab":
-        a, b = data.angular.alphas[2], data.angular.alphas[3]
-        sa, sb = math.sin(a / 2), math.sin(b / 2)
-        bp = 1.0 / (2 * sa * sb)
-        a1 = 1.0 / (4 * sa * sa * math.sin((a - b) / 2))
-        a2 = 1.0 / (4 * sb * sb * math.sin((b - a) / 2))
-        X0 = _xprime(u, th, 0.0)
-        X1 = _relative_log(u, th, a)
-        X2 = _relative_log(u, th, b)
-        M = 0.5 * np.array([
-            [-bp, a1, a2],
-            [bp, -a1 * math.cos(a), -a2 * math.cos(b)],
-            [0.0, -a1 * math.sin(a), -a2 * math.sin(b)],
-        ])
-        return SurfacePoint.from_array(M @ np.array([X0, X1, X2]))
-
-    # (0,0,0,a): completed by the partial-fraction evaluator
-    return SurfaceEvaluator(data).eval(p)
+    # (0,0,a,b)
+    a, b = data.angular.alphas[2], data.angular.alphas[3]
+    sa, sb = math.sin(a / 2), math.sin(b / 2)
+    bp = 1.0 / (2 * sa * sb)
+    a1 = 1.0 / (4 * sa * sa * math.sin((a - b) / 2))
+    a2 = 1.0 / (4 * sb * sb * math.sin((b - a) / 2))
+    X0 = _xprime(u, th, 0.0)
+    X1 = _relative_log(u, th, a)
+    X2 = _relative_log(u, th, b)
+    M = 0.5 * np.array([
+        [-bp, a1, a2],
+        [bp, -a1 * math.cos(a), -a2 * math.cos(b)],
+        [0.0, -a1 * math.sin(a), -a2 * math.sin(b)],
+    ])
+    return SurfacePoint.from_array(M @ np.array([X0, X1, X2]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +432,8 @@ def integrate_oneform(forms: OneFormUV, start: ExtendedPoint, stop: ExtendedPoin
     forms are closed on the simply connected domain, so any such polyline
     gives the same answer.
     """
-    dom = ExtensionDomain(forms.angular)
     for p in (start, stop):
-        if isinstance(p, FinitePoint) and dom.boundary_distance(p) <= _EDGE:
+        if isinstance(p, FinitePoint) and p.u - forms.angular.max_cos(p.theta) <= _EDGE:
             raise PathBlocked(f"endpoint {p} is not strictly inside the domain")
 
     u_safe = 2.0

@@ -34,7 +34,9 @@ def jacobians_x0(data, u: float, theta: float) -> tuple[float, float]:
     if not data.principal:
         raise PreconditionUnmet("x0 Jacobian closed forms hold for principal type")
     n = data.n
-    prod = analysis._domain_product(data.angular, u, theta)
+    if u - data.angular.max_cos(theta) <= 0:
+        raise OutsideDomain(f"({u}, {theta}) outside the extension domain")
+    prod = float(np.prod(u - np.cos(theta - np.asarray(data.angular.alphas))))
     common = float(cheb_U(n - 2, u)) / (2 ** (2 * n - 2) * prod)
     k = n - 1
     return common * math.sin(k * theta), -common * math.cos(k * theta)
@@ -631,7 +633,10 @@ def test_injectivity_scan_detects_crossings():
 
 @pytest.mark.parametrize("kwargs", [
     {"margin": 0.0}, {"margin": -0.01}, {"margin": float("nan")},
-    {"margin": float("inf")}, {"grid_resolution": 1}], ids=str)
+    {"margin": float("inf")}, {"grid_resolution": 1}, {"margin": 1e-17},
+    {"u_max": float("nan")}, {"u_max": float("inf")}, {"u_max": 0.5},
+    {"tol_param": float("nan")}, {"tol_param": -1.0}, {"tol_param": 0.0},
+    {"tol_param": float("inf")}], ids=str)
 def test_injectivity_scan_rejects_bad_grid(kwargs):
     n3 = get_entry("self-intersecting-n3").data
     with pytest.raises(InputError):

@@ -1,0 +1,74 @@
+"""The names the benchmark under bench/ looks up in zmc.
+
+`bench/tracer.py` wraps the layers in its LAYERS table by module name and
+attribute path, and `bench/oracle.py` and `bench/workloads.py` call zmc
+through a namespace of modules.  A rename or deletion in src/ would only
+show up when the benchmark runs; these tests resolve every name without
+running it or installing the tracer.
+"""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# looked up through aliases (`sf = self.zmc.surface`) or on instances, so the
+# pattern scan below cannot see them
+ALIASED = (
+    ("zmc.surface", "eval_on_disk"), ("zmc.surface", "build_oneforms"),
+    ("zmc.surface", "integrate_oneform"), ("zmc.surface", "SurfacePoint"),
+    ("zmc.surface", "SurfaceEvaluator.eval_batch"),
+    ("zmc.domain", "iota_inverse"), ("zmc.domain", "FinitePoint"),
+    ("zmc.domain", "P_INFINITY"), ("zmc.errors", "PathBlocked"),
+    ("zmc.analysis", "GraphInverter.invert"), ("zmc.analysis", "GraphInverter.invert_grid"),
+    ("zmc.angular", "AngularData.max_cos"),
+)
+
+
+def _tracer_layers():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(mod, path) for mod, path, _, _ in module.LAYERS]
+
+
+def _scanned_names():
+    """(module, attribute) for every `z.<module>.<name>` and
+    `zmc.<module>.<name>` written out in the benchmark's sources."""
+    found = set()
+    for source in sorted(BENCH.glob("*.py")):
+        for mod, attr in re.findall(r"\bz(?:mc)?\.([a-z]+)\.([A-Za-z]\w*)", source.read_text()):
+            found.add((f"zmc.{mod}", attr))
+    return sorted(found)
+
+
+def _resolve(mod, path):
+    owner = importlib.import_module(mod)
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+LAYERS = _tracer_layers()
+
+
+@pytest.mark.parametrize("mod, path", LAYERS, ids=[f"{m}:{p}" for m, p in LAYERS])
+def test_tracer_layer_resolves(mod, path):
+    # the tracer replaces owner.__dict__[attr], so a method must be defined
+    # on the class itself, not inherited
+    owner, attr = _resolve(mod, path)
+    assert attr in vars(owner), f"{mod}.{path} is gone"
+    assert callable(vars(owner)[attr])
+
+
+def test_bench_names_resolve():
+    names = _scanned_names()
+    assert ("zmc.domain", "iota_inverse") in names  # the scan sees oracle.py
+    for mod, path in names + list(ALIASED):
+        owner, attr = _resolve(mod, path)
+        assert hasattr(owner, attr), f"{mod}.{path} is gone"

@@ -261,12 +261,9 @@ def test_sample_negative_entry_refused(capsys, tmp_path):
 
 # ------------------------------------------------ non-finite values, robustness
 
-@pytest.mark.parametrize("source, flags", [
-    (["--gallery", "scherk:3"], ["--format", "obj", "--resolution", "8", "--margin", "1e-17"]),
-    ("order6", ["--format", "csv", "--resolution", "4", "--margin", "1e-30"])],
-    ids=["scherk3-obj", "order6-csv"])
-def test_sample_non_finite_is_numeric_failure(capsys, tmp_path, source, flags):
-    # lo + margin rounds onto max cos, so the lowest row sits on the boundary
+def _sample(capsys, tmp_path, source, flags):
+    """(exit code, stderr, output path) of `zmc sample`, with numpy warnings
+    turned into errors; source "order6" is the order-6 document."""
     if source == "order6":
         spec = tmp_path / "order6.json"
         spec.write_text(json.dumps(ORDER6_DOC))
@@ -275,8 +272,33 @@ def test_sample_non_finite_is_numeric_failure(capsys, tmp_path, source, flags):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(["sample", *source, *flags, "-o", str(out_path)], capsys)
+    return code, err, out_path
+
+
+@pytest.mark.parametrize("source, flags, where", [
+    (["--gallery", "scherk:3"], ["--format", "csv", "--resolution", "8"],
+     "(1.4285714285714286e+299, 0.0)"),
+    ("order6", ["--format", "csv", "--resolution", "4"], "(3.3333333333333335e+299, 0.0)")],
+    ids=["scherk3-csv", "order6-csv"])
+def test_sample_non_finite_is_numeric_failure(capsys, tmp_path, source, flags, where):
+    # u^2 overflows in the metric determinant from the second u-row on
+    code, err, out_path = _sample(capsys, tmp_path, source, [*flags, "--u-max", "1e300"])
     assert code == 4
-    assert err.splitlines() == ["numeric failure: non-finite value at (u, theta) = (1.0, 0.0)"]
+    assert err.splitlines() == [f"numeric failure: non-finite value at (u, theta) = {where}"]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("source, flags", [
+    (["--gallery", "scherk:3"], ["--format", "obj", "--resolution", "8", "--margin", "1e-17"]),
+    ("order6", ["--format", "csv", "--resolution", "4", "--margin", "1e-30"])],
+    ids=["scherk3-obj", "order6-csv"])
+def test_sample_margin_that_rounds_away_is_input_error(capsys, tmp_path, source, flags):
+    # max cos + margin == max cos = 1 at theta = 0 would put the lowest row
+    # on the boundary
+    code, err, out_path = _sample(capsys, tmp_path, source, flags)
+    assert code == 2
+    assert err.splitlines() == [f"error: margin {flags[-1]} rounds away: max cos + margin "
+                                "== max cos = 1.0 at theta = 0.0"]
     assert not out_path.exists()
 
 
@@ -589,9 +611,14 @@ def test_reduce_self_example(capsys):
 
 
 def test_reduce_bad_parity(capsys):
-    code, _, err = run(["reduce", "--coeffs", "[1,0,0,0,1]", "--m", "2",
-                        "--parity", "anti"], capsys)
-    assert code == 4
+    # a parity or order that does not fit the coefficients is bad input
+    for coeffs, m, parity in (("[1,0,0,0,1]", "2", "anti"), ("[1,2]", "5", "self"),
+                              ("[1,2]", "-1", "self"), ("[1,0,2]", "1", "anti"),
+                              ("[1,0,1]", "2", "self")):
+        code, _, err = run(["reduce", "--coeffs", coeffs, "--m", m, "--parity", parity],
+                           capsys)
+        assert code == 2, (coeffs, m, parity)
+        assert err.startswith("error: --coeffs, --m, --parity: ")
 
 
 # ---------------------------------------------------------------- determinism

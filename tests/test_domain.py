@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zmc.angular import AngularData
-from zmc.domain import (ExtensionDomain, FinitePoint, P_INFINITY, iota,
-                        iota_inverse)
+from zmc.domain import FinitePoint, P_INFINITY, iota, iota_inverse
 from zmc.errors import BelowOne, OutOfDisk
 
 SCHERK2 = AngularData(2, (0.0, math.pi / 2, math.pi, 3 * math.pi / 2))
@@ -61,62 +60,62 @@ def test_round_trip_through_infinity():
 
 
 def test_contains_examples():
-    dom = ExtensionDomain(SCHERK2)
-    assert dom.contains(FinitePoint(0.8, math.pi / 4))       # max cos = sqrt(2)/2
-    assert not dom.contains(FinitePoint(1.0, 0.0))           # boundary is excluded
-    assert dom.contains(P_INFINITY)
+    # inside means u > max_j cos(theta - beta_j)
+    assert 0.8 > SCHERK2.max_cos(math.pi / 4)               # max cos = sqrt(2)/2
+    assert not 1.0 > SCHERK2.max_cos(0.0)                   # boundary is excluded
 
 
 def test_contains_monotone_in_u():
-    dom = ExtensionDomain(SCHERK2)
     for _ in range(64):
         th = RNG.uniform(0, 2 * math.pi)
         u = RNG.uniform(-1, 3)
-        if dom.contains(FinitePoint(u, th)):
-            assert dom.contains(FinitePoint(u + RNG.uniform(0, 3), th))
+        if u > SCHERK2.max_cos(th):
+            assert u + RNG.uniform(0, 3) > SCHERK2.max_cos(th)
 
 
 def test_unit_disk_image_lies_inside():
     # every iota image of the punctured disk off the ends lies in the domain
-    dom = ExtensionDomain(SCHERK2)
     ends = [cmath.exp(1j * b) for b in SCHERK2.betas]
     for _ in range(128):
         z = RNG.uniform(0.05, 1.0) * cmath.exp(1j * RNG.uniform(0, 2 * math.pi))
         if min(abs(z - e) for e in ends) < 1e-6:
             continue
-        assert dom.contains(iota(z))
+        p = iota(z)
+        assert p.u > SCHERK2.max_cos(p.theta)
     for _ in range(64):
-        assert dom.contains(FinitePoint(RNG.uniform(1.0, 5.0) + 1e-9,
-                                        RNG.uniform(0, 2 * math.pi)))
+        p = FinitePoint(RNG.uniform(1.0, 5.0) + 1e-9, RNG.uniform(0, 2 * math.pi))
+        assert p.u > SCHERK2.max_cos(p.theta)
 
 
 def test_active_interval_examples():
-    dom = ExtensionDomain(SCHERK2)
-    j, c = dom.active_interval(0.1)
-    assert j == 0 and abs(c - math.cos(0.1)) < 1e-15
-    j, _ = dom.active_interval(math.pi / 4)   # tie resolves to the lower index
-    assert j == 0
-    j, c = dom.active_interval(SCHERK2.betas[2])
-    assert j == 2 and abs(c - 1.0) < 1e-15
+    # max cos is the cosine of the active end: beta_0 at 0.1 and on the tie
+    # at pi/4, beta_2 at beta_2; arrays give the same values as scalars
+    assert abs(SCHERK2.max_cos(0.1) - math.cos(0.1)) < 1e-15
+    assert SCHERK2.max_cos(math.pi / 4) == math.cos(math.pi / 4)
+    assert abs(SCHERK2.max_cos(SCHERK2.betas[2]) - 1.0) < 1e-15
+    th = np.array([0.1, math.pi / 4, SCHERK2.betas[2]])
+    assert np.array_equal(SCHERK2.max_cos(th), [SCHERK2.max_cos(t) for t in th])
+
+
+def interval_pieces(angular):
+    """The closed intervals I_j between consecutive gap midpoints gammas;
+    I_0 wraps around 0 and is a pair of pieces."""
+    g = angular.gammas
+    return [((0.0, g[0]), (g[-1], 2 * math.pi))] + [
+        ((g[j - 1], g[j]),) for j in range(1, len(angular.betas))]
 
 
 def test_interval_lemma_inequality():
-    # cos(theta - beta_i) >= cos(theta - beta_j) for theta in I_i
+    # cos(theta - beta_i) >= cos(theta - beta_j) for theta in I_i, so
+    # beta_i gives max cos there
     for angular in (SCHERK2,
                     AngularData(3, (0.0, 0.3, 1.1, 2.0, 3.7, 5.9)),
                     AngularData(2, (0.0, 0.0, math.pi, math.pi))):
-        dom = ExtensionDomain(angular)
         betas = np.asarray(angular.betas)
-        N = len(betas)
-        intervals = angular.intervals()
-        for i in range(N):
-            pieces = intervals[i] if i == 0 else (intervals[i],)
+        for i, pieces in enumerate(interval_pieces(angular)):
             for lo, hi in pieces:
-                for th in np.linspace(lo, hi, 64):
-                    ci = math.cos(th - betas[i])
-                    for j in range(N):
-                        if j != i:
-                            assert ci >= math.cos(th - betas[j]) - 1e-12
+                th = np.linspace(lo, hi, 64)
+                assert np.all(angular.max_cos(th) - np.cos(th - betas[i]) <= 1e-12)
 
 
 def test_interval_lemma_equality_at_midpoints():
@@ -124,32 +123,36 @@ def test_interval_lemma_equality_at_midpoints():
     assert abs(math.cos(g0 - SCHERK2.betas[0]) - math.cos(g0 - SCHERK2.betas[1])) < 1e-15
 
 
+def lower_bound(angular):
+    """min_j cos((a_{j+1} - a_j)/2); every domain point has u above it."""
+    return min(math.cos(g / 2.0) for g in angular.gaps())
+
+
 def test_lower_bound_examples():
-    assert abs(ExtensionDomain(SCHERK2).lower_bound() - math.cos(math.pi / 4)) < 1e-15
+    # the bound is max cos at the midpoint of the widest gap
     jm2 = AngularData(2, (0.0, 0.0, math.pi, math.pi))
-    assert abs(ExtensionDomain(jm2).lower_bound() - 0.0) < 1e-15
     alleq = AngularData(2, (0.0, 0.0, 0.0, 0.0))
-    assert abs(ExtensionDomain(alleq).lower_bound() + 1.0) < 1e-15
+    for angular, want in ((SCHERK2, math.cos(math.pi / 4)), (jm2, 0.0), (alleq, -1.0)):
+        assert abs(lower_bound(angular) - want) < 1e-15
+        assert abs(np.min(angular.max_cos(np.asarray(angular.gammas))) - want) < 1e-15
 
 
 def test_lower_bound_is_a_bound():
     for angular in (SCHERK2, AngularData(3, (0.0, 0.3, 1.1, 2.0, 3.7, 5.9))):
-        dom = ExtensionDomain(angular)
-        lb = dom.lower_bound()
+        lb = lower_bound(angular)
         for _ in range(256):
             th = RNG.uniform(0, 2 * math.pi)
             u = RNG.uniform(-1.5, 3.0)
-            if dom.contains(FinitePoint(u, th)):
+            if u > angular.max_cos(th):
                 assert u > lb
 
 
 def test_boundary_distance():
-    dom = ExtensionDomain(SCHERK2)
-    d = dom.boundary_distance(FinitePoint(0.8, math.pi / 4))
-    assert abs(d - (0.8 - math.sqrt(2) / 2)) < 1e-12
-    th = 0.37
-    assert abs(dom.boundary_distance(FinitePoint(SCHERK2.max_cos(th), th))) < 1e-15
-    assert dom.boundary_distance(FinitePoint(2.0, 1.234)) >= 1.0
+    # the clearance u - max cos, positive exactly inside the domain
+    assert abs(0.8 - SCHERK2.max_cos(math.pi / 4) - (0.8 - math.sqrt(2) / 2)) < 1e-12
+    p = FinitePoint(SCHERK2.max_cos(0.37), 0.37)           # on the boundary
+    assert abs(p.u - SCHERK2.max_cos(p.theta)) < 1e-15
+    assert 2.0 - SCHERK2.max_cos(1.234) >= 1.0
 
 
 def test_theta_normalized_mod_2pi():
