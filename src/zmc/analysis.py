@@ -8,19 +8,17 @@ by explicit critical points where the Chebyshev factors vanish.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .angular import TWO_PI, AngularData
 from .domain import sample_edges
 from .errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
-from .polycheb import cheb_U, cheb_U_table, cluster_roots, reduce_anti_coeffs
+from .polycheb import ReciprocalClass, cheb_table, cluster_roots, reduce_coeffs
 from .surface import SurfaceEvaluator
 from .weierstrass import (KobayashiData, FoldTypeReport, dg_numerator,
                           hopf_zero_pole_orders, period_check, verify_fold_type)
@@ -105,66 +103,80 @@ def check_conditions(angular: AngularData) -> ConditionReport:
 # Jacobian formulas
 # ---------------------------------------------------------------------------
 
-def jacobian_x1x2(data: KobayashiData, u: float, theta: float) -> float:
-    """d(x1, x2)/d(u, theta) of the extension.
-
-    Principal type reduces to U_{2n-3}(u) over 2^{2n-1} prod (u - cos);
-    general type uses the degree-(2n-3) polynomial obtained by reducing
-    prod |conj(b) z - 1|^4 - prod |z - b|^4.
-    """
-    n = data.n
-    if u - data.angular.max_cos(theta) <= 0:
-        raise OutsideDomain(f"({u}, {theta}) outside the extension domain")
-    prod = float(np.prod(u - np.cos(theta - np.asarray(data.angular.alphas))))
-    if data.principal:
-        return float(cheb_U(2 * n - 3, u)) / (2 ** (2 * n - 1) * prod)
-    plus = np.array([1.0])
-    minus = np.array([1.0])
-    for b in data.blaschke.b:
-        mid = -2.0 * (b.conjugate() * cmath.exp(1j * theta)).real
-        f1 = np.array([1.0, mid, abs(b) ** 2])
-        f2 = np.array([abs(b) ** 2, mid, 1.0])
-        plus = npoly.polymul(plus, npoly.polymul(f1, f1))
-        minus = npoly.polymul(minus, npoly.polymul(f2, f2))
-    size = 4 * (n - 1) + 1
-    coeffs = np.zeros(size)
-    coeffs[: plus.size] += plus.real
-    coeffs[: minus.size] -= minus.real
-    w = reduce_anti_coeffs(coeffs, 2 * n - 2)
-    Y = sum(w[i] * cheb_U(i, u) for i in range(len(w)))
-    return float(-Y) / (4**n * prod)
-
-
-def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
-    """Determinant of the induced metric of f~ in (u, theta), in closed form.
-
-    On the disk the metric is |omega|^2 (1 - |g|^2)^2 |dz|^2, and
-    prod |1 - conj(b_i) z|^2 - prod |z - b_i|^2 = r^{n-1} (r - 1/r) Q with
-    Q = sum_k (p_{m+k} - p_{m-k}) U_{k-1}(u), where p are the coefficients
-    of prod (1 - 2 Re(conj(b_i) e^{i theta}) r + |b_i|^2 r^2) and m = n - 1
-    (Q = -U_{n-2}(u) for principal data).  In (u, theta) this gives
-
-        16 (u^2 - 1) Q^4 / (4^{2n} prod_j (u - cos(theta - alpha_j))^2),
-
-    which continues across the fold: space-like for u > 1, time-like for
-    u < 1, degenerate where Q vanishes.  The Gram determinant of the
-    derivative vectors cannot stand in for it near the boundary, where both
-    vectors are null to more digits than a double holds.
-    """
-    u = np.asarray(u, dtype=float)
+def _blaschke_poly(data: KobayashiData, theta) -> np.ndarray:
+    """The Blaschke product p(r) = prod_i (1 - 2 Re(conj(b_i) e^{i theta}) r
+    + |b_i|^2 r^2), that is prod_i |1 - conj(b_i) z|^2 at z = r e^{i theta}:
+    its r-coefficients along axis 0.  Reversed, it is prod_i |z - b_i|^2."""
     theta = np.asarray(theta, dtype=float)
-    m = data.n - 1
-    p = np.zeros((2 * m + 1,) + u.shape)
+    p = np.zeros((2 * len(data.blaschke.b) + 1,) + theta.shape)
     p[0] = 1.0
     for b in data.blaschke.b:
         c = (b.conjugate() * np.exp(1j * theta)).real
         prev = p.copy()
         p[1:] -= 2.0 * c * prev[:-1]
         p[2:] += abs(b) ** 2 * prev[:-2]
-    U = cheb_U_table(m - 1, u)
-    Q = sum((p[m + k] - p[m - k]) * U[k - 1] for k in range(1, m + 1))
+    return p
+
+
+def jacobian_x1x2(data: KobayashiData, u: float, theta: float) -> float:
+    """d(x1, x2)/d(u, theta) of the extension.
+
+    -Y(u) / (4^n prod (u - cos(theta - alpha_j))), where Y is the anti
+    reduction of p^2 - p*^2 (p from `_blaschke_poly`; p*^2, the reverse of
+    p^2, is prod |z - b|^4).  Y = -2 U_{2n-3}(u) for principal data.
+    """
+    n = data.n
+    if u - data.angular.max_cos(theta) <= 0:
+        raise OutsideDomain(f"({u}, {theta}) outside the extension domain")
+    prod = float(np.prod(u - np.cos(theta - np.asarray(data.angular.alphas))))
+    p = _blaschke_poly(data, theta)
+    sq = np.convolve(p, p)
+    w = reduce_coeffs(sq - sq[::-1], 2 * n - 2, ReciprocalClass.ANTI)
+    Y = w @ cheb_table(2 * n - 3, u, second=True)
+    return float(-Y) / (4**n * prod)
+
+
+def _fold_factor(data: KobayashiData, u, theta) -> np.ndarray:
+    """Q(u, theta) with prod |1 - conj(b_i) z|^2 - prod |z - b_i|^2
+    = r^{n-1} (r - 1/r) Q, u = (r + 1/r)/2: the anti reduction of
+    `_blaschke_poly`.  Q = -U_{n-2}(u) for principal data."""
+    m = data.n - 1
+    w = reduce_coeffs(_blaschke_poly(data, theta), m, ReciprocalClass.ANTI)
+    U = cheb_table(m - 1, u, second=True)
+    return sum(w[k] * U[k] for k in range(m))
+
+
+def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
+    """Determinant of the induced metric of f~ in (u, theta), in closed form.
+
+    On the disk the metric is |omega|^2 (1 - |g|^2)^2 |dz|^2, which in
+    (u, theta) gives
+
+        16 (u^2 - 1) Q^4 / (4^{2n} prod_j (u - cos(theta - alpha_j))^2)
+
+    with Q from `_fold_factor`.  It continues across the fold: space-like for
+    u > 1, time-like for u < 1, degenerate where Q vanishes.  The Gram
+    determinant of the derivative vectors cannot stand in for it near the
+    boundary, where both vectors are null to more digits than a double holds.
+    """
+    u = np.asarray(u, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    Q = _fold_factor(data, u, theta)
     D = u[..., None] - np.cos(theta[..., None] - np.asarray(data.angular.alphas))
     return 16.0 * (u * u - 1.0) * Q**4 / (4.0 ** (2 * data.n) * np.prod(D, axis=-1) ** 2)
+
+
+def metric_sign(data: KobayashiData, u, theta) -> np.ndarray:
+    """Sign of `metric_determinant`: 1 space-like, -1 time-like, 0 light-like.
+
+    The determinant itself (about u^-6 far out) overflows or underflows at
+    large u, its sign never: for |u| > 1 the point lies in the open disk,
+    where |g| < 1 keeps Q away from 0, so the sign is 1 there; for |u| < 1
+    it is -1 off the zeros of Q, and 0 at |u| = 1.
+    """
+    a = np.abs(np.asarray(u, dtype=float))
+    Q = _fold_factor(data, np.where(a < 1.0, u, 0.0), theta)
+    return np.where(a > 1.0, 1.0, np.where((a < 1.0) & (Q != 0), -1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

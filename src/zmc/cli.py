@@ -316,15 +316,14 @@ def cmd_sample(args) -> int:
     U, TH = u.ravel(), np.tile(th, res)
     with np.errstate(all="ignore"):
         vals = target.normalization.apply_batch(evaluator.eval_batch(U, TH) - base[:, None])
-        det = _analysis.metric_determinant(data, U, TH) if fmt == "csv" else 1.0
-    bad = ~(np.isfinite(vals).all(axis=0) & np.isfinite(det))
+    bad = ~np.isfinite(vals).all(axis=0)
     if bad.any():
         i = np.argmax(bad)
         raise NumericError(f"non-finite value at (u, theta) = ({U[i]}, {TH[i]})")
 
     if fmt == "csv":
-        # causal type from the sign of the closed-form metric determinant
-        labels = np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
+        sign = _analysis.metric_sign(data, U, TH)
+        labels = np.where(sign > 0, "spacelike", np.where(sign < 0, "timelike", "lightlike"))
         head = ["u,theta,t,x,y,causal"]
     else:
         vals = vals[["txy".index(nm) for nm in names]]
@@ -371,8 +370,7 @@ def cmd_graph(args) -> int:
     inverter = _analysis.GraphInverter(target.data)
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
-    raw_x = np.array([norm.raw_xy(x, 0.0)[0] for x in xs])
-    raw_y = np.array([norm.raw_xy(0.0, y)[1] for y in ys])
+    raw_x, raw_y = np.stack([xs, ys]) / np.array(norm.scale[1:])[:, None]
     u, th, lam, ok, _ = inverter.invert_grid(raw_x, raw_y)
     (lx, ly), _, resid, finite = _analysis.graph_derivatives(inverter, u, th, norm.scale)
     if not (ok & finite).all():
@@ -497,6 +495,23 @@ def cmd_check(args) -> int:
 # reduce
 # ---------------------------------------------------------------------------
 
+_COEFF_MAX = sys.float_info.max / 2  # the reduction adds two coefficients
+
+
+def _coefficient(item, i: int) -> complex:
+    """One `--coeffs` entry, a number or [re, im], finite and small enough
+    that the reduction cannot overflow."""
+    parts = item if isinstance(item, list) and len(item) == 2 else [item, 0]
+    try:
+        c = complex(*parts) if all(isinstance(x, (int, float)) for x in parts) else math.nan
+        if abs(c) < _COEFF_MAX:  # false for NaN
+            return c
+    except OverflowError:  # beyond the float range
+        pass
+    raise InputError(f"--coeffs[{i}]: expected a number or [re, im] of modulus "
+                     f"below {_COEFF_MAX:.6g}")
+
+
 def cmd_reduce(args) -> int:
     try:
         raw = json.loads(args.coeffs)
@@ -504,17 +519,13 @@ def cmd_reduce(args) -> int:
         raise InputError(f"--coeffs: {exc.msg}")
     if not isinstance(raw, list) or not raw:
         raise InputError("--coeffs must be a nonempty JSON list")
-    coeffs = []
-    for i, item in enumerate(raw):
-        if isinstance(item, (int, float)):
-            coeffs.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            coeffs.append(complex(item[0], item[1]))
-        else:
-            raise InputError(f"--coeffs[{i}]: expected number or [re, im]")
+    coeffs = [_coefficient(item, i) for i, item in enumerate(raw)]
+    poly = ComplexPoly(coeffs)
+    if poly.is_zero:
+        raise InputError("--coeffs: the zero polynomial has no reciprocal class")
     parity = ReciprocalClass.SELF if args.parity == "self" else ReciprocalClass.ANTI
     try:
-        combo = reduce_reciprocal(ComplexPoly(coeffs), args.m, parity)
+        combo = reduce_reciprocal(poly, args.m, parity)
     except ParityError as exc:
         raise InputError(f"--coeffs, --m, --parity: {exc}")
     factor = "" if parity is ReciprocalClass.SELF else " * ((r - 1/r)/2)"

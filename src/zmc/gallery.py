@@ -4,7 +4,7 @@ Positive entries are built from their angular data; the two negatives are
 raw (g, omega) pairs whose ends leave the unit circle.  Each normalization
 was calibrated once against the entry's closed-form identity and frozen:
 
-* scherk:2     scale 2 on all axes, identity axes  (cosh x = e^t cosh y)
+* scherk:2     scale 2 on all axes                   (cosh x = e^t cosh y)
 * jorge-meeks:2  flip the x axis                     (t = x tanh 2y)
 * ruled-enneper, parabolic: identity (their implicit forms hold as built)
 """
@@ -27,30 +27,15 @@ from .weierstrass import KobayashiData, WeierstrassPair, build
 
 @dataclass(frozen=True)
 class Normalization:
-    """display_i = scale[i] * raw[perm[i]]; diagonal map fixed per entry."""
+    """display_i = scale[i] * raw[i]; a diagonal map fixed per entry."""
 
     scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    perm: tuple[int, int, int] = (0, 1, 2)
 
     def apply(self, p: SurfacePoint) -> SurfacePoint:
-        a = p.as_array()
-        return SurfacePoint(*(self.scale[i] * a[self.perm[i]] for i in range(3)))
+        return SurfacePoint(*(s * a for s, a in zip(self.scale, p.as_array())))
 
     def apply_batch(self, vals: np.ndarray) -> np.ndarray:
-        out = np.empty_like(vals)
-        for i in range(3):
-            out[i] = self.scale[i] * vals[self.perm[i]]
-        return out
-
-    def raw_xy(self, x: float, y: float) -> tuple[float, float]:
-        """Pull display-plane coordinates back to raw (x1, x2)."""
-        raw = [None, None, None]
-        for i, disp in zip(range(3), (None, x, y)):
-            if disp is not None:
-                raw[self.perm[i]] = disp / self.scale[i]
-        if raw[1] is None or raw[2] is None or self.perm[0] != 0:
-            raise InputError("normalization does not preserve the (x, y) plane")
-        return float(raw[1]), float(raw[2])
+        return np.array([s * v for s, v in zip(self.scale, vals)])
 
 
 @dataclass(frozen=True)

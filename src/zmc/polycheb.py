@@ -20,56 +20,19 @@ from .errors import DegreeError, ParityError, PoleNotFound
 _TRIM_REL = 1e-14
 
 
-def cheb_T(n: int, u):
-    """First-kind Chebyshev polynomial T_n(u), three-term recurrence.
+def cheb_table(nmax: int, u, second: bool = False) -> np.ndarray:
+    """T_0..T_nmax at every u (U_0..U_nmax with `second`), shape (nmax+1,) + u.shape.
 
-    Satisfies (r^n + r^-n)/2 = T_n((r + 1/r)/2) for r > 0.  Works on
-    scalars and numpy arrays.
+    Three-term recurrence.  For r > 0 and u = (r + 1/r)/2 these satisfy
+    (r^n + r^-n)/2 = T_n(u) and (r^n - r^-n)/2 = ((r - 1/r)/2) U_{n-1}(u).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.ones_like(u) if np.ndim(u) else 1.0
-    prev, cur = np.ones_like(u) if np.ndim(u) else 1.0, u
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * u * cur - prev
-    return cur
-
-
-def cheb_U(n: int, u):
-    """Second-kind Chebyshev polynomial U_n(u).
-
-    Satisfies (r^n - r^-n)/2 = ((r - 1/r)/2) U_{n-1}((r + 1/r)/2).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.ones_like(u) if np.ndim(u) else 1.0
-    prev, cur = np.ones_like(u) if np.ndim(u) else 1.0, 2 * u
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * u * cur - prev
-    return cur
-
-
-def cheb_T_table(nmax: int, u: np.ndarray) -> np.ndarray:
-    """T_0..T_nmax at every u, shape (nmax+1,) + u.shape."""
+    if nmax < 0:
+        raise ValueError("Chebyshev order must be >= 0")
     u = np.asarray(u, dtype=float)
     out = np.empty((nmax + 1,) + u.shape)
     out[0] = 1.0
     if nmax >= 1:
-        out[1] = u
-    for k in range(2, nmax + 1):
-        out[k] = 2 * u * out[k - 1] - out[k - 2]
-    return out
-
-
-def cheb_U_table(nmax: int, u: np.ndarray) -> np.ndarray:
-    """U_0..U_nmax at every u."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty((nmax + 1,) + u.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2 * u
+        out[1] = 2 * u if second else u
     for k in range(2, nmax + 1):
         out[k] = 2 * u * out[k - 1] - out[k - 2]
     return out
@@ -234,10 +197,6 @@ class RationalFn:
         return f"RationalFn({self.num!r}, {self.den!r})"
 
 
-def residue(f: RationalFn, pole: complex) -> complex:
-    return f.residue(pole)
-
-
 @dataclass(frozen=True)
 class PrincipalPart:
     pole: complex
@@ -308,9 +267,13 @@ class ChebyshevCombo:
 
     def __call__(self, u):
         total = 0.0 * np.asarray(u, dtype=float) if np.ndim(u) else 0.0
+        if not self.terms:
+            return total
+        top = max(idx for _, _, idx in self.terms)
+        kinds = {kind for _, kind, _ in self.terms}
+        tables = {kind: cheb_table(top, u, kind is ChebKind.SECOND) for kind in kinds}
         for coeff, kind, idx in self.terms:
-            base = cheb_T(idx, u) if kind is ChebKind.FIRST else cheb_U(idx, u)
-            total = total + coeff * base
+            total = total + coeff * tables[kind][idx]
         return total
 
     def __str__(self):
@@ -337,42 +300,27 @@ def reduce_reciprocal(p: ComplexPoly, m: int, parity: ReciprocalClass) -> Chebys
         raise ParityError(f"reciprocal order is {order}, not {2 * m}")
     c = np.zeros(2 * m + 1, dtype=complex)
     c[: len(p.coeffs)] = p.coeffs
-    acc: dict[tuple[ChebKind, int], complex] = {}
-    for k in range(2 * m + 1):
-        if c[k] == 0:
-            continue
-        d = k - m
-        if parity is ReciprocalClass.SELF:
-            key = (ChebKind.FIRST, abs(d))
-            acc[key] = acc.get(key, 0.0) + c[k]
-        else:
-            if d == 0:
-                continue
-            key = (ChebKind.SECOND, abs(d) - 1)
-            acc[key] = acc.get(key, 0.0) + (c[k] if d > 0 else -c[k])
-    scale = max((abs(v) for v in acc.values()), default=0.0)
-    terms = tuple(
-        (v, kind, idx)
-        for (kind, idx), v in sorted(acc.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        if abs(v) > 1e-14 * max(scale, 1e-300)
-    )
-    return ChebyshevCombo(terms)
+    w = reduce_coeffs(c, m, parity)
+    kind = ChebKind.FIRST if parity is ReciprocalClass.SELF else ChebKind.SECOND
+    floor = 1e-14 * max(np.abs(w).max(initial=0.0), 1e-300)
+    return ChebyshevCombo(tuple((v, kind, i) for i, v in enumerate(w) if abs(v) > floor))
 
 
-def reduce_anti_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """U-coefficients of the anti-self-reciprocal reduction, no checks.
+def reduce_coeffs(c, m: int, parity: ReciprocalClass) -> np.ndarray:
+    """Chebyshev coefficients w of an (anti-)self-reciprocal polynomial of
+    order 2m, no checks.
 
-    Input: ascending r-coefficients, assumed anti-self-reciprocal of
-    order 2m.  Output w with p(r) = r^m ((r-1/r)/2) sum_i w[i] U_i(u);
-    len(w) = m.
+    `c` holds the 2m + 1 r-coefficients, constant term first, along axis 0;
+    trailing axes are kept.  With u = (r + 1/r)/2, self gives
+    p(r) = r^m sum_i w[i] T_i(u) with m + 1 terms, anti gives
+    p(r) = r^m ((r - 1/r)/2) sum_i w[i] U_i(u) with m terms.
     """
-    w = np.zeros(m, dtype=coeffs.dtype)
-    for k in range(len(coeffs)):
-        d = k - m
-        if d > 0:
-            w[d - 1] += coeffs[k]
-        elif d < 0:
-            w[-d - 1] -= coeffs[k]
+    c = np.asarray(c)
+    lo, hi = c[m::-1], c[m:]  # c[m - k] and c[m + k]
+    if parity is ReciprocalClass.ANTI:
+        return 0.0 - lo[1:] + hi[1:]
+    w = 0.0 + lo
+    w[1:] += hi[1:]
     return w
 
 

@@ -26,7 +26,7 @@ from scipy.integrate import quad_vec
 from .angular import TWO_PI, AngularData
 from .domain import ExtendedPoint, FinitePoint, PointAtInfinity, iota
 from .errors import NumericError, OutsideDomain, PathBlocked, PatternMismatch
-from .polycheb import cheb_T_table, cheb_U_table, partial_fractions
+from .polycheb import cheb_table, partial_fractions
 from .weierstrass import KobayashiData
 
 _EDGE = 1e-12
@@ -387,8 +387,8 @@ class OneFormUV:
         u = np.asarray(u, dtype=float)
         theta = np.asarray(theta, dtype=float)
         n = self.n
-        Ut = cheb_U_table(2 * n - 1, u)
-        Tt = cheb_T_table(2 * n, u)
+        Ut = cheb_table(2 * n - 1, u, second=True)
+        Tt = cheb_table(2 * n, u)
         xs, ys = [], []
         for c, expo, powr in self._pairs:
             ph = c[:, None] * np.exp(1j * expo[:, None] * theta[None, :])

@@ -36,16 +36,6 @@ def _blaschke_factor_polys(b: tuple[complex, ...]) -> tuple[ComplexPoly, Complex
 
 
 @dataclass(frozen=True)
-class PhiForms:
-    """phi_0 = -2 g omega, phi_1 = (1 + g^2) omega, phi_2 = i (1 - g^2) omega."""
-
-    phi: tuple[RationalFn, RationalFn, RationalFn]
-
-    def __getitem__(self, k: int) -> RationalFn:
-        return self.phi[k]
-
-
-@dataclass(frozen=True)
 class KobayashiData:
     angular: AngularData
     blaschke: BlaschkeParams
@@ -54,7 +44,8 @@ class KobayashiData:
     omega_den: ComplexPoly
     principal: bool
     lambda_phase: complex
-    phi: PhiForms
+    # phi_0 = -2 g omega, phi_1 = (1 + g^2) omega, phi_2 = i (1 - g^2) omega
+    phi: tuple[RationalFn, RationalFn, RationalFn]
 
     @property
     def n(self) -> int:
@@ -100,7 +91,7 @@ def build(angular: AngularData, blaschke: BlaschkeParams) -> KobayashiData:
     p0 = -2j * (gnum * gden)
     p1 = 1j * (s_poly + r_poly)
     p2 = -1.0 * (s_poly - r_poly)
-    phi = PhiForms(tuple(RationalFn(pk, q, poles=pole_list) for pk in (p0, p1, p2)))
+    phi = tuple(RationalFn(pk, q, poles=pole_list) for pk in (p0, p1, p2))
 
     return KobayashiData(
         angular=angular,
@@ -130,8 +121,7 @@ def dg_numerator(data: KobayashiData) -> ComplexPoly:
 
 def hopf_differential(data: KobayashiData) -> RationalFn:
     """Q = omega dg as a coefficient of dz^2; the Blaschke denominators cancel."""
-    return RationalFn(1j * dg_numerator(data), data.omega_den,
-                      poles=list(zip([e for e, _ in data.ends], data.angular.multiplicities)))
+    return RationalFn(1j * dg_numerator(data), data.omega_den, poles=data.ends)
 
 
 def hopf_zero_pole_orders(data: KobayashiData) -> tuple[int, int]:
@@ -157,9 +147,7 @@ class WeierstrassPair:
 def pair_of(data: KobayashiData) -> WeierstrassPair:
     return WeierstrassPair(
         g=data.g,
-        omega=RationalFn(data.omega_num, data.omega_den,
-                         poles=list(zip([e for e, _ in data.ends],
-                                        data.angular.multiplicities))))
+        omega=RationalFn(data.omega_num, data.omega_den, poles=data.ends))
 
 
 def _effective_poles(num: ComplexPoly, den: ComplexPoly,

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from zmc import analysis
 from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
                           graph_derivatives, graph_table, injectivity_scan,
-                          jacobian_x1x2, metric_determinant, umbilics)
+                          jacobian_x1x2, metric_determinant, metric_sign, umbilics)
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from zmc.gallery import get_entry
-from zmc.polycheb import cheb_U
+from zmc.polycheb import cheb_table
 from zmc.surface import SurfaceEvaluator, build_oneforms
 from zmc.weierstrass import build
 
@@ -37,7 +37,7 @@ def jacobians_x0(data, u: float, theta: float) -> tuple[float, float]:
     if u - data.angular.max_cos(theta) <= 0:
         raise OutsideDomain(f"({u}, {theta}) outside the extension domain")
     prod = float(np.prod(u - np.cos(theta - np.asarray(data.angular.alphas))))
-    common = float(cheb_U(n - 2, u)) / (2 ** (2 * n - 2) * prod)
+    common = float(cheb_table(n - 2, u, second=True)[n - 2]) / (2 ** (2 * n - 2) * prod)
     k = n - 1
     return common * math.sin(k * theta), -common * math.cos(k * theta)
 
@@ -180,7 +180,7 @@ def test_immersion_witness_all_jacobians_vanish():
     assert rep.immersion_condition is Condition.VIOLATED
     u0, th0 = rep.immersion_witness
     data = make(4, ang.alphas)
-    assert abs(cheb_U(len(ang.alphas) // 2 - 2, u0)) < 1e-10
+    assert abs(cheb_table(2, u0, second=True)[2]) < 1e-10  # U_{n-2}, n = 4
     j01, j02 = jacobians_x0(data, u0, th0)
     assert abs(j01) < 1e-10 and abs(j02) < 1e-10
     assert abs(jacobian_x1x2(data, u0, th0)) < 1e-10
@@ -199,6 +199,7 @@ def test_metric_determinant_matches_gram_determinant(data):
     det = metric_determinant(data, u, th)
     assert np.all(np.abs(det - (E * G - F * F)) <= 1e-10 * size)
     assert np.all(np.sign(det) == np.sign(u - 1))
+    assert np.array_equal(metric_sign(data, u, th), np.sign(det))
 
 
 def test_jacobian_outside_domain():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -275,17 +277,40 @@ def _sample(capsys, tmp_path, source, flags):
     return code, err, out_path
 
 
-@pytest.mark.parametrize("source, flags, where", [
-    (["--gallery", "scherk:3"], ["--format", "csv", "--resolution", "8"],
-     "(1.4285714285714286e+299, 0.0)"),
-    ("order6", ["--format", "csv", "--resolution", "4"], "(3.3333333333333335e+299, 0.0)")],
-    ids=["scherk3-csv", "order6-csv"])
-def test_sample_non_finite_is_numeric_failure(capsys, tmp_path, source, flags, where):
-    # u^2 overflows in the metric determinant from the second u-row on
-    code, err, out_path = _sample(capsys, tmp_path, source, [*flags, "--u-max", "1e300"])
+FAR_SAMPLES = pytest.mark.parametrize("source, flags", [
+    (["--gallery", "scherk:3"], ["--format", "csv", "--resolution", "8"]),
+    ("order6", ["--format", "csv", "--resolution", "4"])], ids=["scherk3-csv", "order6-csv"])
+
+
+@FAR_SAMPLES
+def test_sample_non_finite_is_numeric_failure(capsys, tmp_path, monkeypatch, source, flags):
+    # an evaluator value forced non-finite at the first vertex (u, theta) =
+    # (max cos + margin, 0): exit 4, naming the vertex, and no file
+    from zmc.surface import SurfaceEvaluator
+    eval_batch = SurfaceEvaluator.eval_batch
+
+    def nan_at_first_vertex(self, u, theta):
+        out = eval_batch(self, u, theta)
+        out[1, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(SurfaceEvaluator, "eval_batch", nan_at_first_vertex)
+    code, err, out_path = _sample(capsys, tmp_path, source, flags)
     assert code == 4
-    assert err.splitlines() == [f"numeric failure: non-finite value at (u, theta) = {where}"]
+    assert err.splitlines() == ["numeric failure: non-finite value at (u, theta) = (1.001, 0.0)"]
     assert not out_path.exists()
+
+
+@FAR_SAMPLES
+def test_sample_far_rows_are_finite_and_spacelike(capsys, tmp_path, source, flags):
+    # the metric determinant (about u^-6) is not a double at u ~ 1e300, its
+    # sign is: every row with u > 1 is space-like
+    code, err, out_path = _sample(capsys, tmp_path, source, [*flags, "--u-max", "1e300"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(v)) for r in rows for v in r[:5])
+    assert any(float(r[0]) > 1e299 for r in rows)
+    assert {r[5] for r in rows if float(r[0]) > 1} == {"spacelike"}
 
 
 @pytest.mark.parametrize("source, flags", [
@@ -393,8 +418,7 @@ def oracle_graph_text(name, x0, x1, y0, y1, res):
     norm = entry.normalization
     inverter = GraphInverter(entry.data)
     xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
-    raw_x = np.array([norm.raw_xy(x, 0.0)[0] for x in xs])
-    raw_y = np.array([norm.raw_xy(0.0, y)[1] for y in ys])
+    raw_x, raw_y = xs / norm.scale[1], ys / norm.scale[2]
     u, th, lam, ok, _ = inverter.invert_grid(raw_x, raw_y)
     (lx, ly), _, resid, finite = graph_derivatives(inverter, u, th, norm.scale)
     assert (ok & finite).all()
@@ -619,6 +643,51 @@ def test_reduce_bad_parity(capsys):
                            capsys)
         assert code == 2, (coeffs, m, parity)
         assert err.startswith("error: --coeffs, --m, --parity: ")
+
+
+NUMBERS = st.one_of(st.floats(), st.integers(-(10**400), 10**400))
+COEFF_ITEMS = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2),
+                        st.sampled_from(["1", None, [], [1, 2, 3], [[1], 0], {"re": 1}]))
+SMALL = st.floats(-1e3, 1e3)
+
+
+def _mirrored(half, sign):
+    """Coefficients with c[k] = sign * c[2m - k] (a zero middle for anti)."""
+    if sign > 0:
+        return half + half[-2::-1]
+    return half + [0.0] + [-x for x in reversed(half)]
+
+
+COEFF_LISTS = st.one_of(st.lists(COEFF_ITEMS, max_size=9),
+                        st.builds(_mirrored, st.lists(SMALL, min_size=1, max_size=4),
+                                  st.sampled_from([1, -1])))
+
+
+@given(COEFF_LISTS, st.integers(-2, 6), st.sampled_from(["self", "anti"]))
+@settings(max_examples=300, deadline=None)
+def test_reduce_exit_codes(coeffs, m, parity):
+    # fuzzed coefficients: a reduction (exit 0) or a typed input error
+    # (exit 2), never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce", "--coeffs", json.dumps(coeffs), "--m", str(m),
+                     "--parity", parity])
+    assert code in (0, 2)
+    if code == 0:
+        q = out.getvalue().splitlines()[1]
+        assert q.startswith("q(u) = ") and "nan" not in q and "inf" not in q
+    else:
+        assert err.getvalue().startswith("error: --coeffs")
+
+
+def test_reduce_zero_or_non_finite_is_input_error(capsys):
+    # zero, non-finite, overflowing ("q(u) = 0" from 2e308) or non-numeric
+    for coeffs, m in (("[0]", "0"), ("[NaN]", "0"), ("[Infinity,0,Infinity]", "1"),
+                      ("[1e308,0,1e308]", "1"), (f"[{10**400}]", "0"), ("[[1,[2]]]", "0")):
+        code, out, err = run(["reduce", "--coeffs", coeffs, "--m", m, "--parity", "self"],
+                             capsys)
+        assert code == 2 and out == "", coeffs
+        assert err.startswith("error: --coeffs"), coeffs
 
 
 # ---------------------------------------------------------------- determinism

@@ -126,5 +126,5 @@ def test_normalization_roundtrip():
     p = SurfacePoint(0.3, -0.4, 0.5)
     q = norm.apply(p)
     assert (q.t, q.x, q.y) == (0.3, 0.4, 0.5)
-    rx, ry = norm.raw_xy(q.x, q.y)
+    rx, ry = q.x / norm.scale[1], q.y / norm.scale[2]
     assert abs(rx - p.x) < 1e-15 and abs(ry - p.y) < 1e-15

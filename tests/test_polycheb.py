@@ -7,14 +7,22 @@ from hypothesis import strategies as st
 
 from zmc.errors import DegreeError, ParityError, PoleNotFound
 from zmc.polycheb import (ChebKind, ComplexPoly, RationalFn, ReciprocalClass,
-                          cheb_T, cheb_U, contour_residue, min_pole_gap,
-                          partial_fractions, reciprocal_class,
-                          reduce_reciprocal, residue)
+                          cheb_table, contour_residue, min_pole_gap,
+                          partial_fractions, reciprocal_class, reduce_coeffs,
+                          reduce_reciprocal)
 
 RNG = np.random.default_rng(20240811)
 
 
 # ---------------------------------------------------------------- Chebyshev
+
+def cheb_T(n, u):
+    return cheb_table(n, u)[n]
+
+
+def cheb_U(n, u):
+    return cheb_table(n, u, second=True)[n]
+
 
 def test_cheb_first_values():
     assert cheb_T(0, 0.3) == 1.0
@@ -44,9 +52,9 @@ def test_cheb_halfsum_identities(n, r):
 
 def test_cheb_rejects_negative_order():
     with pytest.raises(ValueError):
-        cheb_T(-1, 0.5)
+        cheb_table(-1, 0.5)
     with pytest.raises(ValueError):
-        cheb_U(-2, 0.5)
+        cheb_table(-2, 0.5, second=True)
 
 
 # ---------------------------------------------------------------- ComplexPoly
@@ -82,12 +90,12 @@ def scherk2_phi0():
 
 def test_residue_simple_pole():
     f = RationalFn(ComplexPoly([1]), ComplexPoly([-1, 1]), poles=[(1, 1)])
-    assert abs(residue(f, 1) - 1) < 1e-14
+    assert abs(f.residue(1) - 1) < 1e-14
 
 
 def test_residue_scherk_against_contour_oracle():
     f = scherk2_phi0()
-    r = residue(f, 1.0)
+    r = f.residue(1.0)
     rad = 1e-2 * min_pole_gap([p for p, _ in f.poles])
     oracle = contour_residue(f, 1.0, rad)
     assert abs(r - (-0.5)) < 1e-12
@@ -98,14 +106,14 @@ def test_residue_scherk_against_contour_oracle():
 
 def test_residue_double_pole_no_simple_part():
     f = RationalFn(ComplexPoly([1]), ComplexPoly.from_roots([1, 1]), poles=[(1, 2)])
-    assert abs(residue(f, 1)) < 1e-14
+    assert abs(f.residue(1)) < 1e-14
 
 
 def test_residue_double_pole_contour_oracle():
     # (z + 2) / (z - 1)^2 / (z + 1): double pole at 1
     den = ComplexPoly.from_roots([1, 1, -1])
     f = RationalFn(ComplexPoly([2, 1]), den, poles=[(1, 2), (-1, 1)])
-    r = residue(f, 1)
+    r = f.residue(1)
     oracle = contour_residue(f, 1, 1e-2 * 2.0)
     assert abs(r - oracle) < 1e-8 * max(1, abs(oracle))
 
@@ -113,7 +121,7 @@ def test_residue_double_pole_contour_oracle():
 def test_residue_unknown_pole():
     f = scherk2_phi0()
     with pytest.raises(PoleNotFound):
-        residue(f, 0.5)
+        f.residue(0.5)
 
 
 # ---------------------------------------------------------------- partial fractions
@@ -238,3 +246,31 @@ def test_reduce_random_symmetrized(parity):
             rhs = rhs * (rs - 1 / rs) / 2
         scale = np.maximum(1.0, np.abs(lhs))
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-10
+
+
+@pytest.mark.parametrize("parity", [ReciprocalClass.SELF, ReciprocalClass.ANTI])
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_reduce_coeffs_columns(parity, m):
+    # random (anti-)self-reciprocal columns of order 2m, reduced in one call
+    # and checked against p(r) at every r of its column
+    N = 40
+    base = RNG.standard_normal((2 * m + 1, N))
+    sign = 1.0 if parity is ReciprocalClass.SELF else -1.0
+    c = base + sign * base[::-1]
+    w = reduce_coeffs(c, m, parity)
+    assert w.shape == ((m + 1 if sign > 0 else m), N)
+    r = RNG.uniform(0.1, 10.0, size=N)
+    u = (r + 1 / r) / 2
+    p = sum(c[k] * r**k for k in range(2 * m + 1))
+    if parity is ReciprocalClass.SELF:
+        q = (w * cheb_table(m, u)).sum(axis=0)
+        rhs = r**m * q
+        terms = r**m * (np.abs(w) * np.abs(cheb_table(m, u))).sum(axis=0)
+    else:
+        U = cheb_table(max(m - 1, 0), u, second=True)[:m]
+        half = (r - 1 / r) / 2
+        rhs = r**m * half * (w * U).sum(axis=0)
+        terms = r**m * np.abs(half) * (np.abs(w) * np.abs(U)).sum(axis=0)
+    # relative to the size of the terms: p itself can cancel to 0
+    scale = np.maximum(np.abs(p), terms) + 1e-300
+    assert np.max(np.abs(p - rhs) / scale) < 1e-12
