@@ -213,8 +213,7 @@ class GraphInverter:
         l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0),
                             np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
         self._seed_l, self._seed_th = l.ravel(), th.ravel()
-        vals, _, _ = self._chart_values(self._seed_l, self._seed_th, partials=False)
-        self._seed_xy = vals[1:, :]
+        self._seed_vals = self._chart_values(self._seed_l, self._seed_th, partials=False)[0]
         # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
         # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
         # its seeds are clipped to e^p, e^q <= sin g, inside the chart
@@ -256,22 +255,24 @@ class GraphInverter:
 
     def _nearest_seed(self, X, Y):
         """Index of the seed-bank point nearest each target, and its distance."""
-        d2 = (self._seed_xy[0][:, None] - X[None, :]) ** 2 \
-            + (self._seed_xy[1][:, None] - Y[None, :]) ** 2
+        d2 = (self._seed_vals[1][:, None] - X[None, :]) ** 2 \
+            + (self._seed_vals[2][:, None] - Y[None, :]) ** 2
         best = np.argmin(d2, axis=0)
         return best, np.sqrt(d2[best, np.arange(X.size)])
 
-    def newton_batch(self, X, Y, u0, th0, maxiter: int = 60, atol: float = 1e-13,
-                     chart: bool = False):
-        """Solve for every target in the end chart.
+    def newton_batch(self, X, Y, start=None, maxiter: int = 60, atol: float = 1e-13):
+        """Solve for every target in the end chart, from the chart points
+        start = (l, theta), or with no start from the seed bank.
 
-        Iterates on a node while its residual exceeds ``atol * scale``, with
-        scale = 1 + max(|x|, |y|), for at most ``maxiter`` sweeps; the
-        returned ``converged`` flag is the looser test residual <= 1e-10 *
-        scale.  A node is frozen once a sweep leaves it unchanged (its line
-        search accepts no step and it sits on no corner to shove off): a
-        sweep is a function of the node's own chart point, so every later
-        sweep would repeat it.
+        A start is replaced by the seed-bank point nearest its target where
+        that point leaves a strictly smaller residual; the bank is searched
+        once per call.  Iterates on a node while its residual exceeds
+        ``atol * scale``, with scale = 1 + max(|x|, |y|), for at most
+        ``maxiter`` sweeps; the returned ``converged`` flag is the looser
+        test residual <= 1e-10 * scale.  A node is frozen once a sweep
+        leaves it unchanged (its line search accepts no step and it sits on
+        no corner to shove off): a sweep is a function of the node's own
+        chart point, so every later sweep would repeat it.
 
         Nodes do not interact, so a batch answers as its targets would one
         by one, up to rounding: numpy computes a one-column matrix product
@@ -279,28 +280,21 @@ class GraphInverter:
         node that sweeps alone can end a few ulps from where it would end in
         company.
 
-        Returns (u, theta, lambda, converged, residual), with `chart` the
-        chart point (l, theta) in place of (u, theta); the residual is
-        measured in the numerically exact boundary chart.
+        Returns (l, theta, lambda, converged, residual): the chart point and
+        the height, with the residual measured in this numerically exact
+        boundary chart.
         """
         target = np.array([np.ravel(X), np.ravel(Y)], dtype=float)
-        l, th = self._to_chart(u0, th0)
-        th = self._unkink(th)
-
-        vals, _, _ = self._chart_values(l, th, partials=False)
-        R = vals[1:] - target
-        rn = np.hypot(R[0], R[1])
-
-        # fall back to the seed bank wherever the warm start is poor
         best, srn = self._nearest_seed(*target)
-        swap = srn < rn
-        if swap.any():
-            l[swap] = self._seed_l[best[swap]]
-            th[swap] = self._seed_th[best[swap]]
-            vals, _, _ = self._chart_values(l, th, partials=False)
-        l, th, *res = self._newton(lambda k, *c: self._chart_values(*c), l, th, vals, target,
-                                   maxiter, atol, cap=self.L_CAP, shove=self._unkink)
-        return ((l, th) if chart else self._from_chart(l, th)) + tuple(res)
+        l, th, vals = self._seed_l[best], self._seed_th[best], self._seed_vals[:, best]
+        if start is not None:
+            l0, th0 = (np.asarray(c, dtype=float).ravel() for c in start)
+            th0 = self._unkink(th0)
+            v0, _, _ = self._chart_values(l0, th0, partials=False)
+            keep = ~(srn < np.hypot(*(v0[1:] - target)))
+            l[keep], th[keep], vals[:, keep] = l0[keep], th0[keep], v0[:, keep]
+        return self._newton(lambda k, *c: self._chart_values(*c), l, th, vals, target,
+                            maxiter, atol, cap=self.L_CAP, shove=self._unkink)
 
     def _newton(self, chart, c1, c2, vals, target, maxiter, atol, cap=np.inf, shove=None):
         """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
@@ -372,10 +366,6 @@ class GraphInverter:
                          np.nan) for m in (p, q))
         return self._sec[k, 0], self._sec[k, 1], p, q
 
-    def _cold_start(self, X, Y):
-        best, _ = self._nearest_seed(*(np.asarray(v, dtype=float).ravel() for v in (X, Y)))
-        return self._from_chart(self._seed_l[best], self._seed_th[best])
-
     def _solve(self, X, Y):
         """`invert`'s dispatch, batched.  Returns (u, theta, lambda,
         converged, residual, (a, b, s, t)): the corner point (p, q) = (s, t)
@@ -386,8 +376,7 @@ class GraphInverter:
         out[3], out[7:] = 0.0, -1.0
         end = np.flatnonzero(~(np.minimum(p, q)[:1] < self.DEEP).any(axis=0))
         if end.size:
-            l, th, *res = self.newton_batch(X[end], Y[end], *self._cold_start(X[end], Y[end]),
-                                            chart=True)
+            l, th, *res = self.newton_batch(X[end], Y[end])
             out[:7, end] = self._from_chart(l, th) + tuple(res) + (l, th)
         for r in range(len(p)):  # the sectors in the order of their seeds
             k = np.flatnonzero((out[3] == 0.0) & ~np.isnan(p[r]))
@@ -427,31 +416,35 @@ class GraphInverter:
         grid rows.
 
         The first row starts from the seed bank, every later row from the
-        row before.  The nodes a row's Newton misses get one retry, batched,
-        through `invert`'s dispatch.  A node that retry solves reports
-        residual exactly 0.0, the mark of a rescued node; a node it misses
-        keeps the row's result and converged = False.
+        chart points (l, theta) of the row before.  The nodes a row leaves
+        above Newton's tolerance 1e-13 * scale, missed or converged only to
+        the looser 1e-10 test, get one retry, batched, through `invert`'s
+        dispatch; its answer is taken where it converges with a smaller
+        residual, and the next row starts there from (l, theta) of an
+        end-chart solve or (min(p, q), theta) of a corner solve.  A node
+        that retry solves reports residual exactly 0.0, the mark of a
+        rescued node; any other keeps the row's result and its flag.
 
         Returns (u, theta, lam, converged, residual) arrays of shape
         (len(ys), len(xs)).
         """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs, ys = (np.asarray(v, dtype=float) for v in (xs, ys))
         out = np.empty((5, ys.size, xs.size))
-        u_row = th_row = None
+        start = None
         for i, y in enumerate(ys):
             yy = np.full(xs.size, y)
-            if u_row is None:
-                u_row, th_row = self._cold_start(xs, yy)
-            u_row, th_row, lam, ok, rn = self.newton_batch(xs, yy, u_row, th_row)
-            miss = np.nonzero(~ok)[0]
+            l, th, lam, ok, rn = self.newton_batch(xs, yy, start)
+            u, th = self._from_chart(l, th)
+            miss = np.flatnonzero(~(rn <= 1e-13 * (1.0 + np.maximum(np.abs(xs), abs(y)))))
             if miss.size:
-                u, th, lam_m, ok_m, _, _ = self._solve(xs[miss], yy[miss])
-                hit = miss[ok_m]
-                u_row[hit], th_row[hit], lam[hit] = u[ok_m], th[ok_m], lam_m[ok_m]
-                ok[hit] = True
-                rn[hit] = 0.0
-            out[:, i] = u_row, th_row, lam, ok, rn
+                u_m, th_m, lam_m, ok_m, rn_m, (a, _, s, t) = self._solve(xs[miss], yy[miss])
+                take = ok_m & ~(rn_m >= rn[miss])
+                hit = miss[take]
+                u[hit], th[hit], lam[hit] = u_m[take], th_m[take], lam_m[take]
+                l[hit] = np.where(a >= 0, np.minimum(s, t), s)[take]
+                ok[hit], rn[hit] = True, 0.0
+            start = l, th
+            out[:, i] = u, th, lam, ok, rn
         return out[0], out[1], out[2], out[3] == 1.0, out[4]
 
 
@@ -687,8 +680,12 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
         try:
             y = np.linalg.solve(M, F[:, idx].T[..., None])[..., 0]  # (n, 3)
         except np.linalg.LinAlgError:
-            alive[idx] = False
-            break
+            # drop the seeds with an exactly singular normal matrix (a zero
+            # pivot of the same LU factorisation), solve for the others
+            sing = np.linalg.det(M) == 0.0
+            alive[idx[sing]] = False
+            idx, Jm = idx[~sing], Jm[..., ~sing]
+            y = np.linalg.solve(M[~sing], F[:, idx].T[..., None])[..., 0]
         step = -np.einsum("akn,na->kn", Jm, y)  # (4, n)
         alpha = np.ones(idx.size)
         best = (u1[idx].copy(), t1[idx].copy(), u2[idx].copy(), t2[idx].copy())

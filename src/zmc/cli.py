@@ -39,16 +39,18 @@ def _parse_angle(value, where: str) -> tuple[float, Fraction | None]:
     if isinstance(value, (int, float)):
         if value == 0:
             return 0.0, Fraction(0)
-        return float(value), None
+        return _number(value, where), None
     if isinstance(value, str):
         m = _ANGLE_RE.match(value)
         if m:
             num = int(m.group("num") or 1)
             den = int(m.group("den") or 1)
+            if den == 0:
+                raise InputError(f"{where}: zero denominator in angle {value!r}")
             f = Fraction(num, den)
             if m.group("sign") == "-":
                 f = -f
-            return float(f) * math.pi, f
+            return _number(f, where) * math.pi, f
         raise InputError(f"{where}: cannot parse angle {value!r}; use radians or 'k/m pi'")
     raise InputError(f"{where}: angle must be a number or string, got {type(value).__name__}")
 
@@ -116,17 +118,22 @@ def load_surface_document(path: str) -> Target:
         alphas.append(val)
         fracs.append(fr)
         exact = exact and fr is not None
+    raw_b = doc.get("blaschke", [])
+    if not isinstance(raw_b, list):
+        raise InputError(f"{path}: 'blaschke' must be a list, got {type(raw_b).__name__}")
     b = []
-    for i, item in enumerate(doc.get("blaschke", [])):
+    for i, item in enumerate(raw_b):
         if isinstance(item, dict):
             b.append(complex(_number(item.get("re", 0.0), f"{path}: blaschke[{i}].re"),
                              _number(item.get("im", 0.0), f"{path}: blaschke[{i}].im")))
         elif isinstance(item, (int, float)):
-            b.append(complex(item))
+            b.append(complex(_number(item, f"{path}: blaschke[{i}]")))
         else:
             raise InputError(f"{path}: blaschke[{i}] must be a number or {{re, im}}")
     opts = doc.get("options", {})
     where = f"{path}: options"
+    if not isinstance(opts, dict):
+        raise InputError(f"{where}: must be an object, got {type(opts).__name__}")
     base_point = opts.get("base_point")
     if base_point:
         if not isinstance(base_point, list) or len(base_point) != 2:

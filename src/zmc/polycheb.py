@@ -235,7 +235,8 @@ def reciprocal_class(p: ComplexPoly) -> tuple[ReciprocalClass, int | None]:
     """Classify p against p(1/r) = +/- p(r) / r^order.
 
     A nonzero polynomial can only satisfy the relation for
-    order = valuation + degree; returns (class, order).
+    order = valuation + degree; returns (class, order).  The relation is
+    tested to 1e-9 relative to the largest coefficient.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no reciprocal class")
@@ -246,7 +247,7 @@ def reciprocal_class(p: ComplexPoly) -> tuple[ReciprocalClass, int | None]:
     padded = np.zeros(order + 1, dtype=complex)
     padded[: c.size] = c
     rev = padded[::-1]
-    tol = 1e-9 * (1.0 + scale)
+    tol = 1e-9 * scale
     if np.abs(padded - rev).max() <= tol:
         return ReciprocalClass.SELF, order
     if np.abs(padded + rev).max() <= tol:

@@ -76,6 +76,10 @@ def build(angular: AngularData, blaschke: BlaschkeParams) -> KobayashiData:
         raise InputError("n = 2 requires b = (0,); renormalize the data first")
 
     gnum, gden = _blaschke_factor_polys(b)
+    if gden.degree != sum(bi != 0 for bi in b):
+        # a pole 1/conj(b) beyond what the coefficients of gden resolve
+        raise InputError(f"Blaschke parameters {[bi for bi in b if bi != 0]} are too close "
+                         f"to 0 for double precision; give 0 instead")
     g = RationalFn(gnum, gden,
                    poles=cluster_roots([1.0 / bi.conjugate() for bi in b if bi != 0], 1e-9))
 

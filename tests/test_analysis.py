@@ -373,6 +373,20 @@ def test_invert_grid_far_grid_converges():
         assert_chart_point_reproduces(inv, x, y, l)
 
 
+def test_invert_grid_retries_loosely_converged_nodes():
+    # far out a row can stop above Newton's tolerance yet pass the looser
+    # converged test; the retry takes those nodes too, so the heights keep
+    # scherk:2's closed form, which the rows alone miss by up to 2.7e-10
+    entry = get_entry("scherk:2")
+    xs = np.linspace(-20.0, 20.0, 21)
+    u, th, lam, ok, rn = GraphInverter(entry.data).invert_grid(xs, xs)
+    assert ok.all()
+    X, Y = np.meshgrid(xs, xs)
+    s0, s1, s2 = entry.normalization.scale
+    want = (np.log(np.cosh(s1 * X)) - np.log(np.cosh(s2 * Y))) / s0
+    assert np.all(np.abs(lam - want) <= 1e-11 * (1 + np.abs(want)))
+
+
 def test_invert_grid_far_grid_returns_flags(monkeypatch):
     # with f~ undefined (NaN) wherever x1 > 6.5, in both charts, the nodes
     # at x = 7 and 8 cannot converge: they come back flagged, and the flag
@@ -487,13 +501,13 @@ def test_invert_whole_plane(seed, turn):
         x, y = X[i], Y[i]
         assert_chart_point_reproduces(inv, x, y, inv.invert(x, y)[2])
     # where the seed lies above depth -25, invert is the end chart's answer
-    # to the bit
+    # to the bit, with u formed from its chart point
     _, _, p, q = inv._corner_seed(X, Y)
     for i in np.flatnonzero(~(np.minimum(p[0], q[0]) < -25.0)):
-        x, y = [X[i]], [Y[i]]
-        end = inv.newton_batch(x, y, *inv._cold_start(x, y))
-        if end[3][0]:
-            assert np.array_equal(inv.invert(X[i], Y[i]), [r[0] for r in end[:3]])
+        l, th, lam, ok, _ = inv.newton_batch([X[i]], [Y[i]])
+        if ok[0]:
+            end = inv._from_chart(l, th) + (lam,)
+            assert np.array_equal(inv.invert(X[i], Y[i]), [r[0] for r in end])
 
 
 def test_invert_grid_rescued_nodes_reproduce_targets():
@@ -541,15 +555,17 @@ def zmc_residual(data_or_inverter, x, y, h=1e-3):
     at one point; O(h^2) small wherever lambda is smooth."""
     inv = data_or_inverter if isinstance(data_or_inverter, GraphInverter) \
         else GraphInverter(data_or_inverter)
-    uc, thc, _ = inv.invert(x, y)
-    L, ok = stencil_heights(inv, np.array([x]), y, np.array([uc]), np.array([thc]), h)
+    lc, thc, _, okc, _ = inv.newton_batch([x], [y])
+    assert okc.all()
+    L, ok = stencil_heights(inv, np.array([x]), y, (lc, thc), h)
     assert ok.all()
     return float(zmc_residual_from_heights(L, h)[0])
 
 
-def stencil_heights(inv, xs, y, u_row, th_row, h):
+def stencil_heights(inv, xs, y, start, h):
     """(L, ok) on the 3x3 stencil around the nodes (xs, y): each offset is
-    its own Newton batch, warm-started from the nodes' preimages; L[i, j]
+    its own Newton batch, warm-started from the nodes' chart points
+    start = (l, theta); L[i, j]
     sits at (xs + (i-1) h, y + (j-1) h), ok flags the nodes whose eight
     neighbours all converged."""
     L = np.empty((3, 3, xs.size))
@@ -557,7 +573,7 @@ def stencil_heights(inv, xs, y, u_row, th_row, h):
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             _, _, L[dx + 1, dy + 1], ok_s, _ = inv.newton_batch(
-                xs + dx * h, np.full(xs.size, y + dy * h), u_row, th_row)
+                xs + dx * h, np.full(xs.size, y + dy * h), start)
             if dx or dy:
                 ok &= ok_s
     return L, ok
@@ -630,6 +646,36 @@ def test_injectivity_scan_detects_crossings():
     n3 = make(3, (0.0, 3 * math.pi / 4, 3 * math.pi / 2, 5 * math.pi / 3,
                   7 * math.pi / 4, 11 * math.pi / 6))
     assert injectivity_scan(n3, grid_resolution=200)
+
+
+def test_injectivity_scan_singular_seed_drops_only_itself(monkeypatch):
+    # both Jacobians of the first seed zeroed in the first Gauss-Newton
+    # sweep make its normal matrix singular: that seed is dropped, the
+    # others still confirm every crossing
+    n3 = get_entry("self-intersecting-n3").data
+    want = injectivity_scan(n3, grid_resolution=120)
+    assert len(want) == 31
+    partials, calls = SurfaceEvaluator.partials, []
+
+    def zeroed(self, u, theta):
+        du, dth = partials(self, u, theta)
+        calls.append(du.shape[1])
+        if len(calls) <= 2:
+            du[:, 0] = dth[:, 0] = 0.0
+        return du, dth
+
+    monkeypatch.setattr(SurfaceEvaluator, "partials", zeroed)
+    got = injectivity_scan(n3, grid_resolution=120)
+    assert calls[0] == calls[1] > 1
+    # the same crossings, though a later seed may report the dropped one's
+    assert len(got) == len(want)
+
+    def near(c, d):  # the dedupe's rule: both chart points within 0.025
+        m = [analysis._chart(*p) for p in (c.p1, c.p2, d.p1, d.p2)]
+        return max(abs(m[0] - m[2]), abs(m[1] - m[3])) < 0.025 \
+            or max(abs(m[0] - m[3]), abs(m[1] - m[2])) < 0.025
+
+    assert all(any(near(c, d) for d in want) for c in got)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -787,10 +833,9 @@ def test_newton_batch_singular_jacobian_is_quiet(data, x, y):
     # cold-started far out, Newton meets singular Jacobians; their inf/NaN
     # steps fail the line search without a numpy RuntimeWarning
     inv = GraphInverter(data)
-    u0, th0 = inv._cold_start([x], [y])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u, th, lam, ok, rn = inv.newton_batch([x], [y], u0, th0)
+        l, th, lam, ok, rn = inv.newton_batch([x], [y])
     assert np.isfinite(rn).all()
 
 
@@ -801,6 +846,7 @@ def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
     # frozen once a sweep leaves it where it is, not swept to maxiter
     inv = GraphInverter(data)
     u, th, lam = inv.invert(x, y)
+    start = inv.newton_batch([x], [y])[:2]
     calls = []
     chart_values = inv._chart_values
 
@@ -809,7 +855,7 @@ def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
         return chart_values(l, th, partials)
 
     monkeypatch.setattr(inv, "_chart_values", counted)
-    u2, th2, lam2, ok, rn = inv.newton_batch([x], [y], [u], [th], atol=0.0)
+    l2, th2, lam2, ok, rn = inv.newton_batch([x], [y], start, atol=0.0)
     # a sweep: one Jacobian, up to 40 line-search trials, one re-evaluation
     assert len(calls) <= 1 + 3 * 42
     assert ok[0] and abs(lam2[0] - lam) < 1e-12
@@ -827,14 +873,15 @@ def test_newton_batch_concatenation_matches_separate_calls(data):
     inv = GraphInverter(data)
     xs = np.linspace(-1.5, 1.5, 9)
     sets = [(xs, np.full(9, 0.5)), (0.7 * xs[::-1], np.full(9, -1.1))]
-    parts = [inv.newton_batch(X, Y, *inv._cold_start(X, Y)) for X, Y in sets]
+    parts = [inv.newton_batch(X, Y) for X, Y in sets]
     X = np.concatenate([X for X, _ in sets])
     Y = np.concatenate([Y for _, Y in sets])
-    whole = inv.newton_batch(X, Y, *inv._cold_start(X, Y))
-    u, th, lam, ok, rn = (np.concatenate([p[k] for p in parts]) for k in range(5))
+    whole = inv.newton_batch(X, Y)
+    l, th, lam, ok, rn = (np.concatenate([p[k] for p in parts]) for k in range(5))
     assert ok.all() and np.array_equal(whole[3], ok)
     np.testing.assert_allclose(whole[2], lam, rtol=0, atol=HEIGHT_ROUNDING)
-    np.testing.assert_allclose(whole[0], u, rtol=1e-12)
+    np.testing.assert_allclose(inv._from_chart(*whole[:2])[0], inv._from_chart(l, th)[0],
+                               rtol=1e-12)
     np.testing.assert_allclose(np.exp(1j * whole[1]), np.exp(1j * th), rtol=0, atol=1e-12)
 
 
@@ -848,15 +895,17 @@ def test_graph_table_matches_per_offset_stencil_loop():
     inv = GraphInverter(SCHERK3)
     xs = np.linspace(-1.5, 1.5, 9)
     lam, lx, ly, resid, ok = graph_table(inv, xs, xs)
-    # reference: each row's Newton, and each stencil offset of each row in
-    # its own Newton batch
-    u_row, th_row = inv._cold_start(xs, np.full(9, xs[0]))
+    # reference: each row's Newton from the chart points of the row before
+    # (the first from the seed bank), and each stencil offset of each row
+    # in its own Newton batch
+    start = None
     for i, y in enumerate(xs):
         yy = np.full(9, y)
-        u_row, th_row, lam_row, ok_row, _ = inv.newton_batch(xs, yy, u_row, th_row)
+        l_row, th_row, lam_row, ok_row, _ = inv.newton_batch(xs, yy, start)
         assert np.array_equal(lam[i], lam_row) and np.array_equal(ok[i], ok_row)
+        start = l_row, th_row % (2 * math.pi)
         for h in (2e-3, 1e-3):
-            L, ok_s = stencil_heights(inv, xs, y, u_row, th_row, h)
+            L, ok_s = stencil_heights(inv, xs, y, start, h)
             assert ok_s.all()
             for got, want, tol in ((lx[i], (L[2, 1] - L[0, 1]) / (2 * h), 1 / h),
                                    (ly[i], (L[1, 2] - L[1, 0]) / (2 * h), 1 / h),

@@ -12,7 +12,10 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from zmc.analysis import GraphInverter
+from zmc.gallery import get_entry
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,11 +32,11 @@ ALIASED = (
 )
 
 
-def _tracer_layers():
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(mod, path) for mod, path, _, _ in module.LAYERS]
+    return module
 
 
 def _scanned_names():
@@ -54,7 +57,8 @@ def _resolve(mod, path):
     return owner, attr
 
 
-LAYERS = _tracer_layers()
+TRACER = _tracer()
+LAYERS = [(mod, path) for mod, path, _, _ in TRACER.LAYERS]
 
 
 @pytest.mark.parametrize("mod, path", LAYERS, ids=[f"{m}:{p}" for m, p in LAYERS])
@@ -72,3 +76,17 @@ def test_bench_names_resolve():
     for mod, path in names + list(ALIASED):
         owner, attr = _resolve(mod, path)
         assert hasattr(owner, attr), f"{mod}.{path} is gone"
+
+
+def test_tracer_newton_counter_reads_newton_batch():
+    # the counter takes the targets from args[1] and the converged flags
+    # from out[3] of a call as the tracer's wrapper sees it, self first:
+    # four nodes start at their own solutions, the fifth at its neighbour's,
+    # and with no sweep only the fifth is unconverged
+    counter = next(c for _, path, _, c in TRACER.LAYERS if path == "GraphInverter.newton_batch")
+    inv = GraphInverter(get_entry("scherk:3").data)
+    X, Y = np.array([-1.0, -0.6, 0.3, 0.7, 1.0]), np.full(5, 0.5)
+    l, th, *_ = inv.newton_batch(X[:4], Y[:4])
+    args = (inv, X, Y, (np.append(l, l[-1]), np.append(th, th[-1])))
+    out = GraphInverter.newton_batch(*args, maxiter=0)
+    assert counter(args, {"maxiter": 0}, out) == {"nodes": 5, "unconverged": 1}

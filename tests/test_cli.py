@@ -106,6 +106,78 @@ def test_document_integral_floats_accepted(capsys, tmp_path):
     assert "order n = 2" in out
 
 
+@pytest.mark.parametrize("field, change", [
+    ("blaschke", {"blaschke": 5}), ("blaschke", {"blaschke": None}),
+    ("options", {"options": []}), ("options", {"options": None}),
+    ("options", {"options": "fast"}), ("alphas[1]", {"alphas": [0, "1/0 pi", "pi", "3/2 pi"]}),
+    ("alphas[1]", {"alphas": [0, f"{10**400} pi", "pi", "3/2 pi"]}),
+    ("blaschke[0]", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [10**400]}),
+    ("Blaschke", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [1e-208]})],
+    ids=["blaschke-5", "blaschke-null", "options-list", "options-null", "options-string",
+         "angle-1/0", "angle-1e400", "blaschke-1e400", "blaschke-1e-208"])
+@pytest.mark.parametrize("command", ["classify", "check"])
+def test_document_malformed_field_is_input_error(capsys, tmp_path, command, field, change):
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps({"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"], **change}))
+    code, _, err = run([command, str(spec)], capsys)
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
+JUNK = st.sampled_from([None, "x", [], {}, [1, 2], {"re": "a"}, True, 10**400, -1.5])
+ANGLES = st.one_of(st.floats(0.0, 6.3), st.floats(),
+                   st.builds("{}/{} pi".format, st.integers(0, 12), st.integers(0, 6)),
+                   st.sampled_from(["pi", "-pi", "half pi", f"{10**400} pi"]), JUNK)
+BLASCHKE_ITEMS = st.one_of(
+    st.floats(-1.5, 1.5), st.floats(), JUNK,
+    st.fixed_dictionaries({}, optional={"re": st.one_of(st.floats(-1.0, 1.0), JUNK),
+                                        "im": st.one_of(st.floats(-1.0, 1.0), JUNK)}))
+OPTIONS = st.one_of(JUNK, st.fixed_dictionaries({}, optional={
+    "u_max": st.one_of(st.floats(-1.0, 6.0), st.floats(), JUNK),
+    "resolution": st.one_of(st.integers(-2, 50), st.sampled_from([12.0, 12.5, "many"]), JUNK),
+    "margin": st.one_of(st.floats(0.0, 0.5), st.floats(), JUNK),
+    "base_point": st.one_of(st.lists(st.one_of(st.floats(-3.0, 3.0), JUNK), max_size=3), JUNK)}))
+
+
+@st.composite
+def documents(draw):
+    """Surface documents with fuzzed n, alphas, blaschke and options; the
+    resolution stays at most 50."""
+    n = draw(st.one_of(st.integers(1, 4), JUNK, st.sampled_from([2.0, 2.5, "3"])))
+    size = 2 * n if type(n) is int and 0 < n <= 4 else draw(st.integers(0, 8))
+    if draw(st.booleans()):  # nondecreasing multiples of pi from 0, which often build
+        steps = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        total = sum(steps[1:]) + 1
+        alphas = [f"{2 * sum(steps[1:k + 1])}/{total} pi" for k in range(size)]
+    else:
+        alphas = draw(st.lists(ANGLES, min_size=size, max_size=size))
+    doc = {"n": n, "alphas": alphas}
+    for key, value in (("blaschke", st.one_of(st.lists(BLASCHKE_ITEMS, max_size=3), JUNK)),
+                       ("options", OPTIONS)):
+        if draw(st.booleans()):
+            doc[key] = draw(value)
+    return doc
+
+
+@given(documents(), st.sampled_from(["classify", "sample"]))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_documents_exit_codes(doc, command):
+    # a fuzzed document is classified or sampled (exit 0) or refused with a
+    # typed error (exit 2, 3 or 4), never with a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_path = os.path.join(tmp, "s.json"), os.path.join(tmp, "mesh.csv")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        extra = ["--format", "csv", "-o", out_path] if command == "sample" else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, *extra])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if command == "sample":
+            assert os.path.exists(out_path) == (code == 0)
+
+
 # ---------------------------------------------------------------- sample
 
 def test_sample_obj_grid(capsys, tmp_path):
@@ -632,6 +704,18 @@ def test_reduce_self_example(capsys):
                         "--parity", "self"], capsys)
     assert code == 0
     assert "2*T2" in out
+
+
+def test_reduce_tiny_coefficients(capsys):
+    # symmetry is judged relative to the largest coefficient
+    code, out, err = run(["reduce", "--coeffs", "[1e-10, 0, 3e-10]", "--m", "1",
+                          "--parity", "self"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --coeffs, --m, --parity: ")
+    code, out, _ = run(["reduce", "--coeffs", "[1e-10, 0, 0, 0, 1e-10]", "--m", "2",
+                        "--parity", "self"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "q(u) = 2e-10*T2"
 
 
 def test_reduce_bad_parity(capsys):

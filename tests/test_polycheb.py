@@ -196,6 +196,13 @@ def test_reciprocal_class_examples():
     assert cls is ReciprocalClass.ANTI and order == 4
     cls, order = reciprocal_class(ComplexPoly([2, 1, 1]))
     assert cls is ReciprocalClass.NEITHER and order is None
+    # tiny coefficients are judged by their own size, not against 1
+    cls, order = reciprocal_class(ComplexPoly([1e-10, 0, 3e-10]))
+    assert cls is ReciprocalClass.NEITHER and order is None
+    cls, order = reciprocal_class(ComplexPoly([1e-10, 0, 0, 0, 1e-10]))
+    assert cls is ReciprocalClass.SELF and order == 4
+    assert str(reduce_reciprocal(ComplexPoly([1e-10, 0, 0, 0, 1e-10]), 2,
+                                 ReciprocalClass.SELF)) == "2e-10*T2"
 
 
 def test_reduce_self_example():
