@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .angular import TWO_PI, AngularData
 from .domain import sample_edges
@@ -214,6 +215,7 @@ class GraphInverter:
                             np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
         self._seed_l, self._seed_th = l.ravel(), th.ravel()
         self._seed_vals = self._chart_values(self._seed_l, self._seed_th, partials=False)[0]
+        self._seed_tree = cKDTree(self._seed_vals[1:].T)
         # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
         # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
         # its seeds are clipped to e^p, e^q <= sin g, inside the chart
@@ -253,26 +255,18 @@ class GraphInverter:
     def _from_chart(self, l, th):
         return self.angular.max_cos(th) + np.exp(l), th % TWO_PI
 
-    def _nearest_seed(self, X, Y):
-        """Index of the seed-bank point nearest each target, and its distance."""
-        d2 = (self._seed_vals[1][:, None] - X[None, :]) ** 2 \
-            + (self._seed_vals[2][:, None] - Y[None, :]) ** 2
-        best = np.argmin(d2, axis=0)
-        return best, np.sqrt(d2[best, np.arange(X.size)])
-
     def newton_batch(self, X, Y, start=None, maxiter: int = 60, atol: float = 1e-13):
         """Solve for every target in the end chart, from the chart points
-        start = (l, theta), or with no start from the seed bank.
+        start = (l, theta) as given, or with no start from the seed-bank
+        point nearest each target.
 
-        A start is replaced by the seed-bank point nearest its target where
-        that point leaves a strictly smaller residual; the bank is searched
-        once per call.  Iterates on a node while its residual exceeds
-        ``atol * scale``, with scale = 1 + max(|x|, |y|), for at most
-        ``maxiter`` sweeps; the returned ``converged`` flag is the looser
-        test residual <= 1e-10 * scale.  A node is frozen once a sweep
-        leaves it unchanged (its line search accepts no step and it sits on
-        no corner to shove off): a sweep is a function of the node's own
-        chart point, so every later sweep would repeat it.
+        Iterates on a node while its residual exceeds ``atol * scale``, with
+        scale = 1 + max(|x|, |y|), for at most ``maxiter`` sweeps; the
+        returned ``converged`` flag is the looser test residual <= 1e-10 *
+        scale.  A node is frozen once a sweep leaves it unchanged (its line
+        search accepts no step and it sits on no corner to shove off): a
+        sweep is a function of the node's own chart point, so every later
+        sweep would repeat it.
 
         Nodes do not interact, so a batch answers as its targets would one
         by one, up to rounding: numpy computes a one-column matrix product
@@ -285,14 +279,15 @@ class GraphInverter:
         boundary chart.
         """
         target = np.array([np.ravel(X), np.ravel(Y)], dtype=float)
-        best, srn = self._nearest_seed(*target)
-        l, th, vals = self._seed_l[best], self._seed_th[best], self._seed_vals[:, best]
-        if start is not None:
-            l0, th0 = (np.asarray(c, dtype=float).ravel() for c in start)
-            th0 = self._unkink(th0)
-            v0, _, _ = self._chart_values(l0, th0, partials=False)
-            keep = ~(srn < np.hypot(*(v0[1:] - target)))
-            l[keep], th[keep], vals[:, keep] = l0[keep], th0[keep], v0[:, keep]
+        if start is None:
+            # the nearest seed; a target that is not finite gets some seed
+            best = self._seed_tree.query(np.nan_to_num(target.T))[1]
+            l, th, vals = self._seed_l[best], self._seed_th[best], self._seed_vals[:, best]
+        else:
+            # copies: Newton moves its chart points in place
+            l, th = (np.array(c, dtype=float).ravel() for c in start)
+            th = self._unkink(th)
+            vals = self._chart_values(l, th, partials=False)[0]
         return self._newton(lambda k, *c: self._chart_values(*c), l, th, vals, target,
                             maxiter, atol, cap=self.L_CAP, shove=self._unkink)
 
@@ -412,40 +407,37 @@ class GraphInverter:
         return float(u[0]), float(th[0]), float(lam[0])
 
     def invert_grid(self, xs, ys):
-        """Row-wise warm-started grid inversion: the one loop that solves
-        grid rows.
+        """`invert`'s dispatch on every node of the grid (x, y) = (xs[j], ys[i]).
 
-        The first row starts from the seed bank, every later row from the
-        chart points (l, theta) of the row before.  The nodes a row leaves
-        above Newton's tolerance 1e-13 * scale, missed or converged only to
-        the looser 1e-10 test, get one retry, batched, through `invert`'s
-        dispatch; its answer is taken where it converges with a smaller
-        residual, and the next row starts there from (l, theta) of an
-        end-chart solve or (min(p, q), theta) of a corner solve.  A node
-        that retry solves reports residual exactly 0.0, the mark of a
-        rescued node; any other keeps the row's result and its flag.
+        Where the dispatch leaves a node of row i >= 1 above Newton's
+        tolerance 1e-13 * scale, one end-chart `newton_batch` starts it from
+        the chart point of node (i - 1, j), where that is finite: (l, theta)
+        of an end-chart solve, or (min(p, q), theta) of a corner solve.  Its
+        answer is kept where it leaves a smaller residual, and the next row
+        starts there.  This fallback reaches far nodes of sectors that have
+        only the end chart (jorge-meeks:2, parabolic), which the seed bank
+        misses.
 
         Returns (u, theta, lam, converged, residual) arrays of shape
         (len(ys), len(xs)).
         """
         xs, ys = (np.asarray(v, dtype=float) for v in (xs, ys))
-        out = np.empty((5, ys.size, xs.size))
-        start = None
-        for i, y in enumerate(ys):
-            yy = np.full(xs.size, y)
-            l, th, lam, ok, rn = self.newton_batch(xs, yy, start)
-            u, th = self._from_chart(l, th)
-            miss = np.flatnonzero(~(rn <= 1e-13 * (1.0 + np.maximum(np.abs(xs), abs(y)))))
-            if miss.size:
-                u_m, th_m, lam_m, ok_m, rn_m, (a, _, s, t) = self._solve(xs[miss], yy[miss])
-                take = ok_m & ~(rn_m >= rn[miss])
-                hit = miss[take]
-                u[hit], th[hit], lam[hit] = u_m[take], th_m[take], lam_m[take]
-                l[hit] = np.where(a >= 0, np.minimum(s, t), s)[take]
-                ok[hit], rn[hit] = True, 0.0
-            start = l, th
-            out[:, i] = u, th, lam, ok, rn
-        return out[0], out[1], out[2], out[3] == 1.0, out[4]
+        X, Y = (v.ravel() for v in np.meshgrid(xs, ys))
+        u, th, lam, ok, rn, (a, _, s, t) = self._solve(X, Y)
+        l = np.where(a >= 0, np.minimum(s, t), s)
+        miss = ~(rn <= 1e-13 * (1.0 + np.maximum(np.abs(X), np.abs(Y))))
+        n = xs.size
+        for i in range(n, X.size, n):
+            k = i + np.flatnonzero(miss[i:i + n] & np.isfinite(l[i - n:i] + th[i - n:i]))
+            if not k.size:
+                continue
+            lk, thk, lamk, okk, rnk = self.newton_batch(X[k], Y[k], (l[k - n], th[k - n]))
+            take = rnk < np.where(np.isnan(rn[k]), np.inf, rn[k])
+            k, lk, thk = k[take], lk[take], thk[take]
+            l[k], (u[k], th[k]) = lk, self._from_chart(lk, thk)
+            lam[k], ok[k], rn[k] = lamk[take], okk[take], rnk[take]
+        shape = (ys.size, xs.size)
+        return tuple(v.reshape(shape) for v in (u, th, lam, ok, rn))
 
 
 def graph_derivatives(inverter: GraphInverter, u, th, scale=(1.0, 1.0, 1.0)):

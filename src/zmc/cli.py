@@ -475,6 +475,8 @@ def _random_principal(rng, n: int) -> KobayashiData:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed: expected a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     lines: list[str] = []
     ok = True

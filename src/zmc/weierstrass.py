@@ -193,6 +193,10 @@ def ends_of_pair(pair: WeierstrassPair) -> tuple[list[tuple[complex, int]], int]
     on, od = pair.omega.num, pair.omega.den
     den = od * (gd * gd)
     den_poles = _merged_poles(pair.omega.poles, pair.g.poles, pair.g.poles)
+    if den.degree != sum(m for _, m in den_poles):
+        # a pole of g so far out that den's top coefficient rounds away
+        raise InputError("a pole of g lies beyond what double precision resolves in the "
+                         "fold-type test; give Blaschke parameters 0 instead of near 0")
     finite: dict[complex, int] = {}
     inf_order = 0
     for num in (on * (gd * gd), on * (gn * gd), on * (gn * gn)):

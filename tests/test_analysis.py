@@ -331,8 +331,8 @@ def test_graph_table_flags_non_finite_derivatives(monkeypatch):
     assert np.isfinite(np.array([lx, ly, resid])[:, ok]).all()
 
 
-# Far from the origin scherk:3's rows miss nodes, which invert_grid's
-# batched retry solves in the corner chart.
+# Far from the origin `invert`'s dispatch solves some of scherk:3's nodes in
+# the corner chart.
 FAR_XS = np.linspace(3.0, 8.0, 6)
 FAR_YS = np.linspace(2.0, 4.0, 3)
 
@@ -367,16 +367,17 @@ def test_invert_grid_far_grid_converges():
     inv = GraphInverter(get_entry("scherk:3").data)
     u, th, lam, ok, rn = inv.invert_grid(FAR_XS, FAR_YS)
     assert ok.shape == (3, 6) and ok.all()
-    assert (rn == 0.0).any()  # some nodes only the retry solved
     X, Y = np.meshgrid(FAR_XS, FAR_YS)
+    a = inv._solve(X, Y)[5][0]
+    assert (a >= 0).any()  # some nodes only the corner chart solves
     for x, y, l in zip(X.ravel(), Y.ravel(), lam.ravel()):
         assert_chart_point_reproduces(inv, x, y, l)
 
 
 def test_invert_grid_retries_loosely_converged_nodes():
-    # far out a row can stop above Newton's tolerance yet pass the looser
-    # converged test; the retry takes those nodes too, so the heights keep
-    # scherk:2's closed form, which the rows alone miss by up to 2.7e-10
+    # far out a node left above Newton's tolerance can still pass the looser
+    # converged test, and miss scherk:2's closed form by up to 2.7e-10;
+    # every node keeps it to 1e-11
     entry = get_entry("scherk:2")
     xs = np.linspace(-20.0, 20.0, 21)
     u, th, lam, ok, rn = GraphInverter(entry.data).invert_grid(xs, xs)
@@ -460,6 +461,12 @@ def test_invert_raises_no_convergence_with_diagnostics(monkeypatch):
         assert np.isfinite(err.last).all()
 
 
+def test_invert_non_finite_target_raises_no_convergence():
+    # the seed bank's nearest-point search cannot take a NaN target
+    with pytest.raises(NoConvergence):
+        GraphInverter(SCHERK3).invert(math.nan, 0.0)
+
+
 def random_gap_data(seed):
     """Principal n = 3 data with every gap below pi/2, by rejection."""
     rng = np.random.default_rng(seed)
@@ -510,19 +517,55 @@ def test_invert_whole_plane(seed, turn):
             assert np.array_equal(inv.invert(X[i], Y[i]), [r[0] for r in end])
 
 
+RANDOM_N3 = make(3, (0.0, 1.0724798527999555, 1.5920117877623825,
+                     3.0747301101615054, 4.008583837552972, 4.944751739369208))
+
+
 def test_invert_grid_rescued_nodes_reproduce_targets():
-    # a random principal n = 3 surface whose [-2, 2]^2 rows miss 7 nodes
-    data = make(3, (0.0, 1.0724798527999555, 1.5920117877623825,
-                    3.0747301101615054, 4.008583837552972, 4.944751739369208))
+    # every preimage (u, theta) of a random principal n = 3 surface's
+    # [-2, 2]^2 grid re-evaluates to its target and height (measured 6.5e-11)
     xs = np.linspace(-2.0, 2.0, 11)
-    u, th, lam, ok, rn = GraphInverter(data).invert_grid(xs, xs)
+    u, th, lam, ok, rn = GraphInverter(RANDOM_N3).invert_grid(xs, xs)
     assert ok.all()
-    rescued = rn == 0.0
-    assert rescued.sum() >= 2
     X, Y = np.meshgrid(xs, xs)
-    vals = SurfaceEvaluator(data).eval_batch(u[rescued], th[rescued])
-    np.testing.assert_allclose(vals, np.vstack([lam[rescued], X[rescued], Y[rescued]]),
+    vals = SurfaceEvaluator(RANDOM_N3).eval_batch(u.ravel(), th.ravel())
+    np.testing.assert_allclose(vals, np.vstack([lam.ravel(), X.ravel(), Y.ravel()]),
                                rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("data, res", [(SCHERK3, 41), (RANDOM_N3, 11)],
+                         ids=["scherk:3", "random-n3"])
+def test_invert_grid_is_solve_on_every_node(data, res):
+    # the fallback rows change no node of these grids: invert_grid is
+    # `invert`'s dispatch on the flattened grid, to the bit
+    inv = GraphInverter(data)
+    xs = np.linspace(-2.0, 2.0, res)
+    got = inv.invert_grid(xs, xs)
+    want = inv._solve(*np.meshgrid(xs, xs))[:5]
+    for g, w in zip(got, want):
+        assert g.shape == (res, res) and np.array_equal(g.ravel(), w)
+
+
+@pytest.mark.parametrize("name", ["scherk:2", "scherk:3", "scherk:4", "scherk:5"])
+@pytest.mark.parametrize("R", [100.0, 1e3])
+def test_invert_grid_far_corner_grids_converge_quietly(name, R):
+    # every node converges, and no chart is evaluated at a clearance e^l
+    # that underflows: pytest turns the RuntimeWarning into an error
+    xs = np.linspace(-R, R, 41)
+    assert GraphInverter(get_entry(name).data).invert_grid(xs, xs)[3].all()
+
+
+def test_invert_grid_fallback_rows_reach_far_nodes():
+    # parabolic's sectors have only the end chart; far out the seed bank
+    # misses nodes that a start from the row before reaches
+    inv = GraphInverter(get_entry("parabolic").data)
+    xs = np.linspace(-5.0, 5.0, 21)
+    X, Y = np.meshgrid(xs, xs)
+    u, th, lam, ok, rn = inv.invert_grid(xs, xs)
+    assert ok.sum() >= 440 and ok.sum() > inv._solve(X, Y)[3].sum()
+    with np.errstate(over="ignore"):
+        phi = 0.5 * (np.exp(4 * (lam + X)) - 1) + 2 * (lam - X) - 4 * Y * Y
+    assert np.all(np.abs(phi[ok]) <= 1e-10 * (1 + np.maximum(np.abs(X), np.abs(Y)))[ok])
 
 
 def test_graph_table_shares_invert_grid_solve():
@@ -555,27 +598,23 @@ def zmc_residual(data_or_inverter, x, y, h=1e-3):
     at one point; O(h^2) small wherever lambda is smooth."""
     inv = data_or_inverter if isinstance(data_or_inverter, GraphInverter) \
         else GraphInverter(data_or_inverter)
-    lc, thc, _, okc, _ = inv.newton_batch([x], [y])
-    assert okc.all()
-    L, ok = stencil_heights(inv, np.array([x]), y, (lc, thc), h)
+    L, ok = stencil_heights(inv, np.array([x]), y, h)
     assert ok.all()
     return float(zmc_residual_from_heights(L, h)[0])
 
 
-def stencil_heights(inv, xs, y, start, h):
+def stencil_heights(inv, xs, y, h):
     """(L, ok) on the 3x3 stencil around the nodes (xs, y): each offset is
-    its own Newton batch, warm-started from the nodes' chart points
-    start = (l, theta); L[i, j]
-    sits at (xs + (i-1) h, y + (j-1) h), ok flags the nodes whose eight
-    neighbours all converged."""
+    its own Newton batch from the seed bank; L[i, j] sits at
+    (xs + (i-1) h, y + (j-1) h), ok flags the nodes whose nine heights all
+    converged."""
     L = np.empty((3, 3, xs.size))
     ok = np.ones(xs.size, dtype=bool)
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             _, _, L[dx + 1, dy + 1], ok_s, _ = inv.newton_batch(
-                xs + dx * h, np.full(xs.size, y + dy * h), start)
-            if dx or dy:
-                ok &= ok_s
+                xs + dx * h, np.full(xs.size, y + dy * h))
+            ok &= ok_s
     return L, ok
 
 
@@ -895,17 +934,14 @@ def test_graph_table_matches_per_offset_stencil_loop():
     inv = GraphInverter(SCHERK3)
     xs = np.linspace(-1.5, 1.5, 9)
     lam, lx, ly, resid, ok = graph_table(inv, xs, xs)
-    # reference: each row's Newton from the chart points of the row before
-    # (the first from the seed bank), and each stencil offset of each row
-    # in its own Newton batch
-    start = None
+    # reference: `invert`'s dispatch on the flattened grid, and each
+    # stencil offset of each row in its own Newton batch
+    _, _, lam_ref, ok_ref, _, _ = inv._solve(*np.meshgrid(xs, xs))
     for i, y in enumerate(xs):
-        yy = np.full(9, y)
-        l_row, th_row, lam_row, ok_row, _ = inv.newton_batch(xs, yy, start)
-        assert np.array_equal(lam[i], lam_row) and np.array_equal(ok[i], ok_row)
-        start = l_row, th_row % (2 * math.pi)
+        row = slice(9 * i, 9 * i + 9)
+        assert np.array_equal(lam[i], lam_ref[row]) and np.array_equal(ok[i], ok_ref[row])
         for h in (2e-3, 1e-3):
-            L, ok_s = stencil_heights(inv, xs, y, start, h)
+            L, ok_s = stencil_heights(inv, xs, y, h)
             assert ok_s.all()
             for got, want, tol in ((lx[i], (L[2, 1] - L[0, 1]) / (2 * h), 1 / h),
                                    (ly[i], (L[1, 2] - L[1, 0]) / (2 * h), 1 / h),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from zmc.analysis import GraphInverter
+from zmc.analysis import GraphInverter, graph_table
 from zmc.gallery import get_entry
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -90,3 +90,15 @@ def test_tracer_newton_counter_reads_newton_batch():
     args = (inv, X, Y, (np.append(l, l[-1]), np.append(th, th[-1])))
     out = GraphInverter.newton_batch(*args, maxiter=0)
     assert counter(args, {"maxiter": 0}, out) == {"nodes": 5, "unconverged": 1}
+
+
+def test_grid_returns_keep_the_shapes_the_benchmark_unpacks():
+    # bench/workloads.py unpacks invert_grid's (u, th, lam, ok, rn) and
+    # graph_table's (lam, lx, ly, resid, ok), ravels each against its grid
+    # and reads ok as a mask
+    inv = GraphInverter(get_entry("scherk:3").data)
+    xs, ys = np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 2)
+    for out, ok in ((inv.invert_grid(xs, ys), 3), (graph_table(inv, xs, ys, h=1e-3), 4)):
+        assert len(out) == 5
+        assert all(isinstance(a, np.ndarray) and a.shape == (2, 3) for a in out)
+        assert out[ok].dtype == bool

@@ -112,9 +112,10 @@ def test_document_integral_floats_accepted(capsys, tmp_path):
     ("options", {"options": "fast"}), ("alphas[1]", {"alphas": [0, "1/0 pi", "pi", "3/2 pi"]}),
     ("alphas[1]", {"alphas": [0, f"{10**400} pi", "pi", "3/2 pi"]}),
     ("blaschke[0]", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [10**400]}),
-    ("Blaschke", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [1e-208]})],
+    ("Blaschke", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [1e-208]}),
+    ("Blaschke", {"n": 4, "alphas": [0] * 8, "blaschke": [1e-12]})],
     ids=["blaschke-5", "blaschke-null", "options-list", "options-null", "options-string",
-         "angle-1/0", "angle-1e400", "blaschke-1e400", "blaschke-1e-208"])
+         "angle-1/0", "angle-1e400", "blaschke-1e400", "blaschke-1e-208", "blaschke-1e-12"])
 @pytest.mark.parametrize("command", ["classify", "check"])
 def test_document_malformed_field_is_input_error(capsys, tmp_path, command, field, change):
     spec = tmp_path / "doc.json"
@@ -159,16 +160,17 @@ def documents(draw):
     return doc
 
 
-@given(documents(), st.sampled_from(["classify", "sample"]))
+@given(documents(), st.sampled_from(["classify", "sample", "check"]), st.integers(-3, 2**70))
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_documents_exit_codes(doc, command):
-    # a fuzzed document is classified or sampled (exit 0) or refused with a
-    # typed error (exit 2, 3 or 4), never with a traceback
+def test_fuzzed_documents_exit_codes(doc, command, seed):
+    # a fuzzed document is classified, sampled or checked (exit 0) or refused
+    # with a typed error (exit 2, 3 or 4), never with a traceback
     with tempfile.TemporaryDirectory() as tmp:
         path, out_path = os.path.join(tmp, "s.json"), os.path.join(tmp, "mesh.csv")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        extra = ["--format", "csv", "-o", out_path] if command == "sample" else []
+        extra = {"sample": ["--format", "csv", "-o", out_path],
+                 "check": ["--seed", str(seed)]}.get(command, [])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, path, *extra])
@@ -650,8 +652,7 @@ def test_graph_non_finite_derivatives_name_node(capsys, tmp_path, monkeypatch):
     assert not out_path.exists()
 
 
-# a random principal n = 3 surface whose [-2, 2]^2 rows miss nodes that
-# invert_grid's retry rescues
+# a random principal n = 3 surface, off the symmetric gallery patterns
 RANDOM_N3 = {"n": 3, "alphas": [0.0, 1.0724798527999555, 1.5920117877623825,
                                  3.0747301101615054, 4.008583837552972, 4.944751739369208]}
 ENDS = st.floats(-6.0, 6.0, allow_nan=False)
@@ -691,6 +692,12 @@ def test_check_single_entry(capsys):
     code, out, _ = run(["check", "--gallery", "scherk:2"], capsys)
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_check_rejects_negative_seed(capsys):
+    code, _, err = run(["check", "--gallery", "scherk:2", "--seed", "-1"], capsys)
+    assert code == 2
+    assert "--seed" in err and "Traceback" not in err
 
 
 def test_check_negative_entry(capsys):
