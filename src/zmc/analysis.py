@@ -9,6 +9,7 @@ by explicit critical points where the Chebyshev factors vanish.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -516,12 +517,47 @@ def _chart(u, th):
 
 _FORWARD = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
 _CELL_CAP = 800
+_CHUNK = 1 << 15  # pairs (of groups, then of points) tested per sweep
+
+
+def _block_pairs(edges, width):
+    """Block p, row and column of every pair, `_CHUNK` pairs at a time,
+    where block p holds the pairs edges[p] <= k < edges[p + 1] in rows of
+    width[p]."""
+    for k0 in range(0, edges[-1], _CHUNK):
+        k1 = min(k0 + _CHUNK, edges[-1])
+        p0, p1 = np.searchsorted(edges, (k0, k1 - 1), side="right") - 1
+        blocks = np.arange(p0, p1 + 1)
+        p = np.repeat(blocks, np.minimum(edges[blocks + 1], k1) - np.maximum(edges[blocks], k0))
+        k = np.arange(k0, k1) - edges[p]
+        yield p, k // width[p], k % width[p]
 
 
 def _near_pairs(plane, mu, local, cell, tol_param):
     """Candidate pairs (I, J) of grid points, in enumeration order; the
     rule is stated in `injectivity_scan`.  plane is (2, N), mu and local
-    are (N,)."""
+    are (N,).
+
+    The members of a capped cell that share a chart square of side
+    tol_param / 4 form a group, bounded by its plane box, its chart box and
+    its largest `local`.  A pair of groups in neighbouring cells is dropped,
+    with all its point pairs, when
+    - the gap between its plane boxes, squared, is at least cell^2 (1 + 1e-9),
+      so every point pair fails the plane prefilter below;
+    - its joined chart box has diameter squared at most tol^2 (1 - 1e-9),
+      so every point pair fails the chart prefilter;
+    - its largest `local` is at most 0.15 cell;
+    - or its plane gap is at least 2.5 (1 + 1e-9) times its largest `local`.
+    Each drop is exact, whatever the grouping: rounding is monotone, so a
+    computed box gap (box width) is at most (at least) the computed
+    difference of any two members, and so are the squares and sums built
+    from them.  The last rule keeps 1e-9 of slack because hypot is only
+    faithfully rounded.  Within a cell a group is paired with itself (each
+    of its point pairs once) and with each later group; the chart rule
+    drops a group's pairs with itself, as its chart diameter is at most
+    sqrt(2) tol / 4 < tol.  The point pairs of the surviving group pairs
+    are tested at most `_CHUNK` at a time, then sorted into enumeration
+    order."""
     keys = np.floor(plane / cell).astype(np.int64)
     ky = keys[1] - keys[1].min() + 1  # keeps ky - 1 from wrapping a column
     width = int(ky.max()) + 2
@@ -535,50 +571,79 @@ def _near_pairs(plane, mu, local, cell, tol_param):
     step = (count + _CELL_CAP - 1) // _CELL_CAP
     keep = (np.arange(order.size) - start[cid]) % step[cid] == 0
     members, cid = order[keep], cid[keep]
-    count = np.bincount(cid, minlength=cells.size)
-    start = np.cumsum(count) - count
-    mx, my, mm, ml = plane[0, members], plane[1, members], mu[members], local[members]
-    mr, mi = mm.real.copy(), mm.imag.copy()
-    del keys, ky, packed, order, keep  # set-up arrays, before the sweep
+    del keys, ky, packed, order, keep
 
-    # within a cell, positions in `members` follow the point indices, so
-    # they order a and b as the indices do.  Squared distances with 1e-9
-    # slack are only a prefilter; the exact tests run on its survivors.
+    # groups, contiguous per cell: members by cell, then chart square
+    pts = np.vstack((plane[:, members], mu.real[members], mu.imag[members]))
+    sq = np.floor(pts[2:] / (0.25 * tol_param))
+    srt = np.lexsort((sq[1], sq[0], cid))
+    members, cid, pts, sq = members[srt], cid[srt], pts[:, srt], sq[:, srt]
+    new = np.r_[True, (np.diff(cid) != 0) | (np.diff(sq, axis=1) != 0).any(axis=0)]
+    gs = np.flatnonzero(new)  # each group's first member
+    gn = np.diff(np.r_[gs, members.size])
+    per_cell = np.bincount(cid[gs], minlength=cells.size)
+    xlo, ylo, rlo, ilo = np.minimum.reduceat(pts, gs, axis=1)
+    xhi, yhi, rhi, ihi = np.maximum.reduceat(pts, gs, axis=1)
+    big = np.maximum.reduceat(local[members], gs)
+
+    # every pair of groups in a cell and a forward neighbour
+    ca, cb, co = [], [], []
+    for o, (oi, oj) in enumerate(_FORWARD):
+        want = cells + oi * width + oj
+        nb = np.minimum(np.searchsorted(cells, want), cells.size - 1)
+        c = np.flatnonzero(cells[nb] == want)
+        ca.append(c)
+        cb.append(nb[c])
+        co.append(np.full(c.size, o))
+    ca, cb, co = (np.concatenate(c) for c in (ca, cb, co))
+    g0 = np.cumsum(per_cell) - per_cell  # each cell's first group
     near2 = cell * cell * (1.0 + 1e-9)
     far2 = tol_param * tol_param * (1.0 - 1e-9)
-    major, PA, PB = [], [], []
-    for o, (oi, oj) in enumerate(_FORWARD):
-        want = cells[cid] + oi * width + oj
-        nb = np.minimum(np.searchsorted(cells, want), cells.size - 1)
-        n_b = np.where(cells[nb] == want, count[nb], 0)
-        # a-points by neighbour count, descending: step k is a prefix
-        srt = np.argsort(-n_b, kind="stable")
-        b0 = start[nb[srt]]
-        ax, ay, ar, ai = mx[srt], my[srt], mr[srt], mi[srt]
-        sizes = np.searchsorted(-n_b[srt], -np.arange(n_b.max()), side="left")
-        del want, nb, n_b
-        for k, m in enumerate(sizes):
-            b = b0[:m] + k
-            dx = ax[:m] - mx[b]
-            dy = ay[:m] - my[b]
-            dr = ar[:m] - mr[b]
-            di = ai[:m] - mi[b]
-            hit = np.flatnonzero((dx * dx + dy * dy < near2)
-                                 & (dr * dr + di * di > far2))
-            pa, pb = srt[hit], b[hit]
-            d = np.hypot(mx[pa] - mx[pb], my[pa] - my[pb])
-            s = np.maximum(ml[pa], ml[pb])
-            ok = (d < cell) & (np.abs(mm[pa] - mm[pb]) > tol_param) \
-                & (s > 0.15 * cell) & (d < 2.5 * s)
-            if o == 0:
-                ok &= pa < pb
-            pa, pb = pa[ok], pb[ok]
-            major.append(first[cid[pa]] * len(_FORWARD) + o)
-            PA.append(pa)
-            PB.append(pb)
-    major, pa, pb = (np.concatenate(c) for c in (major, PA, PB))
-    pick = np.lexsort((pb, pa, major))
-    return members[pa[pick]], members[pb[pick]]
+    GA, GB, GO = [ca[:0]], [cb[:0]], [co[:0]]
+    for p, ra, rb in _block_pairs(np.r_[0, np.cumsum(per_cell[ca] * per_cell[cb])], per_cell[cb]):
+        ga, gb, go = g0[ca[p]] + ra, g0[cb[p]] + rb, co[p]
+        # the drop rules, strongest first
+        live = np.flatnonzero((go != 0) | (gb >= ga))
+        ga, gb, go = ga[live], gb[live], go[live]
+        wr = np.maximum(rhi[ga], rhi[gb]) - np.minimum(rlo[ga], rlo[gb])
+        wi = np.maximum(ihi[ga], ihi[gb]) - np.minimum(ilo[ga], ilo[gb])
+        live = np.flatnonzero(wr * wr + wi * wi > far2)
+        ga, gb, go = ga[live], gb[live], go[live]
+        gx = np.maximum(np.maximum(xlo[ga] - xhi[gb], xlo[gb] - xhi[ga]), 0.0)
+        gy = np.maximum(np.maximum(ylo[ga] - yhi[gb], ylo[gb] - yhi[ga]), 0.0)
+        s = np.maximum(big[ga], big[gb])
+        live = np.flatnonzero((gx * gx + gy * gy < near2) & (s > 0.15 * cell)
+                              & (np.hypot(gx, gy) < 2.5 * s * (1.0 + 1e-9)))
+        GA.append(ga[live])
+        GB.append(gb[live])
+        GO.append(go[live])
+    ga, gb, go = (np.concatenate(c) for c in (GA, GB, GO))
+
+    # the point pairs of the surviving group pairs, _CHUNK at a time
+    mx, my, mr, mi = pts
+    mm, ml = mu[members], local[members]
+    major, I, J = [np.zeros(0, np.int64)], [members[:0]], [members[:0]]
+    for p, ra, rb in _block_pairs(np.r_[0, np.cumsum(gn[ga] * gn[gb])], gn[gb]):
+        a, b = gs[ga[p]] + ra, gs[gb[p]] + rb
+        # squared distances with 1e-9 slack are only a prefilter; the exact
+        # tests run on its survivors
+        dx, dy, dr, di = mx[a] - mx[b], my[a] - my[b], mr[a] - mr[b], mi[a] - mi[b]
+        hit = np.flatnonzero((dx * dx + dy * dy < near2) & (dr * dr + di * di > far2))
+        a, b, p = a[hit], b[hit], p[hit]
+        d = np.hypot(mx[a] - mx[b], my[a] - my[b])
+        s = np.maximum(ml[a], ml[b])
+        ok = (d < cell) & (np.abs(mm[a] - mm[b]) > tol_param) \
+            & (s > 0.15 * cell) & (d < 2.5 * s)
+        ok &= (ga[p] != gb[p]) | (a < b)  # a group's own pairs once
+        a, b, o = a[ok], b[ok], go[p[ok]]
+        i, j = members[a], members[b]
+        flip = (o == 0) & (i > j)  # within a cell the lower index comes first
+        I.append(np.where(flip, j, i))
+        J.append(np.where(flip, i, j))
+        major.append(first[cid[a]] * len(_FORWARD) + o)
+    major, I, J = (np.concatenate(c) for c in (major, I, J))
+    pick = np.lexsort((J, I, major))
+    return I[pick], J[pick]
 
 
 def _dedupe_pairs(mu, I, J, h):
@@ -620,11 +685,14 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
     Gauss-Newton solve.  A confirmed crossing is reported unless both its
     chart points lie within tol_param / 2 of an earlier report's.
 
-    Raises `InputError` for a grid that `domain.sample_edges` rejects and
-    for a tol_param that is not positive and finite.
+    Raises `InputError` for a grid that `domain.sample_edges` rejects, for
+    a tol_param that is not positive and finite and for a max_reports that
+    is not an integer >= 1.
     """
     if not (math.isfinite(tol_param) and tol_param > 0):
         raise InputError(f"tol_param must be positive and finite, got {tol_param}")
+    if not (isinstance(max_reports, numbers.Integral) and max_reports >= 1):
+        raise InputError(f"max_reports must be an integer >= 1, got {max_reports!r}")
     res = grid_resolution
     th, lo = sample_edges(data.angular, res, margin, u_max)
     ev = SurfaceEvaluator(data)

@@ -717,12 +717,21 @@ def test_injectivity_scan_singular_seed_drops_only_itself(monkeypatch):
     assert all(any(near(c, d) for d in want) for c in got)
 
 
+def test_injectivity_scan_max_reports_keeps_the_first():
+    n3 = get_entry("self-intersecting-n3").data
+    want = injectivity_scan(n3, grid_resolution=120)
+    assert len(want) == 31
+    for cap in (1, 3, 31, 32):
+        assert injectivity_scan(n3, grid_resolution=120, max_reports=cap) == want[:cap]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"margin": 0.0}, {"margin": -0.01}, {"margin": float("nan")},
     {"margin": float("inf")}, {"grid_resolution": 1}, {"margin": 1e-17},
     {"u_max": float("nan")}, {"u_max": float("inf")}, {"u_max": 0.5},
     {"tol_param": float("nan")}, {"tol_param": -1.0}, {"tol_param": 0.0},
-    {"tol_param": float("inf")}], ids=str)
+    {"tol_param": float("inf")}, {"max_reports": 0}, {"max_reports": -1},
+    {"max_reports": 2.5}, {"max_reports": None}], ids=str)
 def test_injectivity_scan_rejects_bad_grid(kwargs):
     n3 = get_entry("self-intersecting-n3").data
     with pytest.raises(InputError):
@@ -776,7 +785,7 @@ def _ref_dedupe_pairs(mu, cand_i, cand_j, h):
 
 
 @pytest.mark.parametrize("name", ["self-intersecting-n3", "self-intersecting-fb",
-                                  "scherk:3", "jorge-meeks:2"])
+                                  "scherk:3", "jorge-meeks:2", "parabolic"])
 def test_injectivity_scan_matches_loop_reference(name, monkeypatch):
     data = get_entry(name).data
     calls = []
@@ -822,6 +831,74 @@ def test_near_pairs_crowded_cell_matches_loop_reference():
     rdI, rdJ = _ref_dedupe_pairs(mu, rI, rJ, 0.1)
     assert 0 < dI.size < I.size
     assert np.array_equal(dI, rdI) and np.array_equal(dJ, rdJ)
+
+
+def _scan_args(name, res, monkeypatch):
+    """The arguments the scan of a gallery surface hands to _near_pairs."""
+    args = []
+
+    def record(*a):
+        args.append(a)
+        return np.zeros(0, int), np.zeros(0, int)
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_near_pairs", record)
+        injectivity_scan(get_entry(name).data, grid_resolution=res)
+    return args[0]
+
+
+def test_near_pairs_matches_loop_reference_on_a_capped_scan_grid(monkeypatch):
+    # at resolution 160 ruled-enneper's densest cell holds 1121 points, so
+    # the 800-point cap runs on a real grid
+    plane, mu, local, cell, tol = args = _scan_args("ruled-enneper", 160, monkeypatch)
+    _, counts = np.unique(np.floor(plane / cell), axis=1, return_counts=True)
+    assert counts.max() > analysis._CELL_CAP
+    I, J = analysis._near_pairs(*args)
+    rI, rJ = _ref_near_pairs(*args)
+    assert I.size > 10_000
+    assert np.array_equal(I, rI) and np.array_equal(J, rJ)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_near_pairs_chunks_do_not_change_the_pairs(chunk, monkeypatch):
+    args = _scan_args("self-intersecting-n3", 120, monkeypatch)
+    want = analysis._near_pairs(*args)
+    monkeypatch.setattr(analysis, "_CHUNK", chunk)
+    got = analysis._near_pairs(*args)
+    assert want[0].size > 10_000
+    assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 250),
+       cell=st.sampled_from([1.0, 0.3]), tol_cells=st.sampled_from([0.05, 0.3, 1.0, 1.7]),
+       crowded=st.booleans())
+@example(seed=0, n=250, cell=0.3, tol_cells=1.7, crowded=True)
+def test_near_pairs_matches_loop_reference_on_edge_clouds(seed, n, cell, tol_cells, crowded):
+    # points on quarter cells, so many lie exactly on cell edges and many
+    # coincide; chart points on multiples of tol / 4, the side of the
+    # groups' chart squares, a third of them nudged off it; `local` on
+    # both sides of 0.15 cell and of d / 2.5 for lattice distances d
+    rng = np.random.default_rng(seed)
+    tol = tol_cells * cell
+    q = cell / 4
+    plane = rng.integers(-8, 9, (2, n)) * q
+    mu = (rng.integers(-10, 11, n) + 1j * rng.integers(-10, 11, n)) * (tol / 4)
+    nudge = rng.random(n) < 1 / 3
+    mu[nudge] += rng.choice([-1e-12, 1e-12], nudge.sum()) * (1 + 1j)
+    edges = np.r_[0.15 * cell, np.hypot(*rng.integers(0, 5, (2, 6))) * q / 2.5]
+    edges = np.r_[edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+    local = np.where(rng.random(n) < 0.8, rng.choice(edges, n), rng.uniform(0.0, cell, n))
+    if crowded:  # one cell of more than 800 points runs the cap
+        m = 850
+        plane = np.hstack([plane, cell * (0.1 + 0.8 * rng.random((2, m)))])
+        mu = np.r_[mu, 0.3 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))]
+        local = np.r_[local, rng.choice(edges, m)]
+        perm = rng.permutation(mu.size)
+        plane, mu, local = plane[:, perm], mu[perm], local[perm]
+    I, J = analysis._near_pairs(plane, mu, local, cell, tol)
+    rI, rJ = _ref_near_pairs(plane, mu, local, cell, tol)
+    assert np.array_equal(I, rI) and np.array_equal(J, rJ)
 
 
 def test_umbilics_examples():
