@@ -233,16 +233,9 @@ class GraphInverter:
 
     def _chart_values(self, l, th, partials=True):
         """Values of f~ and its (d/dl, d/dtheta) in the end chart."""
-        l = np.asarray(l, dtype=float)
-        th = np.asarray(th, dtype=float)
         delta = np.exp(l)
         vals, dd, dth = self.evaluator.jet(delta, th, order=1 if partials else 0)
         return (vals, dd * delta, dth) if partials else (vals, dd, dth)
-
-    def _to_chart(self, u, th):
-        u = np.asarray(u, dtype=float).ravel()
-        th = np.asarray(th, dtype=float).ravel()
-        return np.log(np.maximum(u - self.angular.max_cos(th), 1e-300)), th
 
     def _unkink(self, th, eps=3e-9):
         """Shift theta off the boundary corners, where the chart Jacobian
@@ -254,6 +247,7 @@ class GraphInverter:
         return out
 
     def _from_chart(self, l, th):
+        """(u, theta) of end-chart points: the display form of a solved node."""
         return self.angular.max_cos(th) + np.exp(l), th % TWO_PI
 
     def newton_batch(self, X, Y, start=None, maxiter: int = 60, atol: float = 1e-13):
@@ -264,7 +258,8 @@ class GraphInverter:
         Iterates on a node while its residual exceeds ``atol * scale``, with
         scale = 1 + max(|x|, |y|), for at most ``maxiter`` sweeps; the
         returned ``converged`` flag is the looser test residual <= 1e-10 *
-        scale.  A node is frozen once a sweep leaves it unchanged (its line
+        scale on a finite residual (an infinite target's scale is infinite
+        too).  A node is frozen once a sweep leaves it unchanged (its line
         search accepts no step and it sits on no corner to shove off): a
         sweep is a function of the node's own chart point, so every later
         sweep would repeat it.
@@ -281,8 +276,9 @@ class GraphInverter:
         """
         target = np.array([np.ravel(X), np.ravel(Y)], dtype=float)
         if start is None:
-            # the nearest seed; a target that is not finite gets some seed
-            best = self._seed_tree.query(np.nan_to_num(target.T))[1]
+            # the seed nearest the target, which is made finite and clipped
+            # so that no distance overflows (the query then finds no seed)
+            best = self._seed_tree.query(np.clip(np.nan_to_num(target.T), -1e150, 1e150))[1]
             l, th, vals = self._seed_l[best], self._seed_th[best], self._seed_vals[:, best]
         else:
             # copies: Newton moves its chart points in place
@@ -308,9 +304,9 @@ class GraphInverter:
             _, d1, d2 = chart(active, ca, cb)
             det = d1[1] * d2[2] - d2[1] * d1[2]
             Ra = R[:, active]
-            # a singular Jacobian gives inf/NaN steps, which the line
-            # search below rejects
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a singular Jacobian, or a target near the largest double,
+            # gives inf/NaN steps, which the line search below rejects
+            with np.errstate(all="ignore"):
                 s1 = -(d2[2] * Ra[0] - d2[1] * Ra[1]) / det
                 s2 = -(-d1[2] * Ra[0] + d1[1] * Ra[1]) / det
                 step = np.hypot(s1, s2)
@@ -345,7 +341,7 @@ class GraphInverter:
             vals, _, _ = chart(slice(None), c1, c2, False)
             R = vals[1:] - target
             rn = np.hypot(R[0], R[1])
-        return c1, c2, vals[0], rn <= 1e-10 * scale, rn
+        return c1, c2, vals[0], np.isfinite(rn) & (rn <= 1e-10 * scale), rn
 
     def _corner_seed(self, X, Y):
         """The affine model's solution on every sector, ranked per target by
@@ -363,17 +359,18 @@ class GraphInverter:
         return self._sec[k, 0], self._sec[k, 1], p, q
 
     def _solve(self, X, Y):
-        """`invert`'s dispatch, batched.  Returns (u, theta, lambda,
-        converged, residual, (a, b, s, t)): the corner point (p, q) = (s, t)
-        of sector (a, b), or with a = -1 the end point (l, theta)."""
+        """`invert`'s dispatch, batched.  Returns (l, theta, lambda, converged,
+        residual, (a, b, s, t)): the end-chart point, and the point Newton
+        solved in: the corner point (p, q) = (s, t) of sector (a, b), where
+        l = min(p, q), or with a = -1 the end point (l, theta) = (s, t)."""
         X, Y = (np.asarray(v, dtype=float).ravel() for v in (X, Y))
         sa, sb, p, q = self._corner_seed(X, Y)
-        out = np.full((9, X.size), np.nan)  # u, theta, lambda, ok, residual, s, t, a, b
+        out = np.full((9, X.size), np.nan)  # l, theta, lambda, ok, residual, s, t, a, b
         out[3], out[7:] = 0.0, -1.0
         end = np.flatnonzero(~(np.minimum(p, q)[:1] < self.DEEP).any(axis=0))
         if end.size:
             l, th, *res = self.newton_batch(X[end], Y[end])
-            out[:7, end] = self._from_chart(l, th) + tuple(res) + (l, th)
+            out[:7, end] = (l, th, *res, l, th)
         for r in range(len(p)):  # the sectors in the order of their seeds
             k = np.flatnonzero((out[3] == 0.0) & ~np.isnan(p[r]))
             if not k.size:
@@ -384,12 +381,10 @@ class GraphInverter:
                 lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
                 p[r, k], q[r, k], v, np.array([X[k], Y[k]]), 60, 1e-13)
             thk = self.evaluator.corner(ka, kb, pk, qk)[0]
-            near = np.where(pk <= qk, ka, kb)  # u formed there, as `_from_chart` does
-            uk = np.cos(thk - self.evaluator.betas[near]) + np.exp(np.minimum(pk, qk))
             take = ~(res[2] >= out[4, k])
-            out[:, k[take]] = np.array([uk, thk % TWO_PI, *res, pk, qk, ka, kb])[:, take]
-        u, th, lam, ok, rn, s, t, a, b = out
-        return u, th, lam, ok == 1.0, rn, (a.astype(np.int64), b.astype(np.int64), s, t)
+            out[:, k[take]] = np.array([np.minimum(pk, qk), thk, *res, pk, qk, ka, kb])[:, take]
+        l, th, lam, ok, rn, s, t, a, b = out
+        return l, th, lam, ok == 1.0, rn, (a.astype(np.int64), b.astype(np.int64), s, t)
 
     def invert(self, x: float, y: float) -> tuple[float, float, float]:
         """Unique preimage (u, theta) of (x, y), plus the graph height lambda.
@@ -397,75 +392,78 @@ class GraphInverter:
         A target whose best corner seed has min(p, q) < DEEP = -25 is solved
         in the corner chart, any other in the end chart from the seed bank,
         then in the corner chart if that misses; `NoConvergence` carries the
-        residual when both miss.  u = cos(theta - beta) + e^l is formed at
-        the chart's nearest end: below a clearance of about 1e-8 it no longer
-        reproduces (x, y), though the chart point it came from does.
+        residual when both miss.  u = max cos(theta - beta) + e^l is formed
+        from the end-chart point (l, theta): below a clearance e^l of about
+        1e-8 it no longer reproduces (x, y), though the chart point does.
         """
-        u, th, lam, ok, rn, _ = self._solve([x], [y])
+        l, th, lam, ok, rn, _ = self._solve([x], [y])
+        u, th = self._from_chart(l, th)
         if not ok[0]:
             raise NoConvergence(f"inversion failed at ({x}, {y})", x=x, y=y,
                                 last=(float(u[0]), float(th[0])), residual=float(rn[0]))
         return float(u[0]), float(th[0]), float(lam[0])
 
     def invert_grid(self, xs, ys):
-        """`invert`'s dispatch on every node of the grid (x, y) = (xs[j], ys[i]).
+        """`invert`'s dispatch on every node of the grid (x, y) = (xs[j], ys[i]),
+        as `_grid` solves it: (u, theta, lam, converged, residual) arrays of
+        shape (len(ys), len(xs))."""
+        l, th, *res = self._grid(xs, ys)
+        return self._from_chart(l, th) + tuple(res)
+
+    def _grid(self, xs, ys):
+        """`_solve` on every node of the grid (x, y) = (xs[j], ys[i]).
 
         Where the dispatch leaves a node of row i >= 1 above Newton's
         tolerance 1e-13 * scale, one end-chart `newton_batch` starts it from
-        the chart point of node (i - 1, j), where that is finite: (l, theta)
-        of an end-chart solve, or (min(p, q), theta) of a corner solve.  Its
-        answer is kept where it leaves a smaller residual, and the next row
-        starts there.  This fallback reaches far nodes of sectors that have
-        only the end chart (jorge-meeks:2, parabolic), which the seed bank
-        misses.
+        the end-chart point (l, theta mod 2 pi) of node (i - 1, j), where
+        that is finite and e^l does not underflow.  Its answer is kept where
+        it leaves a smaller residual, and the next row starts there.  This
+        fallback reaches far nodes of sectors that have only the end chart
+        (jorge-meeks:2, parabolic), which the seed bank misses.
 
-        Returns (u, theta, lam, converged, residual) arrays of shape
+        Returns (l, theta, lam, converged, residual) arrays of shape
         (len(ys), len(xs)).
         """
-        xs, ys = (np.asarray(v, dtype=float) for v in (xs, ys))
-        X, Y = (v.ravel() for v in np.meshgrid(xs, ys))
-        u, th, lam, ok, rn, (a, _, s, t) = self._solve(X, Y)
-        l = np.where(a >= 0, np.minimum(s, t), s)
+        X, Y = np.meshgrid(xs, ys)
+        out = [v.reshape(X.shape) for v in self._solve(X, Y)[:5]]
+        l, th, _, _, rn = out
         miss = ~(rn <= 1e-13 * (1.0 + np.maximum(np.abs(X), np.abs(Y))))
-        n = xs.size
-        for i in range(n, X.size, n):
-            k = i + np.flatnonzero(miss[i:i + n] & np.isfinite(l[i - n:i] + th[i - n:i]))
-            if not k.size:
+        for i in range(1, X.shape[0]):
+            j = np.flatnonzero(miss[i] & (np.exp(l[i - 1]) > 0) & np.isfinite(th[i - 1]))
+            if not j.size:
                 continue
-            lk, thk, lamk, okk, rnk = self.newton_batch(X[k], Y[k], (l[k - n], th[k - n]))
-            take = rnk < np.where(np.isnan(rn[k]), np.inf, rn[k])
-            k, lk, thk = k[take], lk[take], thk[take]
-            l[k], (u[k], th[k]) = lk, self._from_chart(lk, thk)
-            lam[k], ok[k], rn[k] = lamk[take], okk[take], rnk[take]
-        shape = (ys.size, xs.size)
-        return tuple(v.reshape(shape) for v in (u, th, lam, ok, rn))
+            new = self.newton_batch(X[i, j], Y[i, j], (l[i - 1, j], th[i - 1, j] % TWO_PI))
+            take = new[4] < np.where(np.isnan(rn[i, j]), np.inf, rn[i, j])
+            for v, w in zip(out, new):
+                v[i, j[take]] = w[take]
+        return tuple(out)
 
 
-def graph_derivatives(inverter: GraphInverter, u, th, scale=(1.0, 1.0, 1.0)):
+def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0)):
     """Analytic gradient, Hessian and ZMC residual of the graph height
-    lambda at preimages (u, theta), from one order-2 `jet` at their chart
-    points.
+    lambda at the end-chart points (l, theta) of solved nodes, from one
+    order-2 `jet` there.
 
     In a chart p with J = d(x1, x2)/dp, implicit differentiation of
     x0 = lambda(x1, x2) gives grad lambda = J^-T grad_p x0 and the Hessian
     J^-T (Hess_p x0 - lambda_x Hess_p x1 - lambda_y Hess_p x2) J^-1.  With
     `scale`, lambda is the graph t = scale[0] x0 over (scale[1] x1,
     scale[2] x2).  Returns (grad, hess, resid, finite), of shapes (2,),
-    (2, 2) and () + u.shape; finite is False where J is singular or a
+    (2, 2) and () + l.shape; finite is False where J is singular or a
     result is not finite.
     """
-    shape, u = np.shape(u), np.ravel(u)
-    l, t = inverter._to_chart(u, th)
+    shape, l, t = np.shape(l), np.ravel(l), np.ravel(th)
     delta = np.exp(l)
     with np.errstate(all="ignore"):
         _, Fd, Ft, Fdd, Fdt, Ftt = inverter.evaluator.jet(delta, t, order=2)
         # the chart (l, theta), delta = e^l
         F = [delta * Fd, Ft, delta * delta * Fdd + delta * Fd, delta * Fdt, Ftt]
         # towards p_infinity (the origin's node sits at the l cap) d/dl sums
-        # nearly cancelling 1/D_j; so for u > 2 the chart is the disk point
-        # z = p1 + i p2 of (u, theta), where f~ = Re of the integral of phi
-        far = u > 2.0
-        z = np.exp(1j * t[far]) / (u[far] + np.sqrt(u[far] ** 2 - 1.0))
+        # nearly cancelling 1/D_j; so for e^l > 2 (u > 2) the chart is the disk
+        # point z = p1 + i p2 of (u, theta), where f~ = Re of the integral of phi
+        far = l > math.log(2.0)
+        u, tf = inverter._from_chart(l[far], t[far])
+        z = np.exp(1j * tf) / (u + np.sqrt(u * u - 1.0))
         f1 = np.array([phi(z) for phi in inverter.data.phi])
         f2 = np.array([(phi.num.deriv()(z) - phi(z) * phi.den.deriv()(z)) / phi.den(z)
                        for phi in inverter.data.phi])
@@ -490,12 +488,12 @@ def graph_derivatives(inverter: GraphInverter, u, th, scale=(1.0, 1.0, 1.0)):
 
 def graph_table(inverter: GraphInverter, xs, ys, h: float | None = None):
     """lambda(x, y) over a grid, with the gradient and ZMC residual of
-    `graph_derivatives` at the nodes `invert_grid` solves; `h` is ignored
+    `graph_derivatives` at the chart points `_grid` solves; `h` is ignored
     (accepted for one release).  Returns (lam, lx, ly, resid, ok), each
     shaped (len(ys), len(xs)); ok is False where a result is not finite.
     """
-    u, th, lam, ok, _ = inverter.invert_grid(xs, ys)
-    grad, _, resid, finite = graph_derivatives(inverter, u, th)
+    l, th, lam, ok, _ = inverter._grid(xs, ys)
+    grad, _, resid, finite = graph_derivatives(inverter, l, th)
     return lam, grad[0], grad[1], resid, ok & finite
 
 

@@ -135,7 +135,7 @@ def load_surface_document(path: str) -> Target:
     if not isinstance(opts, dict):
         raise InputError(f"{where}: must be an object, got {type(opts).__name__}")
     base_point = opts.get("base_point")
-    if base_point:
+    if base_point is not None:
         if not isinstance(base_point, list) or len(base_point) != 2:
             raise InputError(f"{where}.base_point: expected [u, theta], got {base_point!r}")
         base_point = tuple(_number(v, f"{where}.base_point") for v in base_point)
@@ -145,7 +145,7 @@ def load_surface_document(path: str) -> Target:
         u_max=_number(opts.get("u_max", 3.0), f"{where}.u_max"),
         resolution=_integer(opts.get("resolution", 100), f"{where}.resolution"),
         margin=_number(opts.get("margin", 1e-3), f"{where}.margin"),
-        base_point=base_point or None,
+        base_point=base_point,
     )
     angular = (AngularData.from_fractions(n, fracs) if exact
                else AngularData(n, tuple(alphas)))
@@ -356,8 +356,8 @@ def _parse_range(text: str, where: str) -> tuple[float, float]:
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise InputError(f"{where}: expected LO:HI, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InputError(f"{where}: both ends must be finite, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise InputError(f"{where}: both ends and their distance must be finite, got {text!r}")
     return lo, hi
 
 
@@ -378,8 +378,8 @@ def cmd_graph(args) -> int:
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
     raw_x, raw_y = np.stack([xs, ys]) / np.array(norm.scale[1:])[:, None]
-    u, th, lam, ok, _ = inverter.invert_grid(raw_x, raw_y)
-    (lx, ly), _, resid, finite = _analysis.graph_derivatives(inverter, u, th, norm.scale)
+    l, th, lam, ok, _ = inverter._grid(raw_x, raw_y)
+    (lx, ly), _, resid, finite = _analysis.graph_derivatives(inverter, l, th, norm.scale)
     if not (ok & finite).all():
         i, j = np.argwhere(~(ok & finite))[0]
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"

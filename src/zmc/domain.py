@@ -8,6 +8,7 @@ at infinity standing in for z = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ def sample_edges(angular: AngularData, resolution: int, margin: float,
     """The theta samples of a (u, theta) grid and the lower edge
     max cos(theta) + margin of each; rejects options that leave the grid
     empty, put a row on the domain boundary or reach outside the domain."""
-    if resolution < 2:
-        raise InputError(f"resolution must be at least 2, got {resolution}")
+    if not (isinstance(resolution, numbers.Integral) and resolution >= 2):
+        raise InputError(f"resolution must be an integer >= 2, got {resolution!r}")
     if not (math.isfinite(margin) and margin > 0):
         raise InputError(f"margin must be positive and finite, got {margin}")
     th = np.linspace(0.0, TWO_PI, resolution, endpoint=False)

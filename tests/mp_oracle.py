@@ -62,6 +62,6 @@ def mp_corner(data, a, b):
 
 def mp_end(data, j, l, th):
     """f~ at the end-chart point (l, theta) of end j, in 50 digits."""
-    l, th = mp.mpf(float(l)), mp.mpf(float(th))
+    l, th = mp.mpf(l), mp.mpf(th)
     bj = mp.mpf(float(data.angular.betas[j]))
     return mp_reference(data)(mp.exp(l) + mp.cos(th - bj), th, {j: l})

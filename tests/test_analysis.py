@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -301,8 +302,8 @@ def test_graph_derivatives_match_closed_forms(name):
     norm = entry.normalization
     grid = np.linspace(-2.0, 2.0, 41)
     inv = GraphInverter(entry.data)
-    u, th, lam, ok, _ = inv.invert_grid(grid / norm.scale[1], grid / norm.scale[2])
-    grad, hess, resid, finite = graph_derivatives(inv, u, th, norm.scale)
+    l, th, lam, ok, _ = inv._grid(grid / norm.scale[1], grid / norm.scale[2])
+    grad, hess, resid, finite = graph_derivatives(inv, l, th, norm.scale)
     assert ok.all() and finite.all()
     X, Y = np.meshgrid(grid, grid)
     want = closed_form_derivatives(name, X, Y, norm.scale[0] * lam)
@@ -462,9 +463,20 @@ def test_invert_raises_no_convergence_with_diagnostics(monkeypatch):
 
 
 def test_invert_non_finite_target_raises_no_convergence():
-    # the seed bank's nearest-point search cannot take a NaN target
-    with pytest.raises(NoConvergence):
-        GraphInverter(SCHERK3).invert(math.nan, 0.0)
+    # the seed bank's nearest-point search cannot take a NaN target, and
+    # finds no seed where every distance overflows: such a target still
+    # gets a seed, and no chart point reaches it
+    inv = GraphInverter(SCHERK3)
+    for x, y in ((math.nan, 0.0), (math.inf, 0.0), (1e308, 0.0), (0.0, -math.inf)):
+        with pytest.raises(NoConvergence):
+            inv.invert(x, y)
+
+
+def test_invert_grid_empty_axes():
+    inv = GraphInverter(SCHERK3)
+    for xs, ys in (([], []), ([1.0], []), ([], [1.0, 2.0])):
+        out = inv.invert_grid(xs, ys)
+        assert len(out) == 5 and all(a.shape == (len(ys), len(xs)) for a in out)
 
 
 def random_gap_data(seed):
@@ -491,9 +503,12 @@ def test_invert_whole_plane(seed, turn):
     angles = 2 * math.pi * (np.arange(6) + turn) / 6
     radii = np.append(np.logspace(0.0, 3.0, 7), 1e6)
     X, Y = (np.outer(radii, f(angles)).ravel() for f in (np.cos, np.sin))
-    u, th, lam, ok, rn, (a, b, s, t) = inv._solve(X, Y)
+    l, th, lam, ok, rn, (a, b, s, t) = inv._solve(X, Y)
     assert ok.all()
     corner = a >= 0
+    # the end-chart point of a corner solve is (min(p, q), theta)
+    assert np.array_equal(l, np.where(corner, np.minimum(s, t), s))
+    u, th = inv._from_chart(l, th)
     vals = np.empty((3, X.size))
     vals[:, corner] = inv.evaluator.corner(a[corner], b[corner], s[corner], t[corner])[1]
     vals[:, ~corner] = inv.evaluator.jet(np.exp(s[~corner]), t[~corner])[0]
@@ -502,7 +517,6 @@ def test_invert_whole_plane(seed, turn):
     # u carries the clearance of the chart's nearest end as far as a double can
     near = np.where(~corner, np.argmax(np.cos(t[:, None] - inv.evaluator.betas), axis=1),
                     np.where(s <= t, a, b))
-    l = np.where(corner, np.minimum(s, t), s)
     assert np.all(np.abs(u - np.cos(th - inv.evaluator.betas[near]) - np.exp(l)) <= 2e-15 * (1 + u))
     for i in (np.argmin(np.where(corner, np.minimum(s, t), s)), X.size - 1, 0, 20):
         x, y = X[i], Y[i]
@@ -541,7 +555,8 @@ def test_invert_grid_is_solve_on_every_node(data, res):
     inv = GraphInverter(data)
     xs = np.linspace(-2.0, 2.0, res)
     got = inv.invert_grid(xs, xs)
-    want = inv._solve(*np.meshgrid(xs, xs))[:5]
+    l, th, *want = inv._solve(*np.meshgrid(xs, xs))[:5]
+    want = inv._from_chart(l, th) + tuple(want)
     for g, w in zip(got, want):
         assert g.shape == (res, res) and np.array_equal(g.ravel(), w)
 
@@ -574,6 +589,59 @@ def test_graph_table_shares_invert_grid_solve():
     tlam, _, _, _, tok = graph_table(inv, FAR_XS, FAR_YS)
     assert np.array_equal(tlam, lam)
     assert np.all(ok[tok])
+
+
+def mp_gradient(data, a, b, s, t):
+    """grad lambda in 50 digits at a chart point of `GraphInverter._solve`,
+    read as `chart_values_mp` reads it, by implicit differentiation: each
+    partial d x_k / d(s, t) from mp.diff, then grad lambda = J^-T d x0 / d(s, t)
+    with J = d(x1, x2) / d(s, t)."""
+    if a >= 0:
+        F = mp_corner(data, a, b)
+    else:
+        j = int(np.argmax(np.cos(t - np.asarray(data.angular.betas))))
+        F = lambda l, th: mp_end(data, j, l, th)  # noqa: E731
+    d = [[mp.diff(lambda v: F(v, t)[k], s), mp.diff(lambda v: F(s, v)[k], t)] for k in range(3)]
+    det = d[1][0] * d[2][1] - d[2][0] * d[1][1]
+    return np.array([float((d[0][0] * d[2][1] - d[2][0] * d[0][1]) / det),
+                     float((d[1][0] * d[0][1] - d[0][0] * d[1][1]) / det)])
+
+
+@pytest.mark.parametrize("name", ["scherk:2", "scherk:3", "scherk:4", "scherk:5"])
+@pytest.mark.parametrize("R", [20.0, 100.0])
+def test_graph_derivatives_far_grids(name, R):
+    # `zmc graph`'s solve and derivatives on its 41^2 grid over [-R, R]^2.
+    # Far out the clearances fall below what u = max cos + e^l resolves
+    # (at a log(u - max cos) rebuilt from u at most 1369 nodes at R = 20
+    # are finite); at Newton's chart point every node at R = 20 is, and so
+    # are all but the deepest corner nodes at R = 100.  scherk:2 is held
+    # against its closed form on every such node, the others against 50
+    # digits at the 16 such nodes of smallest second clearance
+    entry = get_entry(name)
+    norm = entry.normalization
+    inv = GraphInverter(entry.data)
+    grid = np.linspace(-R, R, 41)
+    l, th, _, ok, _ = inv._grid(grid / norm.scale[1], grid / norm.scale[2])
+    grad, _, _, finite = graph_derivatives(inv, l, th, norm.scale)
+    ok &= finite
+    assert ok.all() or R > 20.0
+    X, Y = np.meshgrid(grid, grid)
+    if name == "scherk:2":
+        assert ok.all()
+        assert np.abs(grad - [np.tanh(X), -np.tanh(Y)]).max() <= 1e-12
+        return
+    assert norm.scale == (1.0, 1.0, 1.0)
+    sl, _, _, _, _, (a, b, s, t) = inv._solve(X, Y)
+    # the second smallest log D_j: max(p, q) of a corner solve
+    second = np.maximum(s, t)
+    end = a < 0
+    D = inv._from_chart(s[end], t[end])[0][:, None] - np.cos(t[end][:, None] - inv.evaluator.betas)
+    second[end] = np.log(np.sort(D, axis=1)[:, 1])
+    nodes = np.flatnonzero(ok.ravel())
+    for i in nodes[np.argsort(second[nodes], kind="stable")[:16]]:
+        assert sl[i] == l.ravel()[i]  # the grid solve is the dispatch's there
+        want = mp_gradient(inv.data, a[i], b[i], s[i], t[i])
+        assert np.abs(grad.reshape(2, -1)[:, i] - want).max() <= 1e-10 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------- PDE residual
@@ -731,7 +799,8 @@ def test_injectivity_scan_max_reports_keeps_the_first():
     {"u_max": float("nan")}, {"u_max": float("inf")}, {"u_max": 0.5},
     {"tol_param": float("nan")}, {"tol_param": -1.0}, {"tol_param": 0.0},
     {"tol_param": float("inf")}, {"max_reports": 0}, {"max_reports": -1},
-    {"max_reports": 2.5}, {"max_reports": None}], ids=str)
+    {"max_reports": 2.5}, {"max_reports": None}, {"grid_resolution": 200.5},
+    {"grid_resolution": 60.0}, {"grid_resolution": "60"}], ids=str)
 def test_injectivity_scan_rejects_bad_grid(kwargs):
     n3 = get_entry("self-intersecting-n3").data
     with pytest.raises(InputError):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from zmc import cli
 from zmc.analysis import GraphInverter, graph_derivatives, metric_determinant
@@ -272,10 +272,11 @@ def test_sample_nearly_repeated_angles_is_numeric_failure(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("base_point", [[math.nan, 0.0], [2.0, math.inf],
-                                        [math.inf, 0.0], [0.0, 0.0]])
+                                        [math.inf, 0.0], [0.0, 0.0],
+                                        0, False, "", []])
 def test_sample_rejects_bad_base_point(capsys, tmp_path, base_point):
-    # non-finite, or outside the extension domain ([0, 0] lies below every
-    # cosine of scherk:2)
+    # non-finite, outside the extension domain ([0, 0] lies below every
+    # cosine of scherk:2), or not [u, theta]: only null means no base point
     spec = tmp_path / "doc.json"
     spec.write_text(json.dumps({"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
                                 "options": {"base_point": base_point}}))
@@ -493,8 +494,8 @@ def oracle_graph_text(name, x0, x1, y0, y1, res):
     inverter = GraphInverter(entry.data)
     xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
     raw_x, raw_y = xs / norm.scale[1], ys / norm.scale[2]
-    u, th, lam, ok, _ = inverter.invert_grid(raw_x, raw_y)
-    (lx, ly), _, resid, finite = graph_derivatives(inverter, u, th, norm.scale)
+    l, th, lam, ok, _ = inverter._grid(raw_x, raw_y)
+    (lx, ly), _, resid, finite = graph_derivatives(inverter, l, th, norm.scale)
     assert (ok & finite).all()
     lines = ["x,y,lambda,causal,zmc_residual"]
     for i, y in enumerate(ys):
@@ -601,7 +602,7 @@ def test_graph_violated_condition_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--resolution", "-1"], ["--resolution", "0"],
     ["--h", "0"], ["--h=-1e-3"], ["--h", "nan"], ["--h", "inf"],
-    ["--x-range=-inf:2"], ["--y-range=0:nan"]],
+    ["--x-range=-inf:2"], ["--y-range=0:nan"], ["--x-range=-1e308:1e308"]],
     ids="".join)
 def test_graph_rejects_bad_options(capsys, tmp_path, flags):
     out_path = tmp_path / "g.csv"
@@ -612,14 +613,38 @@ def test_graph_rejects_bad_options(capsys, tmp_path, flags):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("name", ["scherk:2", "scherk:3", "scherk:4", "scherk:5"])
+def test_graph_far_grid_is_written(capsys, tmp_path, name):
+    # every node over [-20, 20]^2 is solved and its derivatives are finite,
+    # though its clearances fall far below what u = max cos + e^l resolves
+    out_path = tmp_path / "g.csv"
+    code, _, _ = run(["graph", "--gallery", name, "--x-range=-20:20", "--y-range=-20:20",
+                      "--resolution", "41", "-o", str(out_path)], capsys)
+    assert code == 0
+    resid = np.loadtxt(out_path, delimiter=",", skiprows=1, usecols=4)
+    assert resid.size == 41 * 41 and np.abs(resid).max() <= 1e-12
+
+
 def test_graph_failure_names_node(capsys, tmp_path):
     out_path = tmp_path / "g.csv"
-    code, _, err = run(["graph", "--gallery", "scherk:3", "--x-range=3:8",
-                        "--y-range=2:4", "--resolution", "6", "-o", str(out_path)],
-                       capsys)
-    assert code == 4
-    assert "at (x, y) = (" in err
-    assert not out_path.exists()
+    for name, x_range, y_range, res, why in [
+            # corner nodes whose two clearances are both below about e^-390
+            ("scherk:3", "-100:100", "-100:100", 41,
+             "non-finite graph derivatives at (x, y) = (-100.0, -100.0)"),
+            # targets near the largest double, for which the seed bank's
+            # query finds no seed unless the target is clipped: no chart
+            # reaches the first, the second is solved in a corner whose
+            # clearance e^l underflows
+            ("jorge-meeks:2", "0:1e308", "-2:2", 5,
+             "graph inversion failed at (x, y) = (2.5e+307, -2.0)"),
+            ("scherk:3", "0:1e308", "-2:2", 5,
+             "non-finite graph derivatives at (x, y) = (2.5e+307, -2.0)")]:
+        code, _, err = run(["graph", "--gallery", name, f"--x-range={x_range}",
+                            f"--y-range={y_range}", "--resolution", str(res),
+                            "-o", str(out_path)], capsys)
+        assert code == 4
+        assert why in err
+        assert not out_path.exists()
 
 
 def test_graph_h_is_ignored(capsys, tmp_path):
@@ -661,6 +686,10 @@ ENDS = st.floats(-6.0, 6.0, allow_nan=False)
 @given(st.sampled_from(["scherk:2", "scherk:3", "scherk:4", "random-n3"]),
        ENDS, ENDS, ENDS, ENDS, st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
+# ranges out to the largest double, where the seed bank's query found no seed
+@example("scherk:3", 0.0, 1e308, -2.0, 2.0, 5)
+@example("jorge-meeks:2", 0.0, 1e308, -2.0, 2.0, 5)
+@example("scherk:2", 0.0, 1e308, -1e308, 0.0, 5)
 def test_graph_exit_codes_and_finite_output(surface, x0, x1, y0, y1, res):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "g.csv")
