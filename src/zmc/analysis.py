@@ -215,7 +215,7 @@ class GraphInverter:
         l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0),
                             np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
         self._seed_l, self._seed_th = l.ravel(), th.ravel()
-        self._seed_vals = self._chart_values(self._seed_l, self._seed_th, partials=False)[0]
+        self._seed_vals = self.evaluator.jet(self._seed_l, self._seed_th)[0]
         self._seed_tree = cKDTree(self._seed_vals[1:].T)
         # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
         # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
@@ -230,12 +230,6 @@ class GraphInverter:
         self._affine = (v[1:] - (dp[1:] + dq[1:]) * p0,  # c, J^-1, log sin g
                         np.array([[dq[2], -dq[1]], [-dp[2], dp[1]]]) / det,
                         np.log(np.sin(g[sec]))[:, None])
-
-    def _chart_values(self, l, th, partials=True):
-        """Values of f~ and its (d/dl, d/dtheta) in the end chart."""
-        delta = np.exp(l)
-        vals, dd, dth = self.evaluator.jet(delta, th, order=1 if partials else 0)
-        return (vals, dd * delta, dth) if partials else (vals, dd, dth)
 
     def _unkink(self, th, eps=3e-9):
         """Shift theta off the boundary corners, where the chart Jacobian
@@ -284,14 +278,17 @@ class GraphInverter:
             # copies: Newton moves its chart points in place
             l, th = (np.array(c, dtype=float).ravel() for c in start)
             th = self._unkink(th)
-            vals = self._chart_values(l, th, partials=False)[0]
-        return self._newton(lambda k, *c: self._chart_values(*c), l, th, vals, target,
-                            maxiter, atol, cap=self.L_CAP, shove=self._unkink)
+            vals = self.evaluator.jet(l, th)[0]
+        return self._newton(lambda k, l, th, d=True: self.evaluator.jet(l, th, int(d)), l, th,
+                            vals, target, maxiter, atol, cap=self.L_CAP, shove=self._unkink)
 
+    @np.errstate(all="ignore")
     def _newton(self, chart, c1, c2, vals, target, maxiter, atol, cap=np.inf, shove=None):
         """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
         (f~, d f~/dc1, d f~/dc2) at nodes k; c1 is capped at `cap`, and `shove`
-        moves nodes no step improves.  Returns (c1, c2, lambda, ok, residual)."""
+        moves nodes no step improves.  Returns (c1, c2, lambda, ok, residual).
+        The line search rejects every non-finite value, and ok needs a finite
+        residual, so numpy warns of none of them."""
         scale = 1.0 + np.abs(target).max(axis=0)
         R = vals[1:] - target
         rn = np.hypot(R[0], R[1])
@@ -306,13 +303,12 @@ class GraphInverter:
             Ra = R[:, active]
             # a singular Jacobian, or a target near the largest double,
             # gives inf/NaN steps, which the line search below rejects
-            with np.errstate(all="ignore"):
-                s1 = -(d2[2] * Ra[0] - d2[1] * Ra[1]) / det
-                s2 = -(-d1[2] * Ra[0] + d1[1] * Ra[1]) / det
-                step = np.hypot(s1, s2)
-                shrink = np.minimum(1.0, 8.0 / np.maximum(step, 1e-300))
-                s1 *= shrink
-                s2 *= shrink
+            s1 = -(d2[2] * Ra[0] - d2[1] * Ra[1]) / det
+            s2 = -(-d1[2] * Ra[0] + d1[1] * Ra[1]) / det
+            step = np.hypot(s1, s2)
+            shrink = np.minimum(1.0, 8.0 / np.maximum(step, 1e-300))
+            s1 *= shrink
+            s2 *= shrink
             alpha = np.ones_like(s1)
             best1, best2 = ca.copy(), cb.copy()
             best_rn = rn[active].copy()
@@ -453,11 +449,8 @@ def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0)):
     result is not finite.
     """
     shape, l, t = np.shape(l), np.ravel(l), np.ravel(th)
-    delta = np.exp(l)
     with np.errstate(all="ignore"):
-        _, Fd, Ft, Fdd, Fdt, Ftt = inverter.evaluator.jet(delta, t, order=2)
-        # the chart (l, theta), delta = e^l
-        F = [delta * Fd, Ft, delta * delta * Fdd + delta * Fd, delta * Fdt, Ftt]
+        F = inverter.evaluator.jet(l, t, order=2)[1:]
         # towards p_infinity (the origin's node sits at the l cap) d/dl sums
         # nearly cancelling 1/D_j; so for e^l > 2 (u > 2) the chart is the disk
         # point z = p1 + i p2 of (u, theta), where f~ = Re of the integral of phi

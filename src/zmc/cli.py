@@ -36,7 +36,7 @@ _ANGLE_RE = re.compile(r"^\s*(?P<sign>[+-])?\s*(?:(?P<num>\d+)\s*(?:/\s*(?P<den>
 
 def _parse_angle(value, where: str) -> tuple[float, Fraction | None]:
     """Radians as a number, or an exact multiple of pi like '3/4 pi'."""
-    if isinstance(value, (int, float)):
+    if type(value) in (int, float):  # a JSON number; true and false are not
         if value == 0:
             return 0.0, Fraction(0)
         return _number(value, where), None
@@ -56,11 +56,13 @@ def _parse_angle(value, where: str) -> tuple[float, Fraction | None]:
 
 
 def _number(value, where: str, kind=float):
-    """kind(value), with a malformed value reported as an input error."""
+    """kind(value); a malformed value, a boolean too, is an input error."""
     try:
-        return kind(value)
+        if not isinstance(value, bool):
+            return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{where}: expected a number, got {value!r}")
+        pass
+    raise InputError(f"{where}: expected a number, got {value!r}")
 
 
 def _integer(value, where: str) -> int:
@@ -214,9 +216,7 @@ def cmd_classify(args) -> int:
     target = resolve_target(args)
     report = _report_dict(target)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write(args.json, [json.dumps(report, indent=2)], ())
     print(f"surface: {report['name']}")
     ft = report["fold_type"]
     print(f"  fold-type: {'yes' if ft['is_fold_type'] else 'NO'} "
@@ -260,8 +260,13 @@ def _reprs(a: np.ndarray):
 
 
 def _write(path: str, head: list[str], rows) -> None:
-    """The header lines, then each chunk of text in `rows` as it comes."""
-    with open(path, "w") as fh:
+    """The header lines, then each chunk of text in `rows` as it comes; a
+    path that cannot be opened for writing is an input error."""
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}")
+    with fh:
         fh.write("".join(line + "\n" for line in head))
         fh.writelines(rows)
 
@@ -512,7 +517,7 @@ def _coefficient(item, i: int) -> complex:
     that the reduction cannot overflow."""
     parts = item if isinstance(item, list) and len(item) == 2 else [item, 0]
     try:
-        c = complex(*parts) if all(isinstance(x, (int, float)) for x in parts) else math.nan
+        c = complex(*parts) if all(type(x) in (int, float) for x in parts) else math.nan
         if abs(c) < _COEFF_MAX:  # false for NaN
             return c
     except OverflowError:  # beyond the float range

@@ -122,20 +122,20 @@ class SurfaceEvaluator:
                              -gamma.imag.reshape(3, -1)])
         self._dead = ~self._M.any(axis=0)
 
-    def jet(self, delta, theta, order: int = 0):
-        """f~ at boundary clearance delta = u - max_j cos(theta - beta_j).
+    def jet(self, l, theta, order: int = 0):
+        """f~ at the end-chart point (l, theta), e^l = u - max_j cos(theta - beta_j).
 
-        Returns (values, d/d delta, d/d theta at fixed delta), each of shape
-        (3, N); the two derivatives are None for order 0 and analytic for
-        order 1; order 2 appends d2/d delta2, d2/d delta d theta and
-        d2/d theta2.  d/d delta is d/du.  Every D_j is delta plus
-        cos(theta - beta_a) - cos(theta - beta_j) for the nearest end a,
-        formed by the product formula, so a clearance that u itself cannot
-        resolve keeps its digits; at fixed delta the nearest end's D is
-        constant, so its pole drops out of d/d theta exactly.
+        Returns (values, d/dl, d/dtheta at fixed l), each of shape (3, N);
+        the two derivatives are None for order 0 and analytic for order 1;
+        order 2 appends d2/dl2, d2/dl dtheta and d2/dtheta2.  Every D_j is
+        e^l plus cos(theta - beta_a) - cos(theta - beta_j) for the nearest
+        end a, formed by the product formula, so a clearance that u itself
+        cannot resolve keeps its digits; d/dl enters through e^l / D_j <= 1,
+        and the nearest end's D is constant at fixed l, so its pole drops
+        out of d/dtheta exactly.
         """
         return self._apply(self._rows(np.asarray(theta, dtype=float), order,
-                                      delta=np.asarray(delta, dtype=float)))
+                                      l=np.asarray(l, dtype=float)))
 
     def eval_batch(self, u, theta) -> np.ndarray:
         """Values of shape (3, N); no domain checks."""
@@ -164,10 +164,10 @@ class SurfaceEvaluator:
             ep, eq = np.exp(p), np.exp(q)
             x = (ep - eq) / (2.0 * np.sin(g))
             theta = self.betas[a] + g + np.arcsin(x)
-            rows, cols = list(self._rows(theta, order, delta=ep, ref=a)), np.arange(theta.size)
+            rows, cols = list(self._rows(theta, order, l=p, ref=a)), np.arange(theta.size)
             if order:
                 w = 1.0 / (2.0 * np.sin(g) * np.sqrt(1.0 - x * x))  # d theta / d(e^p - e^q)
-                rows[1:] = rows[1] * ep + rows[2] * (ep * w), rows[2] * (-eq * w)
+                rows[1:] = rows[1] + rows[2] * (ep * w), rows[2] * (-eq * w)
             # log D_a, log D_b are the coordinates; zero-weight rows may be NaN
             for r, ra, rb in zip(rows, (p, 1.0, 0.0), (q, 0.0, 1.0)):
                 r[self._dead] = 0.0
@@ -179,16 +179,15 @@ class SurfaceEvaluator:
         out = tuple(self._M @ r for r in rows)
         return out if len(out) > 1 else out + (None, None)
 
-    def _rows(self, theta, order, delta=None, u=None, ref=None):
-        """The basis rows of `jet`, or with u in place of delta: then delta =
-        u - max cos and d/dtheta is taken at fixed u.  With `ref`, delta is
-        the clearance of end ref, not the nearest end's, and D is unclipped."""
+    def _rows(self, theta, order, l=None, u=None, ref=None):
+        """The basis rows of `jet`, or with u in place of l those of d/du and
+        d/dtheta at fixed u, order <= 1.  With `ref`, e^l is the clearance of
+        end ref, not the nearest end's, and D is unclipped."""
         s = theta[None, :] - self.betas[:, None]
         cs = np.cos(s)
         a = np.argmax(cs, axis=0) if ref is None else ref
         cols = np.arange(theta.size)
-        if delta is None:
-            delta = u - cs[a, cols]
+        delta = np.exp(l) if u is None else u - cs[a, cols]
         # >= 0 when beta_a is the nearest end, so rounding is only clipped
         # upward
         dcos = -2.0 * np.sin(theta[None, :] - self._mid.take(a, axis=1)) \
@@ -201,8 +200,6 @@ class SurfaceEvaluator:
         sn = np.sin(s)
         invD = 1.0 / D
         t = sn * invD
-        # dD/dtheta: sin s at fixed u, sin s - sin s_a at fixed delta
-        Dth = sn if u is not None else sn - sn[a, cols]
         if K:
             c = (cs - 1j * sn) * (0.5 * invD)
             b1 = -1.0 - 1j * t
@@ -214,11 +211,15 @@ class SurfaceEvaluator:
         vals = np.concatenate(rows)
         if not order:
             return [vals]
-        dd, dth = [invD], [Dth * invD]
+        # dD/dtheta: sin s at fixed u, sin s - sin s_a at fixed l
+        Dth = sn if u is not None else sn - sn[a, cols]
+        w = Dth * invD
+        r = invD if u is not None else delta / D  # d log D / du, or / dl
+        dd, dth = [r], [w]
         if K:
             # the derivatives of t = sin s / D and c = e^{-is} / 2D
-            dq, dc = [], (-c * invD, -c * (1j + Dth * invD))
-            for drows, dt, dcx in zip((dd, dth), (-t * invD, (cs - t * Dth) * invD), dc):
+            dq, dc = [], (-c * r, -c * (1j + w))
+            for drows, dt, dcx in zip((dd, dth), (-t * r, (cs - t * Dth) * invD), dc):
                 db1 = -1j * dt
                 dqx = [0.0, db1]
                 for k in range(2, K + 1):
@@ -228,13 +229,12 @@ class SurfaceEvaluator:
         first = [vals, np.concatenate(dd), np.concatenate(dth)]
         if order == 1:
             return first
-        # d2D/dtheta2 is cos s at fixed u, cos s - cos s_a at fixed delta
-        Dthth = cs if u is not None else cs - cs[a, cols]
-        w = Dth * invD
-        second = ([-invD * invD], [-w * invD], [Dthth * invD - w * w])
+        # d2D/dtheta2 at fixed l is cos s - cos s_a
+        Dthth = cs - cs[a, cols]
+        second = ([r - r * r], [-w * r], [Dthth * invD - w * w])
         if K:
             # as t = -2 Im c, b1 = -1 + 2i Im c follows c
-            d2c = (2.0 * c * invD * invD, (c * w - dc[1]) * invD,
+            d2c = (c * r * (2.0 * r - 1.0), (c * w - dc[1]) * r,
                    -dc[1] * (1j + w) - c * (Dthth * invD - w * w))
             for drows, (i, j), d2cx in zip(second, ((0, 0), (0, 1), (1, 1)), d2c):
                 d2q = [0.0, 2j * d2cx.imag]

@@ -320,8 +320,8 @@ def test_graph_table_flags_non_finite_derivatives(monkeypatch):
     xs = np.linspace(-1.5, 1.5, 5)
     jet = inv.evaluator.jet
 
-    def singular_at_first_node(delta, theta, order=0):
-        out = jet(delta, theta, order)
+    def singular_at_first_node(l, theta, order=0):
+        out = jet(l, theta, order)
         if order == 2:
             out[2][1:, 0] = 0.0  # d(x1, x2)/dtheta
         return out
@@ -399,8 +399,8 @@ def test_invert_grid_far_grid_returns_flags(monkeypatch):
     def poison(vals):
         vals[:, vals[1] > 6.5] = np.nan
 
-    def poisoned_jet(delta, theta, order=0):
-        out = jet(delta, theta, order)
+    def poisoned_jet(l, theta, order=0):
+        out = jet(l, theta, order)
         poison(out[0])
         return out
 
@@ -438,8 +438,8 @@ def test_invert_raises_no_convergence_with_diagnostics(monkeypatch):
     inv = GraphInverter(SCHERK3)
     jet, corner = inv.evaluator.jet, inv.evaluator.corner
 
-    def flat_jet(delta, theta, order=0):
-        out = jet(delta, theta, order)
+    def flat_jet(l, theta, order=0):
+        out = jet(l, theta, order)
         if order:
             out[2][:] = 0.0
         return out
@@ -465,11 +465,16 @@ def test_invert_raises_no_convergence_with_diagnostics(monkeypatch):
 def test_invert_non_finite_target_raises_no_convergence():
     # the seed bank's nearest-point search cannot take a NaN target, and
     # finds no seed where every distance overflows: such a target still
-    # gets a seed, and no chart point reaches it
+    # gets a seed, and no chart point reaches it.  Near the largest double
+    # the residual's hypot overflows, which Newton takes without a warning
     inv = GraphInverter(SCHERK3)
-    for x, y in ((math.nan, 0.0), (math.inf, 0.0), (1e308, 0.0), (0.0, -math.inf)):
+    for x, y in ((math.nan, 0.0), (math.inf, 0.0), (1e308, 0.0), (0.0, -math.inf),
+                 (1.7e308, 1.7e308)):
         with pytest.raises(NoConvergence):
             inv.invert(x, y)
+    for name in ("scherk:2", "jorge-meeks:2", "parabolic"):
+        with pytest.raises(NoConvergence):
+            GraphInverter(get_entry(name).data).invert(1.7e308, 1.7e308)
 
 
 def test_invert_grid_empty_axes():
@@ -511,7 +516,7 @@ def test_invert_whole_plane(seed, turn):
     u, th = inv._from_chart(l, th)
     vals = np.empty((3, X.size))
     vals[:, corner] = inv.evaluator.corner(a[corner], b[corner], s[corner], t[corner])[1]
-    vals[:, ~corner] = inv.evaluator.jet(np.exp(s[~corner]), t[~corner])[0]
+    vals[:, ~corner] = inv.evaluator.jet(s[~corner], t[~corner])[0]
     scale = 1 + np.maximum(np.abs(X), np.abs(Y))
     assert np.all(np.abs(vals[1:] - [X, Y]).max(axis=0) <= 1e-10 * scale)
     # u carries the clearance of the chart's nearest end as far as a double can
@@ -607,24 +612,35 @@ def mp_gradient(data, a, b, s, t):
                      float((d[1][0] * d[0][1] - d[0][0] * d[1][1]) / det)])
 
 
+# Nodes with finite derivatives at R = 100 when `jet` differentiated in the
+# clearance e^l and `graph_derivatives` formed e^2l / D^2 from it, which
+# overflows below l = -355 although e^l / D <= 1
+DELTA_JET_REACH = {"scherk:3": 743, "scherk:4": 441, "scherk:5": 313}
+
+
 @pytest.mark.parametrize("name", ["scherk:2", "scherk:3", "scherk:4", "scherk:5"])
 @pytest.mark.parametrize("R", [20.0, 100.0])
 def test_graph_derivatives_far_grids(name, R):
     # `zmc graph`'s solve and derivatives on its 41^2 grid over [-R, R]^2.
     # Far out the clearances fall below what u = max cos + e^l resolves
     # (at a log(u - max cos) rebuilt from u at most 1369 nodes at R = 20
-    # are finite); at Newton's chart point every node at R = 20 is, and so
-    # are all but the deepest corner nodes at R = 100.  scherk:2 is held
-    # against its closed form on every such node, the others against 50
-    # digits at the 16 such nodes of smallest second clearance
+    # are finite); at Newton's chart point every node at R = 20 is.  At
+    # R = 100 all but the corner nodes are, and the corner nodes whose second
+    # D_j in the end chart is above about e^-355, where d2/dtheta2 at fixed
+    # l, (D_theta / D_j)^2, overflows.  scherk:2 is held against its closed
+    # form on every finite node, the others against 50 digits at the 16
+    # such nodes of smallest second clearance
     entry = get_entry(name)
     norm = entry.normalization
     inv = GraphInverter(entry.data)
     grid = np.linspace(-R, R, 41)
     l, th, _, ok, _ = inv._grid(grid / norm.scale[1], grid / norm.scale[2])
-    grad, _, _, finite = graph_derivatives(inv, l, th, norm.scale)
+    grad, _, resid, finite = graph_derivatives(inv, l, th, norm.scale)
     ok &= finite
     assert ok.all() or R > 20.0
+    assert np.abs(resid[ok]).max() <= 1e-12
+    if R == 100.0 and name in DELTA_JET_REACH:
+        assert ok.sum() > DELTA_JET_REACH[name]
     X, Y = np.meshgrid(grid, grid)
     if name == "scherk:2":
         assert ok.all()
@@ -642,6 +658,22 @@ def test_graph_derivatives_far_grids(name, R):
         assert sl[i] == l.ravel()[i]  # the grid solve is the dispatch's there
         want = mp_gradient(inv.data, a[i], b[i], s[i], t[i])
         assert np.abs(grad.reshape(2, -1)[:, i] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_graph_derivatives_far_jorge_meeks():
+    # jorge-meeks:2 has no corner chart, and over [-100, 100]^2 the grid
+    # solve converges only some nodes; each of them has finite derivatives,
+    # and the gradient of lambda = x tanh 2y
+    entry = get_entry("jorge-meeks:2")
+    norm = entry.normalization
+    inv = GraphInverter(entry.data)
+    grid = np.linspace(-100.0, 100.0, 41)
+    l, th, _, ok, _ = inv._grid(grid / norm.scale[1], grid / norm.scale[2])
+    grad, _, _, finite = graph_derivatives(inv, l, th, norm.scale)
+    assert ok.sum() >= 80 and finite[ok].all()
+    X, Y = np.meshgrid(grid, grid)
+    want = np.array([np.tanh(2 * Y), 2 * X / np.cosh(2 * Y) ** 2])[:, ok]
+    assert np.all(np.abs(grad[:, ok] - want) <= 1e-12 * (1 + np.abs(want)))
 
 
 # ---------------------------------------------------------------- PDE residual
@@ -1033,13 +1065,13 @@ def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
     u, th, lam = inv.invert(x, y)
     start = inv.newton_batch([x], [y])[:2]
     calls = []
-    chart_values = inv._chart_values
+    jet = inv.evaluator.jet
 
-    def counted(l, th, partials=True):
+    def counted(l, th, order=0):
         calls.append(np.size(l))
-        return chart_values(l, th, partials)
+        return jet(l, th, order)
 
-    monkeypatch.setattr(inv, "_chart_values", counted)
+    monkeypatch.setattr(inv.evaluator, "jet", counted)
     l2, th2, lam2, ok, rn = inv.newton_batch([x], [y], start, atol=0.0)
     # a sweep: one Jacobian, up to 40 line-search trials, one re-evaluation
     assert len(calls) <= 1 + 3 * 42

@@ -113,9 +113,16 @@ def test_document_integral_floats_accepted(capsys, tmp_path):
     ("alphas[1]", {"alphas": [0, f"{10**400} pi", "pi", "3/2 pi"]}),
     ("blaschke[0]", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [10**400]}),
     ("Blaschke", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [1e-208]}),
-    ("Blaschke", {"n": 4, "alphas": [0] * 8, "blaschke": [1e-12]})],
+    ("Blaschke", {"n": 4, "alphas": [0] * 8, "blaschke": [1e-12]}),
+    # JSON true and false are not numbers
+    ("alphas[1]", {"alphas": [0, True, "pi", "3/2 pi"]}),
+    ("alphas[0]", {"alphas": [False, "1/2 pi", "pi", "3/2 pi"]}),
+    ("blaschke[0]", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [False]}),
+    ("options.u_max", {"options": {"u_max": True}}),
+    ("options.margin", {"options": {"margin": True}})],
     ids=["blaschke-5", "blaschke-null", "options-list", "options-null", "options-string",
-         "angle-1/0", "angle-1e400", "blaschke-1e400", "blaschke-1e-208", "blaschke-1e-12"])
+         "angle-1/0", "angle-1e400", "blaschke-1e400", "blaschke-1e-208", "blaschke-1e-12",
+         "angle-true", "angle-false", "blaschke-false", "u_max-true", "margin-true"])
 @pytest.mark.parametrize("command", ["classify", "check"])
 def test_document_malformed_field_is_input_error(capsys, tmp_path, command, field, change):
     spec = tmp_path / "doc.json"
@@ -628,7 +635,8 @@ def test_graph_far_grid_is_written(capsys, tmp_path, name):
 def test_graph_failure_names_node(capsys, tmp_path):
     out_path = tmp_path / "g.csv"
     for name, x_range, y_range, res, why in [
-            # corner nodes whose two clearances are both below about e^-390
+            # a corner node whose second D_j in the end chart is below about
+            # e^-355, where d2/dtheta2 at fixed l overflows
             ("scherk:3", "-100:100", "-100:100", 41,
              "non-finite graph derivatives at (x, y) = (-100.0, -100.0)"),
             # targets near the largest double, for which the seed bank's
@@ -647,6 +655,34 @@ def test_graph_failure_names_node(capsys, tmp_path):
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("name", ["jorge-meeks:2", "parabolic"])
+def test_graph_far_failure_is_quiet(capsys, tmp_path, name):
+    # far out Newton meets charts that overflow and Jacobians that are
+    # singular; it rejects those steps without a numpy warning, so the
+    # exit-4 message is all that stderr holds
+    out_path = tmp_path / "g.csv"
+    code, _, err = run(["graph", "--gallery", name, "--x-range=-100:100",
+                        "--y-range=-100:100", "--resolution", "41", "-o", str(out_path)],
+                       capsys)
+    assert code == 4
+    assert err == "numeric failure: graph inversion failed at (x, y) = (-100.0, -100.0)\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--gallery", "scherk:3", "--resolution", "8", "-o"],
+    ["graph", "--gallery", "scherk:3", "--resolution", "3", "-o"],
+    ["classify", "--gallery", "scherk:3", "--json"]], ids=["sample", "graph", "classify"])
+def test_unwritable_output_is_input_error(capsys, tmp_path, argv):
+    # an output in a directory that does not exist: exit 2 naming the path,
+    # no traceback, and nothing written
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_graph_h_is_ignored(capsys, tmp_path):
     outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path, h in zip(outs, ("1e-3", "0.5")):
@@ -662,8 +698,8 @@ def test_graph_non_finite_derivatives_name_node(capsys, tmp_path, monkeypatch):
     from zmc.surface import SurfaceEvaluator
     jet = SurfaceEvaluator.jet
 
-    def singular_at_first_node(self, delta, theta, order=0):
-        out = jet(self, delta, theta, order)
+    def singular_at_first_node(self, l, theta, order=0):
+        out = jet(self, l, theta, order)
         if order == 2:
             out[2][1:, 0] = 0.0  # d(x1, x2)/dtheta
         return out
@@ -801,9 +837,11 @@ def test_reduce_exit_codes(coeffs, m, parity):
 
 
 def test_reduce_zero_or_non_finite_is_input_error(capsys):
-    # zero, non-finite, overflowing ("q(u) = 0" from 2e308) or non-numeric
+    # zero, non-finite, overflowing ("q(u) = 0" from 2e308), boolean or
+    # non-numeric
     for coeffs, m in (("[0]", "0"), ("[NaN]", "0"), ("[Infinity,0,Infinity]", "1"),
-                      ("[1e308,0,1e308]", "1"), (f"[{10**400}]", "0"), ("[[1,[2]]]", "0")):
+                      ("[1e308,0,1e308]", "1"), (f"[{10**400}]", "0"), ("[[1,[2]]]", "0"),
+                      ("[true]", "0"), ("[[1,false]]", "0")):
         code, out, err = run(["reduce", "--coeffs", coeffs, "--m", m, "--parity", "self"],
                              capsys)
         assert code == 2 and out == "", coeffs

@@ -492,37 +492,38 @@ def test_accuracy_against_mpmath(name):
     assert np.all(err <= np.array(MP_BOUNDS) * (1 + 1 / CLEARANCES)[:, None])
 
 
-# jet's second derivatives (d2/d delta2, d2/d delta d theta, d2/d theta2)
-# against the 50-digit reference at delta = 1e-12 and 1e-6 reach scaled
-# errors of 6.7e-16, 1.6e-14 and 1.3e-14 (self-intersecting-n3 and -fb,
-# scherk:4); the values and first derivatives keep their 1e-13 bound
-# (measured at most 5.5e-15)
+# jet's second derivatives (d2/dl2, d2/dl dtheta, d2/dtheta2) against the
+# 50-digit reference at e^l = 1e-12 and 1e-6 reach scaled errors of 8.0e-16,
+# 1.0e-15 and 1.3e-14 (order6, order6, self-intersecting-fb); the values and
+# first derivatives keep their 1e-13 bound (measured at most 5.5e-15)
 JET2_BOUND = 5e-14
 
 
 @pytest.mark.parametrize("name", list(SURFACES))
 def test_jet_accuracy_in_chart(name):
-    # given the clearance itself, the evaluator keeps its digits where u
-    # could not even resolve it: the reference is taken at
-    # u = cos(theta - beta_a) + delta in 50 digits
+    # given the end-chart point (l, theta), the evaluator keeps its digits
+    # where u could not even resolve the clearance e^l: the reference is
+    # taken at u = cos(theta - beta_a) + e^l in 50 digits, and differentiated
+    # in l
     data = SURFACES[name]
     ev = SurfaceEvaluator(data)
     f = mp_reference(data)
     th = np.random.default_rng(3).uniform(0, 2 * math.pi, 3)
     a = nearest_end(ev, th)
     for delta in (1e-12, 1e-6):
-        got = ev.jet(np.full(th.size, delta), th, order=2)
+        l = np.full(th.size, math.log(delta))
+        got = ev.jet(l, th, order=2)
         # order 2 leaves the orders below it as they were
-        for low, full in zip(ev.jet(np.full(th.size, delta), th, order=1), got):
+        for low, full in zip(ev.jet(l, th, order=1), got):
             assert np.array_equal(low, full)
         for i, tt in enumerate(th):
-            tt, dl = mp.mpf(float(tt)), mp.mpf(delta)
+            tt, dl = mp.mpf(float(tt)), mp.mpf(float(l[i]))
             ba = mp.mpf(float(ev.betas[a[i]]))
 
             def g(c):
-                return lambda d, t: f(mp.cos(t - ba) + d, t)[c]
+                return lambda d, t: f(mp.cos(t - ba) + mp.exp(d), t)[c]
 
-            want = (f(mp.cos(tt - ba) + dl, tt),
+            want = (f(mp.cos(tt - ba) + mp.exp(dl), tt),
                     [mp.diff(g(c), (dl, tt), (1, 0)) for c in range(3)],
                     [mp.diff(g(c), (dl, tt), (0, 1)) for c in range(3)],
                     [mp.diff(g(c), (dl, tt), (2, 0)) for c in range(3)],
@@ -583,8 +584,8 @@ CORNER_JET_BOUND = 5e-15
                          ids=[f"{s[0]}-{s[2]}{s[3]}" for s in CORNER_SECTORS])
 def test_corner_chart_matches_jet(name, data, a, b):
     # where the clearances are at least 1e-6 both charts apply: the end
-    # chart at the nearest end n, delta = D_n, takes d/d delta = d/dp / D_a
-    # + d/dq / D_b and d/d theta = sum over j in (a, b) of d/d log D_j
+    # chart at the nearest end n, l = log D_n, takes d/dl = D_n (d/dp / D_a
+    # + d/dq / D_b) and d/d theta = sum over j in (a, b) of d/d log D_j
     # (sin s_j - sin s_n) / D_j
     ev = SurfaceEvaluator(data)
     depths = (-0.5, -3.0, -8.0, math.log(1e-6))
@@ -597,8 +598,9 @@ def test_corner_chart_matches_jet(name, data, a, b):
     Da, Db = np.exp(p), np.exp(q)
     sn = np.sin(th[None, :] - ev.betas[:, None])
     sn_near = sn[near, np.arange(th.size)]
-    got = ev.jet(np.where(near == a, Da, Db), th, order=1)
-    want = (vals, dp / Da + dq / Db,
+    Dn = np.where(near == a, Da, Db)
+    got = ev.jet(np.where(near == a, p, q), th, order=1)
+    want = (vals, dp * (Dn / Da) + dq * (Dn / Db),
             dp * (sn[a] - sn_near) / Da + dq * (sn[b] - sn_near) / Db)
     bound = CORNER_JET_BOUND * (1 + 1 / np.maximum(Da, Db))
     for g, w in zip(got, want):
