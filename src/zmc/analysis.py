@@ -9,7 +9,6 @@ by explicit critical points where the Chebyshev factors vanish.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -19,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .angular import TWO_PI, AngularData
 from .domain import sample_edges
-from .errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
+from .errors import NoConvergence, OutsideDomain, PreconditionUnmet
 from .polycheb import ReciprocalClass, cheb_table, cluster_roots, reduce_coeffs
 from .surface import SurfaceEvaluator
 from .weierstrass import (KobayashiData, FoldTypeReport, dg_numerator,
@@ -196,8 +195,11 @@ class GraphInverter:
     below pi (`SurfaceEvaluator.corner`) reaches there.
     """
 
-    L_CAP = 30.0
     DEEP = -25.0  # corner seeds with min(p, q) below this skip the end chart
+    # Newton sweeps a node while its residual exceeds ATOL * scale, at most
+    # MAXITER times, in both charts; `_newton` calls it converged at the
+    # looser 1e-10 * scale
+    MAXITER, ATOL = 60, 1e-13
 
     def __init__(self, data: KobayashiData):
         report = check_conditions(data.angular)
@@ -219,14 +221,18 @@ class GraphInverter:
         self._seed_tree = cKDTree(self._seed_vals[1:].T)
         # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
         # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
-        # its seeds are clipped to e^p, e^q <= sin g, inside the chart
+        # its seeds are clipped to e^p, e^q <= sin g, inside the chart.  A
+        # sector whose J is singular or not finite has no model and is left
+        # out (for principal data: a gap of pi/(n-1) between simple ends)
         b, m = self.evaluator.betas, np.array(self.angular.multiplicities) == 1
         g = (np.roll(b, -1) - b) % TWO_PI / 2
         sec = np.flatnonzero(m & np.roll(m, -1) & (2 * g < math.pi - _GAP_TOL))
-        self._sec = np.array([sec, (sec + 1) % b.size]).T
         p0 = np.full(sec.size, -800.0)
-        _, v, dp, dq = self.evaluator.corner(*self._sec.T, p0, p0, 1)
+        _, v, dp, dq = self.evaluator.corner(sec, (sec + 1) % b.size, p0, p0, 1)
         det = dp[1] * dq[2] - dq[1] * dp[2]
+        keep = np.isfinite(det) & (det != 0)
+        sec, p0, v, dp, dq, det = (a[..., keep] for a in (sec, p0, v, dp, dq, det))
+        self._sec = np.array([sec, (sec + 1) % b.size]).T
         self._affine = (v[1:] - (dp[1:] + dq[1:]) * p0,  # c, J^-1, log sin g
                         np.array([[dq[2], -dq[1]], [-dp[2], dp[1]]]) / det,
                         np.log(np.sin(g[sec]))[:, None])
@@ -244,13 +250,13 @@ class GraphInverter:
         """(u, theta) of end-chart points: the display form of a solved node."""
         return self.angular.max_cos(th) + np.exp(l), th % TWO_PI
 
-    def newton_batch(self, X, Y, start=None, maxiter: int = 60, atol: float = 1e-13):
+    def newton_batch(self, X, Y, start=None):
         """Solve for every target in the end chart, from the chart points
         start = (l, theta) as given, or with no start from the seed-bank
         point nearest each target.
 
-        Iterates on a node while its residual exceeds ``atol * scale``, with
-        scale = 1 + max(|x|, |y|), for at most ``maxiter`` sweeps; the
+        Iterates on a node while its residual exceeds ``ATOL * scale``, with
+        scale = 1 + max(|x|, |y|), for at most ``MAXITER`` sweeps; the
         returned ``converged`` flag is the looser test residual <= 1e-10 *
         scale on a finite residual (an infinite target's scale is infinite
         too).  A node is frozen once a sweep leaves it unchanged (its line
@@ -280,21 +286,21 @@ class GraphInverter:
             th = self._unkink(th)
             vals = self.evaluator.jet(l, th)[0]
         return self._newton(lambda k, l, th, d=True: self.evaluator.jet(l, th, int(d)), l, th,
-                            vals, target, maxiter, atol, cap=self.L_CAP, shove=self._unkink)
+                            vals, target, shove=self._unkink)
 
     @np.errstate(all="ignore")
-    def _newton(self, chart, c1, c2, vals, target, maxiter, atol, cap=np.inf, shove=None):
+    def _newton(self, chart, c1, c2, vals, target, shove=None):
         """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
-        (f~, d f~/dc1, d f~/dc2) at nodes k; c1 is capped at `cap`, and `shove`
-        moves nodes no step improves.  Returns (c1, c2, lambda, ok, residual).
+        (f~, d f~/dc1, d f~/dc2) at nodes k; `shove` moves nodes no step
+        improves.  Returns (c1, c2, lambda, ok, residual).
         The line search rejects every non-finite value, and ok needs a finite
         residual, so numpy warns of none of them."""
         scale = 1.0 + np.abs(target).max(axis=0)
         R = vals[1:] - target
         rn = np.hypot(R[0], R[1])
         frozen = np.zeros(c1.size, dtype=bool)
-        for _ in range(maxiter):
-            active = (rn > atol * scale) & ~frozen
+        for _ in range(self.MAXITER):
+            active = (rn > self.ATOL * scale) & ~frozen
             if not active.any():
                 break
             ca, cb = c1[active], c2[active]
@@ -314,7 +320,7 @@ class GraphInverter:
             best_rn = rn[active].copy()
             undone = np.ones(s1.shape, dtype=bool)
             for _try in range(40):
-                t1 = np.minimum(ca + alpha * s1, cap)
+                t1 = ca + alpha * s1
                 t2 = cb + alpha * s2
                 v, _, _ = chart(active, t1, t2, False)
                 rr = v[1:] - target[:, active]
@@ -375,7 +381,7 @@ class GraphInverter:
             v = self.evaluator.corner(ka, kb, p[r, k], q[r, k])[1]
             pk, qk, *res = self._newton(
                 lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
-                p[r, k], q[r, k], v, np.array([X[k], Y[k]]), 60, 1e-13)
+                p[r, k], q[r, k], v, np.array([X[k], Y[k]]))
             thk = self.evaluator.corner(ka, kb, pk, qk)[0]
             take = ~(res[2] >= out[4, k])
             out[:, k[take]] = np.array([np.minimum(pk, qk), thk, *res, pk, qk, ka, kb])[:, take]
@@ -410,7 +416,7 @@ class GraphInverter:
         """`_solve` on every node of the grid (x, y) = (xs[j], ys[i]).
 
         Where the dispatch leaves a node of row i >= 1 above Newton's
-        tolerance 1e-13 * scale, one end-chart `newton_batch` starts it from
+        tolerance ATOL * scale, one end-chart `newton_batch` starts it from
         the end-chart point (l, theta mod 2 pi) of node (i - 1, j), where
         that is finite and e^l does not underflow.  Its answer is kept where
         it leaves a smaller residual, and the next row starts there.  This
@@ -423,7 +429,7 @@ class GraphInverter:
         X, Y = np.meshgrid(xs, ys)
         out = [v.reshape(X.shape) for v in self._solve(X, Y)[:5]]
         l, th, _, _, rn = out
-        miss = ~(rn <= 1e-13 * (1.0 + np.maximum(np.abs(X), np.abs(Y))))
+        miss = ~(rn <= self.ATOL * (1.0 + np.maximum(np.abs(X), np.abs(Y))))
         for i in range(1, X.shape[0]):
             j = np.flatnonzero(miss[i] & (np.exp(l[i - 1]) > 0) & np.isfinite(th[i - 1]))
             if not j.size:
@@ -451,7 +457,7 @@ def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0)):
     shape, l, t = np.shape(l), np.ravel(l), np.ravel(th)
     with np.errstate(all="ignore"):
         F = inverter.evaluator.jet(l, t, order=2)[1:]
-        # towards p_infinity (the origin's node sits at the l cap) d/dl sums
+        # towards p_infinity (the origin's node sits near l = 30) d/dl sums
         # nearly cancelling 1/D_j; so for e^l > 2 (u > 2) the chart is the disk
         # point z = p1 + i p2 of (u, theta), where f~ = Re of the integral of phi
         far = l > math.log(2.0)
@@ -508,6 +514,10 @@ def _chart(u, th):
 
 _FORWARD = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
 _CELL_CAP = 800
+# the scan's grid runs from the boundary clearance _SCAN_MARGIN up to
+# u = _SCAN_U_MAX; chart points closer than _TOL_PARAM count as one point,
+# and the scan stops at _MAX_REPORTS crossings
+_SCAN_U_MAX, _SCAN_MARGIN, _TOL_PARAM, _MAX_REPORTS = 3.0, 0.01, 0.05, 200
 _CHUNK = 1 << 15  # pairs (of groups, then of points) tested per sweep
 
 
@@ -649,10 +659,7 @@ def _dedupe_pairs(mu, I, J, h):
     return I[first], J[first]
 
 
-def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
-                     u_max: float = 3.0, margin: float = 0.01,
-                     tol_param: float = 0.05,
-                     max_reports: int = 200) -> list[Collision]:
+def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Collision]:
     """Sampled self-intersection detection over the extension domain.
 
     Grid points that land close in the (x1, x2) plane with well-separated
@@ -669,26 +676,23 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
     and of the 4 forward cells (1, 0), (0, 1), (1, 1), (1, -1) when their
     plane distance d < cell, max(local) > 0.15 cell, d < 2.5 max(local)
     and their chart points mu = e^(i theta) / (u + 2) lie more than
-    `tol_param` apart.  Pairs are enumerated by the first appearance of the
-    first point's cell in grid order, then by offset, then by first point,
-    then by second point.  In that order, the first pair of each unordered
-    pair of chart cells (mu rounded to multiples of tol_param / 2) seeds a
-    Gauss-Newton solve.  A confirmed crossing is reported unless both its
-    chart points lie within tol_param / 2 of an earlier report's.
+    tol_param = 0.05 apart.  Pairs are enumerated by the first appearance
+    of the first point's cell in grid order, then by offset, then by first
+    point, then by second point.  In that order, the first pair of each
+    unordered pair of chart cells (mu rounded to multiples of tol_param / 2)
+    seeds a Gauss-Newton solve.  A confirmed crossing is reported unless
+    both its chart points lie within tol_param / 2 of an earlier report's;
+    at most the first 200 are reported.
 
-    Raises `InputError` for a grid that `domain.sample_edges` rejects, for
-    a tol_param that is not positive and finite and for a max_reports that
-    is not an integer >= 1.
+    The grid has `grid_resolution` rows, from clearance 0.01 above the
+    boundary up to u = 3.  Raises `InputError` for a resolution that
+    `domain.sample_edges` rejects.
     """
-    if not (math.isfinite(tol_param) and tol_param > 0):
-        raise InputError(f"tol_param must be positive and finite, got {tol_param}")
-    if not (isinstance(max_reports, numbers.Integral) and max_reports >= 1):
-        raise InputError(f"max_reports must be an integer >= 1, got {max_reports!r}")
-    res = grid_resolution
-    th, lo = sample_edges(data.angular, res, margin, u_max)
+    res, tol_param = grid_resolution, _TOL_PARAM
+    th, lo = sample_edges(data.angular, res, _SCAN_MARGIN, _SCAN_U_MAX)
     ev = SurfaceEvaluator(data)
     s = (np.arange(res) / (res - 1.0)) ** 2
-    u = lo[None, :] + s[:, None] * (u_max - lo)[None, :]
+    u = lo[None, :] + s[:, None] * (_SCAN_U_MAX - lo)[None, :]
     U = u.ravel()
     TH = np.tile(th, res)
     vals = ev.eval_batch(U, TH)  # (3, N)
@@ -788,7 +792,7 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200,
         seen.append((m1, m2))
         out.append(Collision((float(u1[k]), float(t1[k])),
                              (float(u2[k]), float(t2[k])), float(rn[k])))
-        if len(out) >= max_reports:
+        if len(out) >= _MAX_REPORTS:
             break
     return out
 

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import analysis as _analysis
 from .angular import AngularData, BlaschkeParams
-from .domain import FinitePoint, sample_edges
+from .domain import FinitePoint, iota, sample_edges
 from .errors import (InputError, NumericError, OutsideDomain, ParityError, PreconditionUnmet,
                      ZmcError)
 from .gallery import GalleryEntry, Normalization, get_entry
 from .polycheb import ComplexPoly, ReciprocalClass, reduce_reciprocal
-from .surface import SurfaceEvaluator, eval_on_disk
+from .surface import LIGHTLIKE_TOL, SurfaceEvaluator, eval_on_disk
 from .weierstrass import (KobayashiData, build, coefficients, period_check,
                           verify_fold_type)
 
@@ -55,11 +55,11 @@ def _parse_angle(value, where: str) -> tuple[float, Fraction | None]:
     raise InputError(f"{where}: angle must be a number or string, got {type(value).__name__}")
 
 
-def _number(value, where: str, kind=float):
-    """kind(value); a malformed value, a boolean too, is an input error."""
+def _number(value, where: str) -> float:
+    """float(value); a malformed value, a boolean too, is an input error."""
     try:
         if not isinstance(value, bool):
-            return kind(value)
+            return float(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"{where}: expected a number, got {value!r}")
@@ -390,7 +390,8 @@ def cmd_graph(args) -> int:
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
     q = 1.0 - lx**2 - ly**2  # as surface.causal_character, vectorized
-    causal = np.where(np.abs(q) < 1e-6, "lightlike", np.where(q > 0, "spacelike", "timelike"))
+    causal = np.where(np.abs(q) < LIGHTLIKE_TOL, "lightlike",
+                      np.where(q > 0, "spacelike", "timelike"))
     xs_s = list(_reprs(xs))
     rows = ("".join(map(f"{{}},{y!r},{{}},{{}},{{}}\n".format, xs_s, _reprs(l), c.tolist(),
                         _reprs(r)))
@@ -460,7 +461,7 @@ def _check_surface(target: Target, rng, lines: list[str]) -> bool:
     # closed form against the disk-side quadrature at two points
     worst = 0.0
     for z in (0.35 + 0.1j, -0.2 + 0.45j):
-        a = ev.eval_disk(z).as_array()
+        a = ev.eval(iota(z)).as_array()
         b = eval_on_disk(data, z).as_array()
         worst = max(worst, np.abs(a - b).max())
     note(worst < 1e-8, f"closed form vs quadrature, diff {worst:.2e}")
@@ -539,12 +540,15 @@ def cmd_reduce(args) -> int:
         raise InputError("--coeffs: the zero polynomial has no reciprocal class")
     parity = ReciprocalClass.SELF if args.parity == "self" else ReciprocalClass.ANTI
     try:
-        combo = reduce_reciprocal(poly, args.m, parity)
+        w = reduce_reciprocal(poly, args.m, parity)
     except ParityError as exc:
         raise InputError(f"--coeffs, --m, --parity: {exc}")
-    factor = "" if parity is ReciprocalClass.SELF else " * ((r - 1/r)/2)"
+    kind, factor = ("T", "") if parity is ReciprocalClass.SELF else ("U", " * ((r - 1/r)/2)")
+    # a coefficient prints as its real part unless its imaginary part shows
+    terms = [(f"{c.real:.12g}" if abs(c.imag) <= 1e-12 * (1 + abs(c)) else f"({c:.12g})")
+             + f"*{kind}{i}" for i, c in enumerate(w.tolist()) if c != 0]
     print(f"p(r) = r^{args.m}{factor} * q(u),  u = (r + 1/r)/2")
-    print(f"q(u) = {combo}")
+    print(f"q(u) = {' + '.join(terms) or '0'}")
     return 0
 
 

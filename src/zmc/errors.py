@@ -48,10 +48,6 @@ class PoleNotFound(ZmcError):
     """Requested pole does not match any denominator root."""
 
 
-class PoleHit(ZmcError):
-    """Evaluation point coincides with a pole."""
-
-
 class DegreeError(ZmcError):
     """Numerator degree too large for a strictly proper decomposition."""
 

@@ -1,8 +1,8 @@
 """Complex polynomial / rational-function algebra with Chebyshev reduction.
 
 Everything here is plain double-precision complex arithmetic.  Denominator
-roots are usually supplied by the caller (they are known analytically for
-the surfaces this package builds); generic root finding is only a fallback.
+roots are supplied by the caller: they are known analytically for the
+surfaces this package builds.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class ComplexPoly:
     def __call__(self, z):
         return npoly.polyval(z, np.asarray(self.coeffs))
 
-    def deriv(self, order: int = 1) -> "ComplexPoly":
-        return ComplexPoly(npoly.polyder(np.asarray(self.coeffs), order))
+    def deriv(self) -> "ComplexPoly":
+        return ComplexPoly(npoly.polyder(np.asarray(self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, ComplexPoly):
@@ -139,18 +139,14 @@ class RationalFn:
     __slots__ = ("num", "den", "poles", "tol_root")
 
     def __init__(self, num: ComplexPoly, den: ComplexPoly,
-                 poles: Sequence[tuple[complex, int]] | None = None):
+                 poles: Sequence[tuple[complex, int]]):
         if den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
+        if sum(m for _, m in poles) != den.degree:
+            raise ValueError("pole multiplicities must sum to the denominator degree")
         self.num = num
         self.den = den
         self.tol_root = 1e-9 * (1.0 + max(abs(c) for c in den.coeffs))
-        if poles is None:
-            poles = cluster_roots(den.roots(), self.tol_root)
-        else:
-            total = sum(m for _, m in poles)
-            if total != den.degree:
-                raise ValueError("pole multiplicities must sum to the denominator degree")
         self.poles = tuple((complex(p), int(m)) for p, m in poles)
 
     def __call__(self, z):
@@ -255,44 +251,13 @@ def reciprocal_class(p: ComplexPoly) -> tuple[ReciprocalClass, int | None]:
     return ReciprocalClass.NEITHER, None
 
 
-class ChebKind(Enum):
-    FIRST = "T"
-    SECOND = "U"
-
-
-@dataclass(frozen=True)
-class ChebyshevCombo:
-    """Finite combination sum_i coeff_i * T_idx(u) or U_idx(u)."""
-
-    terms: tuple[tuple[complex, ChebKind, int], ...]
-
-    def __call__(self, u):
-        total = 0.0 * np.asarray(u, dtype=float) if np.ndim(u) else 0.0
-        if not self.terms:
-            return total
-        top = max(idx for _, _, idx in self.terms)
-        kinds = {kind for _, kind, _ in self.terms}
-        tables = {kind: cheb_table(top, u, kind is ChebKind.SECOND) for kind in kinds}
-        for coeff, kind, idx in self.terms:
-            total = total + coeff * tables[kind][idx]
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for coeff, kind, idx in self.terms:
-            c = complex(coeff)
-            cs = f"{c.real:.12g}" if abs(c.imag) <= 1e-12 * (1 + abs(c)) else f"({c:.12g})"
-            bits.append(f"{cs}*{kind.value}{idx}")
-        return " + ".join(bits)
-
-
-def reduce_reciprocal(p: ComplexPoly, m: int, parity: ReciprocalClass) -> ChebyshevCombo:
+def reduce_reciprocal(p: ComplexPoly, m: int, parity: ReciprocalClass) -> np.ndarray:
     """Reduce a generalized (anti-)self-reciprocal polynomial of order 2m.
 
     Self: p(r) = r^m q(u); anti: p(r) = r^m ((r - 1/r)/2) q(u), with
-    u = (r + 1/r)/2.  Returns q as a Chebyshev combination.
+    u = (r + 1/r)/2.  Returns q's coefficients w, q = sum_i w[i] T_i(u)
+    (self) or sum_i w[i] U_i(u) (anti), as `reduce_coeffs` gives them but
+    checked, with every coefficient up to 1e-14 of the largest set to 0.
     """
     cls, order = reciprocal_class(p)
     if cls is not parity or cls is ReciprocalClass.NEITHER:
@@ -302,9 +267,8 @@ def reduce_reciprocal(p: ComplexPoly, m: int, parity: ReciprocalClass) -> Chebys
     c = np.zeros(2 * m + 1, dtype=complex)
     c[: len(p.coeffs)] = p.coeffs
     w = reduce_coeffs(c, m, parity)
-    kind = ChebKind.FIRST if parity is ReciprocalClass.SELF else ChebKind.SECOND
-    floor = 1e-14 * max(np.abs(w).max(initial=0.0), 1e-300)
-    return ChebyshevCombo(tuple((v, kind, i) for i, v in enumerate(w) if abs(v) > floor))
+    w[np.abs(w) <= 1e-14 * max(np.abs(w).max(initial=0.0), 1e-300)] = 0.0
+    return w
 
 
 def reduce_coeffs(c, m: int, parity: ReciprocalClass) -> np.ndarray:
@@ -335,10 +299,3 @@ def contour_residue(f, pole: complex, radius: float, nodes: int = 4096) -> compl
     vals = np.asarray([f(zz) for zz in z], dtype=complex)
     # dz = i * radius * e^{it} dt; mean over nodes absorbs the 2*pi
     return complex(np.mean(vals * radius * np.exp(1j * t)))
-
-
-def min_pole_gap(poles: Sequence[complex]) -> float:
-    ps = list(poles)
-    if len(ps) < 2:
-        return 1.0
-    return min(abs(a - b) for i, a in enumerate(ps) for b in ps[i + 1:])

@@ -24,7 +24,7 @@ import numpy.polynomial.polynomial as npoly
 from scipy.integrate import quad_vec
 
 from .angular import TWO_PI, AngularData
-from .domain import ExtendedPoint, FinitePoint, PointAtInfinity, iota
+from .domain import ExtendedPoint, FinitePoint, PointAtInfinity
 from .errors import NumericError, OutsideDomain, PathBlocked, PatternMismatch
 from .polycheb import cheb_table, partial_fractions
 from .weierstrass import KobayashiData
@@ -54,10 +54,13 @@ class CausalCharacter(Enum):
     TIMELIKE = "timelike"
 
 
-def causal_character(grad: tuple[float, float], tol: float = 1e-6) -> CausalCharacter:
+LIGHTLIKE_TOL = 1e-6  # |1 - f_x^2 - f_y^2| below this is light-like
+
+
+def causal_character(grad: tuple[float, float]) -> CausalCharacter:
     """Classify a graph t = f(x, y) by the sign of 1 - f_x^2 - f_y^2."""
     q = 1.0 - grad[0] ** 2 - grad[1] ** 2
-    if abs(q) < tol:
+    if abs(q) < LIGHTLIKE_TOL:
         return CausalCharacter.LIGHTLIKE
     return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
 
@@ -251,9 +254,6 @@ class SurfaceEvaluator:
         _require_inside(self.angular, p.u, p.theta)
         vals = self.eval_batch(np.array([p.u]), np.array([p.theta]))
         return SurfacePoint.from_array(vals[:, 0])
-
-    def eval_disk(self, z: complex) -> SurfacePoint:
-        return self.eval(iota(z))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -575,6 +576,41 @@ def test_invert_grid_far_corner_grids_converge_quietly(name, R):
     assert GraphInverter(get_entry(name).data).invert_grid(xs, xs)[3].all()
 
 
+@pytest.mark.parametrize("name", ["scherk:3", "jorge-meeks:2", "parabolic"])
+def test_invert_near_p_infinity(name):
+    # the origin is the image of p_infinity, at l = +inf: Newton walks l up
+    # by about 1 per sweep until its own tolerance stops it, near l = 30
+    inv = GraphInverter(get_entry(name).data)
+    for x in (0.0, 1e-300, 1e-20, 1e-9):
+        u, th, lam = inv.invert(x, 0.0)
+        assert math.isfinite(u) and math.isfinite(th) and abs(lam) <= 1e-12
+    xs = np.linspace(-2.0, 2.0, 41)
+    assert xs[20] == 0.0
+    l, th, lam, ok, _ = inv._grid(xs, xs)
+    grad, _, _, finite = graph_derivatives(inv, l[20, 20], th[20, 20])
+    assert ok[20, 20] and finite and np.hypot(*grad) <= 1e-12
+
+
+@pytest.mark.parametrize("n, alphas", [
+    (3, (0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(4, 3), Fraction(5, 3))),
+    (4, (0, Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 1, Fraction(5, 4),
+         Fraction(3, 2), Fraction(7, 4)))], ids=["n3", "n4"])
+def test_inverter_leaves_out_singular_corner_sectors(n, alphas):
+    # principal data with a gap of exactly pi/(n-1) between two simple ends
+    # (alpha / pi listed): that sector's affine Jacobian is singular, so it
+    # gets no corner model, and no division by zero warns
+    data = build(AngularData.from_fractions(n, [Fraction(a) for a in alphas]),
+                 BlaschkeParams(()))
+    assert classify(data).entire_graph_certified
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = GraphInverter(data)
+        xs = np.linspace(-50.0, 50.0, 21)
+        ok = inv.invert_grid(xs, xs)[3]
+    assert len(inv._sec) == 2 * n - 1 and [0, 1] not in inv._sec.tolist()
+    assert ok.all()
+
+
 def test_invert_grid_fallback_rows_reach_far_nodes():
     # parabolic's sectors have only the end chart; far out the seed bank
     # misses nodes that a start from the row before reaches
@@ -817,21 +853,17 @@ def test_injectivity_scan_singular_seed_drops_only_itself(monkeypatch):
     assert all(any(near(c, d) for d in want) for c in got)
 
 
-def test_injectivity_scan_max_reports_keeps_the_first():
+def test_injectivity_scan_max_reports_keeps_the_first(monkeypatch):
     n3 = get_entry("self-intersecting-n3").data
     want = injectivity_scan(n3, grid_resolution=120)
     assert len(want) == 31
     for cap in (1, 3, 31, 32):
-        assert injectivity_scan(n3, grid_resolution=120, max_reports=cap) == want[:cap]
+        monkeypatch.setattr(analysis, "_MAX_REPORTS", cap)
+        assert injectivity_scan(n3, grid_resolution=120) == want[:cap]
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"margin": 0.0}, {"margin": -0.01}, {"margin": float("nan")},
-    {"margin": float("inf")}, {"grid_resolution": 1}, {"margin": 1e-17},
-    {"u_max": float("nan")}, {"u_max": float("inf")}, {"u_max": 0.5},
-    {"tol_param": float("nan")}, {"tol_param": -1.0}, {"tol_param": 0.0},
-    {"tol_param": float("inf")}, {"max_reports": 0}, {"max_reports": -1},
-    {"max_reports": 2.5}, {"max_reports": None}, {"grid_resolution": 200.5},
+    {"grid_resolution": 1}, {"grid_resolution": 200.5},
     {"grid_resolution": 60.0}, {"grid_resolution": "60"}], ids=str)
 def test_injectivity_scan_rejects_bad_grid(kwargs):
     n3 = get_entry("self-intersecting-n3").data
@@ -1059,8 +1091,8 @@ def test_newton_batch_singular_jacobian_is_quiet(data, x, y):
 @pytest.mark.parametrize("data, x, y", [(SCHERK3, 0.3, 0.4), (SCHERK3, 1.5, -0.7),
                                         (PARABOLIC, 0.3, 0.4), (PARABOLIC, 1.0, -0.5)])
 def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
-    # with atol = 0 a converged node can never go inactive; it must be
-    # frozen once a sweep leaves it where it is, not swept to maxiter
+    # with ATOL = 0 a converged node can never go inactive; it must be
+    # frozen once a sweep leaves it where it is, not swept to MAXITER
     inv = GraphInverter(data)
     u, th, lam = inv.invert(x, y)
     start = inv.newton_batch([x], [y])[:2]
@@ -1072,7 +1104,8 @@ def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
         return jet(l, th, order)
 
     monkeypatch.setattr(inv.evaluator, "jet", counted)
-    l2, th2, lam2, ok, rn = inv.newton_batch([x], [y], start, atol=0.0)
+    monkeypatch.setattr(inv, "ATOL", 0.0)
+    l2, th2, lam2, ok, rn = inv.newton_batch([x], [y], start)
     # a sweep: one Jacobian, up to 40 line-search trials, one re-evaluation
     assert len(calls) <= 1 + 3 * 42
     assert ok[0] and abs(lam2[0] - lam) < 1e-12

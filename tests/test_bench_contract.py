@@ -9,13 +9,15 @@ running it or installing the tracer.
 
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from zmc.analysis import GraphInverter, graph_table
+from zmc.analysis import GraphInverter, graph_table, injectivity_scan
 from zmc.gallery import get_entry
+from zmc.surface import eval_on_disk, integrate_oneform
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -78,7 +80,7 @@ def test_bench_names_resolve():
         assert hasattr(owner, attr), f"{mod}.{path} is gone"
 
 
-def test_tracer_newton_counter_reads_newton_batch():
+def test_tracer_newton_counter_reads_newton_batch(monkeypatch):
     # the counter takes the targets from args[1] and the converged flags
     # from out[3] of a call as the tracer's wrapper sees it, self first:
     # four nodes start at their own solutions, the fifth at its neighbour's,
@@ -88,8 +90,9 @@ def test_tracer_newton_counter_reads_newton_batch():
     X, Y = np.array([-1.0, -0.6, 0.3, 0.7, 1.0]), np.full(5, 0.5)
     l, th, *_ = inv.newton_batch(X[:4], Y[:4])
     args = (inv, X, Y, (np.append(l, l[-1]), np.append(th, th[-1])))
-    out = GraphInverter.newton_batch(*args, maxiter=0)
-    assert counter(args, {"maxiter": 0}, out) == {"nodes": 5, "unconverged": 1}
+    monkeypatch.setattr(inv, "MAXITER", 0)
+    out = GraphInverter.newton_batch(*args)
+    assert counter(args, {}, out) == {"nodes": 5, "unconverged": 1}
 
 
 def test_grid_returns_keep_the_shapes_the_benchmark_unpacks():
@@ -102,3 +105,23 @@ def test_grid_returns_keep_the_shapes_the_benchmark_unpacks():
         assert len(out) == 5
         assert all(isinstance(a, np.ndarray) and a.shape == (2, 3) for a in out)
         assert out[ok].dtype == bool
+
+
+# the positional and keyword shapes bench/workloads.py and bench/oracle.py
+# call with
+BENCH_CALLS = [
+    (injectivity_scan, ("data", "SCAN_RES"), {}),
+    (graph_table, ("inv", "xs", "xs"), {"h": "GRAPH_H"}),
+    (eval_on_disk, ("data", "z"), {}),
+    (integrate_oneform, ("forms", "P_INFINITY", "FinitePoint", "SurfacePoint"), {}),
+    (GraphInverter.invert, ("inv", "x", "y"), {}),
+    (GraphInverter.invert_grid, ("inv", "xs", "xs"), {}),
+]
+
+
+@pytest.mark.parametrize("fn, args, kwargs", BENCH_CALLS,
+                         ids=[fn.__qualname__ for fn, _, _ in BENCH_CALLS])
+def test_bench_call_shapes_bind(fn, args, kwargs):
+    # a signature change that breaks a benchmark call fails here instead of
+    # in a benchmark run
+    inspect.signature(fn).bind(*args, **kwargs)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zmc.angular import AngularData
-from zmc.domain import FinitePoint, P_INFINITY, iota, iota_inverse
-from zmc.errors import BelowOne, OutOfDisk
+from zmc.domain import FinitePoint, P_INFINITY, iota, iota_inverse, sample_edges
+from zmc.errors import BelowOne, InputError, OutOfDisk
+from zmc.gallery import get_entry
 
 SCHERK2 = AngularData(2, (0.0, math.pi / 2, math.pi, 3 * math.pi / 2))
 RNG = np.random.default_rng(7)
@@ -158,3 +159,16 @@ def test_boundary_distance():
 def test_theta_normalized_mod_2pi():
     p = FinitePoint(1.5, 2 * math.pi + 0.3)
     assert abs(p.theta - 0.3) < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"margin": 0.0}, {"margin": -0.01}, {"margin": float("nan")},
+    {"margin": float("inf")}, {"margin": 1e-17},
+    {"u_max": float("nan")}, {"u_max": float("inf")}, {"u_max": 0.5}], ids=str)
+def test_sample_edges_rejects_bad_grid(kwargs):
+    # the injectivity scan's grid with one option changed; at 1e-17 the
+    # margin rounds away where max cos is 1
+    angular = get_entry("self-intersecting-n3").data.angular
+    grid = {"resolution": 200, "margin": 0.01, "u_max": 3.0, **kwargs}
+    with pytest.raises(InputError):
+        sample_edges(angular, **grid)

@@ -397,7 +397,7 @@ def test_mixed_type_across_fold():
         g_space = graph_gradient(forms, 1.0 + 0.8, th)
         assert causal_character(g_space) is CausalCharacter.SPACELIKE
         g_light = graph_gradient(forms, 1.0, th)
-        assert causal_character(g_light, tol=1e-6) is CausalCharacter.LIGHTLIKE
+        assert causal_character(g_light) is CausalCharacter.LIGHTLIKE
     # u < 1 samples sit in the time-like band beyond the fold
     for gamma in SCHERK2.angular.gammas:
         for du in (0.05, 0.15):
@@ -414,7 +414,7 @@ def test_surface_evaluator_routes():
     # the one closed-form route, and each matches the disk-side quadrature
     z = 0.45 * cmath.exp(0.9j)
     for data in (SCHERK2, J2, ORDER6):
-        a = SurfaceEvaluator(data).eval_disk(z).as_array()
+        a = SurfaceEvaluator(data).eval(iota(z)).as_array()
         b = eval_on_disk(data, z).as_array()
         assert np.max(np.abs(a - b)) < 1e-7
 
@@ -425,7 +425,7 @@ def test_quadrature_mode_consistency():
     ev = SurfaceEvaluator(ORDER6)
     forms = build_oneforms(ORDER6)
     for z in (0.45 * cmath.exp(0.9j), 0.3 * cmath.exp(2.5j), 0.8 * cmath.exp(-2.0j)):
-        a = ev.eval_disk(z).as_array()
+        a = ev.eval(iota(z)).as_array()
         b = eval_on_disk(ORDER6, z).as_array()
         c = integrate_oneform(forms, P_INFINITY, iota(z), SurfacePoint(0, 0, 0)).as_array()
         scale = 1 + np.abs(b).max()
