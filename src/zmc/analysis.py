@@ -519,6 +519,9 @@ _CELL_CAP = 800
 # and the scan stops at _MAX_REPORTS crossings
 _SCAN_U_MAX, _SCAN_MARGIN, _TOL_PARAM, _MAX_REPORTS = 3.0, 0.01, 0.05, 200
 _CHUNK = 1 << 15  # pairs (of groups, then of points) tested per sweep
+# Gauss-Newton tries the step lengths 2^-k, k < 12, in the groups
+# _STEP_EDGES[i] <= k < _STEP_EDGES[i + 1]
+_STEP_EDGES = (0, 1, 2, 4, 8, 12)
 
 
 def _block_pairs(edges, width):
@@ -680,9 +683,22 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     of the first point's cell in grid order, then by offset, then by first
     point, then by second point.  In that order, the first pair of each
     unordered pair of chart cells (mu rounded to multiples of tol_param / 2)
-    seeds a Gauss-Newton solve.  A confirmed crossing is reported unless
-    both its chart points lie within tol_param / 2 of an earlier report's;
-    at most the first 200 are reported.
+    seeds a Gauss-Newton solve.
+
+    Gauss-Newton: each seed pair (q1, q2) solves f(q2) - f(q1) = 0 in
+    (u1, theta1, u2, theta2), at most 30 sweeps; a pair stops once its
+    residual norm is at most 1e-12.  A sweep takes the minimum-norm step of
+    the linearised equations and tries 2^-k times it for k = 0..11, taking
+    the first k whose candidate is inside and lowers the residual norm.
+    Inside means both points clear the boundary by more than 1e-12
+    (u > max_j cos(theta - beta_j) + 1e-12), both have u < 1e6, and their
+    chart points lie more than tol_param / 2 = 0.025 apart.  A pair is
+    dropped when no step improves it or its normal matrix is singular.  A
+    pair confirms a crossing when its residual norm is at most 1e-9 * scale,
+    scale = 1 + max |f(q1)|, and its chart points lie more than tol_param
+    apart.  A confirmed crossing is reported unless both its chart points
+    lie within tol_param / 2 of an earlier report's; at most the first 200
+    are reported.
 
     The grid has `grid_resolution` rows, from clearance 0.01 above the
     boundary up to u = 3.  Raises `InputError` for a resolution that
@@ -710,27 +726,42 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     I, J = _near_pairs(plane, mu, local, cell, tol_param)
     if not I.size:
         return []
-    h = 0.5 * tol_param
-    I, J = _dedupe_pairs(mu, I, J, h)
+    I, J = _dedupe_pairs(mu, I, J, 0.5 * tol_param)
+    return _gauss_newton(ev, data.angular, U[I], TH[I], U[J], TH[J], tol_param)
 
-    # Gauss-Newton on f(q2) - f(q1) = 0 over the four parameters
-    u1, t1 = U[I].copy(), TH[I].copy()
-    u2, t2 = U[J].copy(), TH[J].copy()
-    alive = np.ones(I.size, dtype=bool)
 
-    def residual(a1, b1, a2, b2):
-        return ev.eval_batch(a2, b2) - ev.eval_batch(a1, b1)
+def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
+    """The crossings confirmed from the seed pairs ((u1, t1), (u2, t2)), in
+    seed order, deduplicated and capped at `_MAX_REPORTS`; the rule is
+    stated in `injectivity_scan`.
 
-    F = residual(u1, t1, u2, t2)
+    Every residual f(q2) - f(q1), of the pairs or of their line-search
+    candidates, comes from one `eval_batch` call over both points, and each
+    sweep's Jacobians from one `partials` call.  The step lengths are tried
+    in the groups of `_STEP_EDGES`, each group with one inside test and one
+    evaluation over the pairs that no earlier length has improved; alpha *
+    step is exact for alpha = 2^-k, so each pair accepts the candidate that
+    trying one length at a time would.  A pair keeps the residual of its
+    accepted candidate."""
+    # x[c, i, k] is coordinate c (u, theta) of point i of pair k, so that
+    # x.reshape(2, -1) lists every first point, then every second point
+    x = np.array([[u1, u2], [t1, t2]], dtype=float)
+
+    def residual(c):
+        f = ev.eval_batch(*c.reshape(2, -1))
+        return f[:, c.shape[2]:] - f[:, :c.shape[2]]
+
+    alive = np.ones(x.shape[2], dtype=bool)
+    F = residual(x)
     rn = np.linalg.norm(F, axis=0)
+    alphas = 2.0 ** -np.arange(_STEP_EDGES[-1])
     for _ in range(30):
-        todo = alive & (rn > 1e-12)
-        if not todo.any():
+        idx = np.flatnonzero(alive & (rn > 1e-12))
+        if not idx.size:
             break
-        idx = np.nonzero(todo)[0]
-        d1u, d1t = ev.partials(u1[idx], t1[idx])
-        d2u, d2t = ev.partials(u2[idx], t2[idx])
-        Jm = np.stack([-d1u, -d1t, d2u, d2t], axis=1)  # (3, 4, n)
+        n = idx.size
+        du, dth = ev.partials(*x[:, :, idx].reshape(2, -1))
+        Jm = np.stack([-du[:, :n], -dth[:, :n], du[:, n:], dth[:, n:]], axis=1)  # (3, 4, n)
         M = np.einsum("akn,bkn->nab", Jm, Jm)
         try:
             y = np.linalg.solve(M, F[:, idx].T[..., None])[..., 0]  # (n, 3)
@@ -741,59 +772,47 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
             alive[idx[sing]] = False
             idx, Jm = idx[~sing], Jm[..., ~sing]
             y = np.linalg.solve(M[~sing], F[:, idx].T[..., None])[..., 0]
-        step = -np.einsum("akn,na->kn", Jm, y)  # (4, n)
-        alpha = np.ones(idx.size)
-        best = (u1[idx].copy(), t1[idx].copy(), u2[idx].copy(), t2[idx].copy())
-        best_rn = rn[idx].copy()
-        undone = np.ones(idx.size, dtype=bool)
-        for _try in range(12):
-            c1u = u1[idx] + alpha * step[0]
-            c1t = t1[idx] + alpha * step[1]
-            c2u = u2[idx] + alpha * step[2]
-            c2t = t2[idx] + alpha * step[3]
-            inside = (c1u > np.asarray(data.angular.max_cos(c1t)) + 1e-12) \
-                & (c2u > np.asarray(data.angular.max_cos(c2t)) + 1e-12) \
-                & (c1u < 1e6) & (c2u < 1e6) \
-                & (np.abs(_chart(c1u, c1t) - _chart(c2u, c2t)) > 0.5 * tol_param)
-            crn = np.full(idx.size, np.inf)
-            if inside.any():
-                rr = residual(c1u[inside], c1t[inside], c2u[inside], c2t[inside])
-                crn[inside] = np.linalg.norm(rr, axis=0)
-            improved = undone & (crn < best_rn)
-            for arr, cand in zip(best, (c1u, c1t, c2u, c2t)):
-                arr[improved] = cand[improved]
-            best_rn[improved] = crn[improved]
-            undone &= ~improved
-            if not undone.any():
+        # the step in x's layout: (u1, t1, u2, t2) rows to [c, i, k]
+        step = -np.einsum("akn,na->kn", Jm, y).reshape(2, 2, -1).swapaxes(0, 1)
+        x0, rn0 = x[:, :, idx], rn[idx]
+        pend = np.arange(idx.size)  # the pairs no step length has improved
+        for k0, k1 in zip(_STEP_EDGES[:-1], _STEP_EDGES[1:]):
+            if not pend.size:
                 break
-            alpha[undone] /= 2.0
-        alive[idx[undone]] = False
-        u1[idx], t1[idx], u2[idx], t2[idx] = best
-        rn[idx] = best_rn
-        F[:, idx] = residual(u1[idx], t1[idx], u2[idx], t2[idx])
+            # the candidates of the group, length-major
+            c = (x0[:, :, None, pend] + alphas[k0:k1, None] * step[:, :, None, pend]
+                 ).reshape(2, 2, -1)
+            cu, ct = c.reshape(2, -1)
+            ok = ((cu > angular.max_cos(ct) + 1e-12) & (cu < 1e6)).reshape(2, -1)
+            mu = _chart(cu, ct).reshape(2, -1)
+            inside = ok[0] & ok[1] & (np.abs(mu[0] - mu[1]) > 0.5 * tol_param)
+            if not inside.any():
+                continue
+            rr = residual(c[:, :, inside])
+            crn = np.full(inside.size, np.inf)
+            crn[inside] = np.linalg.norm(rr, axis=0)
+            better = crn.reshape(k1 - k0, -1) < rn0[pend]
+            hit = better.any(axis=0)
+            pick = better.argmax(axis=0)[hit] * pend.size + np.flatnonzero(hit)
+            dst = idx[pend[hit]]
+            x[:, :, dst], rn[dst] = c[:, :, pick], crn[pick]
+            F[:, dst] = rr[:, np.cumsum(inside)[pick] - 1]  # rr: the inside ones
+            pend = pend[~hit]
+        alive[idx[pend]] = False
 
-    f1 = ev.eval_batch(u1, t1)
-    scale = 1.0 + np.abs(f1).max(axis=0)
-    confirmed = alive & (rn <= 1e-9 * scale) \
-        & (np.abs(_chart(u1, t1) - _chart(u2, t2)) > tol_param)
-
+    scale = 1.0 + np.abs(ev.eval_batch(*x[:, 0])).max(axis=0)
+    m1, m2 = _chart(*x[:, 0]), _chart(*x[:, 1])
+    left = np.flatnonzero(alive & (rn <= 1e-9 * scale) & (np.abs(m1 - m2) > tol_param))
+    h = 0.5 * tol_param
     out: list[Collision] = []
-    seen: list[tuple[complex, complex]] = []
-    for k in np.nonzero(confirmed)[0]:
-        m1, m2 = _chart(u1[k], t1[k]), _chart(u2[k], t2[k])
-        dup = False
-        for a, b in seen:
-            if (abs(m1 - a) < h and abs(m2 - b) < h) or \
-               (abs(m1 - b) < h and abs(m2 - a) < h):
-                dup = True
-                break
-        if dup:
-            continue
-        seen.append((m1, m2))
-        out.append(Collision((float(u1[k]), float(t1[k])),
-                             (float(u2[k]), float(t2[k])), float(rn[k])))
-        if len(out) >= _MAX_REPORTS:
-            break
+    while left.size and len(out) < _MAX_REPORTS:
+        k, left = left[0], left[1:]
+        (ua, ub), (ta, tb) = x[:, :, k].tolist()
+        out.append(Collision((ua, ta), (ub, tb), float(rn[k])))
+        a, b = m1[left], m2[left]
+        dup = ((np.abs(a - m1[k]) < h) & (np.abs(b - m2[k]) < h)) \
+            | ((np.abs(a - m2[k]) < h) & (np.abs(b - m1[k]) < h))
+        left = left[~dup]
     return out
 
 

@@ -830,18 +830,26 @@ def test_injectivity_scan_singular_seed_drops_only_itself(monkeypatch):
     n3 = get_entry("self-intersecting-n3").data
     want = injectivity_scan(n3, grid_resolution=120)
     assert len(want) == 31
-    partials, calls = SurfaceEvaluator.partials, []
+    partials, det, calls, dets = SurfaceEvaluator.partials, np.linalg.det, [], []
 
     def zeroed(self, u, theta):
+        # one call per sweep: the seeds' first points, then their second
         du, dth = partials(self, u, theta)
         calls.append(du.shape[1])
-        if len(calls) <= 2:
-            du[:, 0] = dth[:, 0] = 0.0
+        if len(calls) == 1:
+            n = du.shape[1] // 2
+            du[:, [0, n]] = dth[:, [0, n]] = 0.0
         return du, dth
 
+    def counted_det(M):  # only the singular branch takes a determinant
+        dets.append(len(M))
+        return det(M)
+
     monkeypatch.setattr(SurfaceEvaluator, "partials", zeroed)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
     got = injectivity_scan(n3, grid_resolution=120)
-    assert calls[0] == calls[1] > 1
+    assert calls[0] % 2 == 0 and calls[0] > 2
+    assert dets == [calls[0] // 2]
     # the same crossings, though a later seed may report the dropped one's
     assert len(got) == len(want)
 
@@ -964,6 +972,200 @@ def test_near_pairs_crowded_cell_matches_loop_reference():
     rdI, rdJ = _ref_dedupe_pairs(mu, rI, rJ, 0.1)
     assert 0 < dI.size < I.size
     assert np.array_equal(dI, rdI) and np.array_equal(dJ, rdJ)
+
+
+def _ref_gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
+    """The scan's Gauss-Newton stage as a loop over step lengths, one
+    evaluation per point set, and a loop over the earlier reports; the
+    oracle for analysis._gauss_newton."""
+    u1, t1, u2, t2 = u1.copy(), t1.copy(), u2.copy(), t2.copy()
+    alive = np.ones(u1.size, dtype=bool)
+
+    def residual(a1, b1, a2, b2):
+        return ev.eval_batch(a2, b2) - ev.eval_batch(a1, b1)
+
+    F = residual(u1, t1, u2, t2)
+    rn = np.linalg.norm(F, axis=0)
+    for _ in range(30):
+        todo = alive & (rn > 1e-12)
+        if not todo.any():
+            break
+        idx = np.nonzero(todo)[0]
+        d1u, d1t = ev.partials(u1[idx], t1[idx])
+        d2u, d2t = ev.partials(u2[idx], t2[idx])
+        Jm = np.stack([-d1u, -d1t, d2u, d2t], axis=1)
+        M = np.einsum("akn,bkn->nab", Jm, Jm)
+        try:
+            y = np.linalg.solve(M, F[:, idx].T[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            sing = np.linalg.det(M) == 0.0
+            alive[idx[sing]] = False
+            idx, Jm = idx[~sing], Jm[..., ~sing]
+            y = np.linalg.solve(M[~sing], F[:, idx].T[..., None])[..., 0]
+        step = -np.einsum("akn,na->kn", Jm, y)
+        alpha = np.ones(idx.size)
+        best = (u1[idx].copy(), t1[idx].copy(), u2[idx].copy(), t2[idx].copy())
+        best_rn = rn[idx].copy()
+        undone = np.ones(idx.size, dtype=bool)
+        for _try in range(12):
+            c1u = u1[idx] + alpha * step[0]
+            c1t = t1[idx] + alpha * step[1]
+            c2u = u2[idx] + alpha * step[2]
+            c2t = t2[idx] + alpha * step[3]
+            inside = (c1u > np.asarray(angular.max_cos(c1t)) + 1e-12) \
+                & (c2u > np.asarray(angular.max_cos(c2t)) + 1e-12) \
+                & (c1u < 1e6) & (c2u < 1e6) \
+                & (np.abs(analysis._chart(c1u, c1t) - analysis._chart(c2u, c2t))
+                   > 0.5 * tol_param)
+            crn = np.full(idx.size, np.inf)
+            if inside.any():
+                rr = residual(c1u[inside], c1t[inside], c2u[inside], c2t[inside])
+                crn[inside] = np.linalg.norm(rr, axis=0)
+            improved = undone & (crn < best_rn)
+            for arr, cand in zip(best, (c1u, c1t, c2u, c2t)):
+                arr[improved] = cand[improved]
+            best_rn[improved] = crn[improved]
+            undone &= ~improved
+            if not undone.any():
+                break
+            alpha[undone] /= 2.0
+        alive[idx[undone]] = False
+        u1[idx], t1[idx], u2[idx], t2[idx] = best
+        rn[idx] = best_rn
+        F[:, idx] = residual(u1[idx], t1[idx], u2[idx], t2[idx])
+
+    scale = 1.0 + np.abs(ev.eval_batch(u1, t1)).max(axis=0)
+    confirmed = alive & (rn <= 1e-9 * scale) \
+        & (np.abs(analysis._chart(u1, t1) - analysis._chart(u2, t2)) > tol_param)
+    h = 0.5 * tol_param
+    out, seen = [], []
+    for k in np.nonzero(confirmed)[0]:
+        m1, m2 = analysis._chart(u1[k], t1[k]), analysis._chart(u2[k], t2[k])
+        if any((abs(m1 - a) < h and abs(m2 - b) < h) or (abs(m1 - b) < h and abs(m2 - a) < h)
+               for a, b in seen):
+            continue
+        seen.append((m1, m2))
+        out.append(analysis.Collision((float(u1[k]), float(t1[k])),
+                                      (float(u2[k]), float(t2[k])), float(rn[k])))
+        if len(out) >= analysis._MAX_REPORTS:
+            break
+    return out
+
+
+def _checked_gauss_newton(monkeypatch):
+    """Swaps the scan's Gauss-Newton stage for one that asserts it equals
+    the loop oracle on the same seeds; returns the list of their results."""
+    stage, results = analysis._gauss_newton, []
+
+    def checked(*args):
+        got = stage(*args)
+        assert got == _ref_gauss_newton(*args)
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(analysis, "_gauss_newton", checked)
+    return results
+
+
+@pytest.mark.parametrize("name, res, cap, crossings", [
+    ("self-intersecting-n3", 120, 200, 31), ("self-intersecting-n3", 120, 1, 1),
+    ("self-intersecting-n3", 120, 3, 3), ("self-intersecting-n3", 120, 31, 31),
+    ("self-intersecting-fb", 120, 200, 7), ("ruled-enneper", 80, 200, 0)])
+def test_gauss_newton_matches_loop_reference(name, res, cap, crossings, monkeypatch):
+    results = _checked_gauss_newton(monkeypatch)
+    monkeypatch.setattr(analysis, "_MAX_REPORTS", cap)
+    hits = injectivity_scan(get_entry(name).data, grid_resolution=res)
+    assert results == [hits] and len(hits) == crossings
+
+
+def test_gauss_newton_all_singular_is_quiet(monkeypatch):
+    # every normal matrix of the first sweep is zero: every seed is dropped
+    # there, with no warning (RuntimeWarnings are errors here)
+    results = _checked_gauss_newton(monkeypatch)
+
+    def flat(self, u, theta):
+        return np.zeros((3, np.size(u))), np.zeros((3, np.size(u)))
+
+    monkeypatch.setattr(SurfaceEvaluator, "partials", flat)
+    assert injectivity_scan(get_entry("self-intersecting-n3").data, grid_resolution=120) == []
+    assert results == [[]]
+
+
+def _gauss_newton_args(name, res, monkeypatch):
+    """The arguments the scan of a gallery surface hands to _gauss_newton."""
+    args = []
+
+    def record(*a):
+        args.append(a)
+        return []
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_gauss_newton", record)
+        injectivity_scan(get_entry(name).data, grid_resolution=res)
+    return args[0]
+
+
+class _TwoColumns:
+    """An evaluator that evaluates a lone point as two columns: numpy hands
+    one-column matrix products to BLAS gemv, which may round differently
+    from the gemm of wider batches, and the oracle's batches of a lone pair
+    have one column where the stage's have two."""
+
+    def __init__(self, ev):
+        self.ev = ev
+
+    def eval_batch(self, u, theta):
+        if np.size(u) != 1:
+            return self.ev.eval_batch(u, theta)
+        return self.ev.eval_batch(np.r_[u, u], np.r_[theta, theta])[:, :1]
+
+    def partials(self, u, theta):
+        if np.size(u) != 1:
+            return self.ev.partials(u, theta)
+        return tuple(d[:, :1] for d in self.ev.partials(np.r_[u, u], np.r_[theta, theta]))
+
+
+def test_gauss_newton_single_pair(monkeypatch):
+    # one seed at a time, so every sweep holds one pair; the first seed
+    # confirms the full scan's first report, up to the rounding of products
+    # of two columns against those of the full batch
+    ev, *rest = _gauss_newton_args("self-intersecting-n3", 120, monkeypatch)
+    angular, u1, t1, u2, t2, tol = rest
+    first = injectivity_scan(get_entry("self-intersecting-n3").data, grid_resolution=120)[0]
+    found = []
+    for k in range(20):
+        one = (angular, u1[k:k + 1], t1[k:k + 1], u2[k:k + 1], t2[k:k + 1], tol)
+        got = analysis._gauss_newton(ev, *one)
+        assert got == _ref_gauss_newton(_TwoColumns(ev), *one)
+        found += got
+    assert 1 < len(found) < 20
+    assert np.allclose(found[0].p1 + found[0].p2, first.p1 + first.p2, rtol=0.0, atol=1e-12)
+
+
+def test_gauss_newton_group_wholly_outside(monkeypatch):
+    # on the first 8 seeds many groups have no candidate inside the domain
+    # (one max_cos call and no evaluation); the search goes on to the next
+    # group, as the oracle goes on to the next length
+    ev, *rest = _gauss_newton_args("self-intersecting-n3", 120, monkeypatch)
+    angular, u1, t1, u2, t2, tol = rest
+    args = (angular, u1[:8], t1[:8], u2[:8], t2[:8], tol)
+    log, max_cos, eval_batch = [], AngularData.max_cos, SurfaceEvaluator.eval_batch
+
+    def logged_max_cos(self, theta):
+        log.append("max_cos")
+        return max_cos(self, theta)
+
+    def logged_eval_batch(self, u, theta):
+        log.append("eval_batch")
+        return eval_batch(self, u, theta)
+
+    with monkeypatch.context() as m:
+        m.setattr(AngularData, "max_cos", logged_max_cos)
+        m.setattr(SurfaceEvaluator, "eval_batch", logged_eval_batch)
+        got = analysis._gauss_newton(ev, *args)
+    empty = sum(a == "max_cos" and b != "eval_batch" for a, b in zip(log, log[1:]))
+    assert empty >= 10
+    assert got and got == _ref_gauss_newton(_TwoColumns(ev), *args)
 
 
 def _scan_args(name, res, monkeypatch):

@@ -125,3 +125,14 @@ def test_bench_call_shapes_bind(fn, args, kwargs):
     # a signature change that breaks a benchmark call fails here instead of
     # in a benchmark run
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_scan_collisions_hold_python_floats():
+    # bench/workloads.py's _scan_checker unpacks p1 and p2 as (u, theta)
+    # pairs, and the scan's fingerprint is the repr of the list, which an
+    # np.float64 would change
+    hits = injectivity_scan(get_entry("self-intersecting-fb").data, 60)
+    assert hits
+    for c in hits:
+        assert type(c.p1) is tuple and type(c.p2) is tuple
+        assert [type(v) for v in c.p1 + c.p2 + (c.distance,)] == [float] * 5
