@@ -39,30 +39,19 @@ class ConditionReport:
     immersion_condition: Condition
     witness: tuple[float, float] | None
     immersion_witness: tuple[float, float] | None
-    distinct_angles: bool
     arithmetic: str  # "rational" when gaps were compared exactly
     umbilics: tuple[tuple[complex, int], ...] | None = None
 
 
-def _classify_gaps(gaps, bound, gap_fracs, bound_frac) -> tuple[Condition, int | None]:
-    """Worst gap against the bound; returns (condition, index of first violation)."""
-    state = Condition.STRICTLY_SATISFIED
-    first_violated = None
-    for j, g in enumerate(gaps):
-        if gap_fracs is not None:
-            f = gap_fracs[j]
-            over = f > bound_frac
-            boundary = f == bound_frac
-        else:
-            over = g > bound + _GAP_TOL
-            boundary = abs(g - bound) <= _GAP_TOL
-        if over:
-            if first_violated is None:
-                first_violated = j
-            state = Condition.VIOLATED
-        elif boundary and state is not Condition.VIOLATED:
-            state = Condition.BOUNDARY_CASE
-    return state, first_violated
+def _classify_gaps(gaps, bound, tol) -> tuple[Condition, int | None]:
+    """Worst gap against the bound, within tol; returns (condition, index of
+    the first violation)."""
+    over = [j for j, g in enumerate(gaps) if g > bound + tol]
+    if over:
+        return Condition.VIOLATED, over[0]
+    if any(abs(g - bound) <= tol for g in gaps):
+        return Condition.BOUNDARY_CASE, None
+    return Condition.STRICTLY_SATISFIED, None
 
 
 def check_conditions(angular: AngularData) -> ConditionReport:
@@ -73,14 +62,12 @@ def check_conditions(angular: AngularData) -> ConditionReport:
     at which the corresponding Jacobians vanish for principal data.
     """
     n = angular.n
-    gaps = angular.gaps()
-    gap_fracs = angular.gap_fracs()
-    bound = math.pi / (n - 1)
-    bound_frac = Fraction(1, n - 1) if gap_fracs is not None else None
-    graph, jg = _classify_gaps(gaps, bound, gap_fracs, bound_frac)
-    imm, ji = _classify_gaps(
-        gaps, 2 * bound, gap_fracs,
-        2 * bound_frac if bound_frac is not None else None)
+    gaps, bound, tol = angular.gap_fracs(), Fraction(1, n - 1), 0  # in units of pi
+    exact = gaps is not None
+    if not exact:
+        gaps, bound, tol = angular.gaps(), math.pi / (n - 1), _GAP_TOL
+    graph, jg = _classify_gaps(gaps, bound, tol)
+    imm, ji = _classify_gaps(gaps, 2 * bound, tol)
 
     ext = angular.alphas + (TWO_PI,)
     witness = None
@@ -95,9 +82,20 @@ def check_conditions(angular: AngularData) -> ConditionReport:
         immersion_condition=imm,
         witness=witness,
         immersion_witness=immersion_witness,
-        distinct_angles=angular.is_distinct,
-        arithmetic="rational" if gap_fracs is not None else "float",
+        arithmetic="rational" if exact else "float",
     )
+
+
+def _graph_refusal(angular: AngularData) -> str | None:
+    """Why the angular data are not certified an entire graph, or None: the
+    graph gap rule must not be violated, and the angles must be distinct
+    unless n = 2."""
+    if check_conditions(angular).graph_condition is Condition.VIOLATED:
+        return (f"graph condition violated: max angular gap {max(angular.gaps()):.6f} "
+                f"exceeds pi/(n-1) = {math.pi / (angular.n - 1):.6f}")
+    if angular.n > 2 and not angular.is_distinct:
+        return "entire-graph certification needs distinct angles for n > 2"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +200,9 @@ class GraphInverter:
     MAXITER, ATOL = 60, 1e-13
 
     def __init__(self, data: KobayashiData):
-        report = check_conditions(data.angular)
-        if report.graph_condition is Condition.VIOLATED:
-            raise PreconditionUnmet(
-                f"graph condition violated: max angular gap "
-                f"{max(data.angular.gaps()):.6f} exceeds pi/(n-1) = "
-                f"{math.pi / (data.n - 1):.6f}")
-        if data.n > 2 and not data.angular.is_distinct:
-            raise PreconditionUnmet(
-                "entire-graph certification needs distinct angles for n > 2")
+        why = _graph_refusal(data.angular)
+        if why:
+            raise PreconditionUnmet(why)
         self.data = data
         self.evaluator = SurfaceEvaluator(data)
         self.angular = data.angular
@@ -363,8 +355,10 @@ class GraphInverter:
     def _solve(self, X, Y):
         """`invert`'s dispatch, batched.  Returns (l, theta, lambda, converged,
         residual, (a, b, s, t)): the end-chart point, and the point Newton
-        solved in: the corner point (p, q) = (s, t) of sector (a, b), where
-        l = min(p, q), or with a = -1 the end point (l, theta) = (s, t)."""
+        solved in: the corner point (p, q) = (s, t) of sector (a, b), or with
+        a = -1 the end point (l, theta) = (s, t).  A corner point's l is the
+        log clearance of the end nearest its theta, as the end chart takes
+        it: min(p, q) where that is end a or b."""
         X, Y = (np.asarray(v, dtype=float).ravel() for v in (X, Y))
         sa, sb, p, q = self._corner_seed(X, Y)
         out = np.full((9, X.size), np.nan)  # l, theta, lambda, ok, residual, s, t, a, b
@@ -383,8 +377,17 @@ class GraphInverter:
                 lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
                 p[r, k], q[r, k], v, np.array([X[k], Y[k]]))
             thk = self.evaluator.corner(ka, kb, pk, qk)[0]
+            # l is the log clearance of the end j nearest theta, the argmax of
+            # cos(theta - beta_j) as in `jet`: min(p, q) for j = a or b, else
+            # e^p + cos(theta - beta_a) - cos(theta - beta_j), product formula
+            bt = self.evaluator.betas
+            near = np.argmax(np.cos(thk[:, None] - bt), axis=1)
+            with np.errstate(all="ignore"):  # log D_j is discarded at ends a, b
+                lk = np.where((near == ka) | (near == kb), np.minimum(pk, qk), np.log(
+                    np.exp(pk) - 2.0 * np.sin(thk - (bt[near] + bt[ka]) / 2.0)
+                    * np.sin((bt[near] - bt[ka]) / 2.0)))
             take = ~(res[2] >= out[4, k])
-            out[:, k[take]] = np.array([np.minimum(pk, qk), thk, *res, pk, qk, ka, kb])[:, take]
+            out[:, k[take]] = np.array([lk, thk, *res, pk, qk, ka, kb])[:, take]
         l, th, lam, ok, rn, s, t, a, b = out
         return l, th, lam, ok == 1.0, rn, (a.astype(np.int64), b.astype(np.int64), s, t)
 
@@ -395,8 +398,10 @@ class GraphInverter:
         in the corner chart, any other in the end chart from the seed bank,
         then in the corner chart if that misses; `NoConvergence` carries the
         residual when both miss.  u = max cos(theta - beta) + e^l is formed
-        from the end-chart point (l, theta): below a clearance e^l of about
-        1e-8 it no longer reproduces (x, y), though the chart point does.
+        from the end-chart point (l, theta), whose e^l is the clearance of
+        the end nearest theta, also for a corner solve: below a clearance of
+        about 1e-8 it no longer reproduces (x, y), though the chart point
+        does.
         """
         l, th, lam, ok, rn, _ = self._solve([x], [y])
         u, th = self._from_chart(l, th)
@@ -852,8 +857,7 @@ def classify(data: KobayashiData) -> ClassificationReport:
         # the rotation trick behind the witness construction needs b = 0
         cond = replace(cond, witness=None, immersion_witness=None)
     certified = (fold.is_fold_type and period < 1e-10 and data.principal
-                 and cond.graph_condition is not Condition.VIOLATED
-                 and (data.angular.is_distinct or data.n == 2))
+                 and _graph_refusal(data.angular) is None)
     return ClassificationReport(
         n=data.n,
         principal=data.principal,

@@ -56,11 +56,12 @@ def _parse_angle(value, where: str) -> tuple[float, Fraction | None]:
 
 
 def _number(value, where: str) -> float:
-    """float(value); a malformed value, a boolean too, is an input error."""
+    """float(value) of a JSON number or an angle's exact fraction; anything
+    else, a string or a boolean too, is an input error."""
     try:
-        if not isinstance(value, bool):
+        if type(value) in (int, float, Fraction):
             return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # beyond the float range
         pass
     raise InputError(f"{where}: expected a number, got {value!r}")
 
@@ -168,19 +169,19 @@ def resolve_target(args) -> Target:
 # classify
 # ---------------------------------------------------------------------------
 
+def _fold_dict(rep) -> dict:
+    """The report's fold_type object, for Kobayashi data and raw pairs alike."""
+    return {"ends_on_circle": rep.ends_on_circle, "gauss_circle_ok": rep.gauss_circle_ok,
+            "max_re_condition": rep.max_re_condition, "is_fold_type": rep.is_fold_type}
+
+
 def _report_dict(target: Target) -> dict:
     if target.data is None:
-        rep = verify_fold_type(target.entry.pair)
         return {
             "schema": REPORT_SCHEMA,
             "name": target.name,
             "kind": "raw-pair",
-            "fold_type": {
-                "ends_on_circle": rep.ends_on_circle,
-                "gauss_circle_ok": rep.gauss_circle_ok,
-                "max_re_condition": rep.max_re_condition,
-                "is_fold_type": rep.is_fold_type,
-            },
+            "fold_type": _fold_dict(verify_fold_type(target.entry.pair)),
         }
     rep = _analysis.classify(target.data)
     cond = rep.conditions
@@ -192,12 +193,7 @@ def _report_dict(target: Target) -> dict:
         "principal": rep.principal,
         "alphas": list(target.data.angular.alphas),
         "blaschke": [[b.real, b.imag] for b in target.data.blaschke.b],
-        "fold_type": {
-            "ends_on_circle": rep.fold.ends_on_circle,
-            "gauss_circle_ok": rep.fold.gauss_circle_ok,
-            "max_re_condition": rep.fold.max_re_condition,
-            "is_fold_type": rep.fold.is_fold_type,
-        },
+        "fold_type": _fold_dict(rep.fold),
         "period_residual": rep.period_residual,
         "graph_condition": cond.graph_condition.value,
         "immersion_condition": cond.immersion_condition.value,
@@ -308,8 +304,6 @@ def cmd_sample(args) -> int:
     if args.margin is not None:
         options.margin = args.margin
     fmt = args.format
-    if fmt not in ("obj", "ply", "csv"):
-        raise InputError(f"unknown format {fmt!r}")
     names = ["t", "x", "y"]
     if args.axis_order:
         names = [s.strip() for s in args.axis_order.split(",")]

@@ -41,7 +41,6 @@ class Normalization:
 @dataclass(frozen=True)
 class GalleryEntry:
     name: str
-    description: str
     data: KobayashiData | None
     pair: WeierstrassPair | None
     normalization: Normalization = field(default_factory=Normalization)
@@ -93,7 +92,6 @@ def scherk(n: int) -> GalleryEntry:
     norm = Normalization(scale=(2.0, 2.0, 2.0)) if n == 2 else Normalization()
     return GalleryEntry(
         name=f"scherk:{n}",
-        description="saddle-tower angular data pi*j/n; analytic extension is an entire graph",
         data=_scherk_data(n),
         pair=None,
         normalization=norm,
@@ -110,7 +108,6 @@ def jorge_meeks(n: int) -> GalleryEntry:
     norm = Normalization(scale=(1.0, -1.0, 1.0)) if n == 2 else Normalization()
     return GalleryEntry(
         name=f"jorge-meeks:{n}",
-        description="n-noid angular data, each angle doubled; entire graph only at n = 2",
         data=_jorge_meeks_data(n),
         pair=None,
         normalization=norm,
@@ -126,7 +123,6 @@ def ruled_enneper() -> GalleryEntry:
     ang = AngularData.from_fractions(2, [Fraction(0)] * 4)
     return GalleryEntry(
         name="ruled-enneper",
-        description="angles (0,0,0,0); image is the cubic 4t^3/3+4t^2x+4tx^2-2ty+t+4x^3/3-2xy = 0",
         data=build(ang, BlaschkeParams(())),
         pair=None,
         implicit=_enneper_implicit,
@@ -140,7 +136,6 @@ def parabolic() -> GalleryEntry:
     ang = AngularData.from_fractions(2, [Fraction(0), Fraction(0), Fraction(0), Fraction(1)])
     return GalleryEntry(
         name="parabolic",
-        description="angles (0,0,0,pi); image satisfies (e^{4(t+x)}-1)/2 + 2(t-x) - 4y^2 = 0",
         data=build(ang, BlaschkeParams(())),
         pair=None,
         implicit=_parabolic_implicit,
@@ -155,7 +150,6 @@ def helicoid_negative() -> GalleryEntry:
     om = RationalFn(ComplexPoly([1j]), ComplexPoly([0, 0, 1]), poles=[(0j, 2)])
     return GalleryEntry(
         name="helicoid-negative",
-        description="maximal helicoid data; fails the on-circle end condition",
         data=None,
         pair=WeierstrassPair(g, om),
         expected={"fold_type": False, "fails": "ends"},
@@ -168,7 +162,6 @@ def elliptic_catenoid_negative() -> GalleryEntry:
     om = RationalFn(ComplexPoly([0.5]), ComplexPoly([0, 0, 1]), poles=[(0j, 2)])
     return GalleryEntry(
         name="elliptic-catenoid-negative",
-        description="elliptic catenoid data; ends at 0 and infinity, not fold-type",
         data=None,
         pair=WeierstrassPair(g, om),
         expected={"fold_type": False, "fails": "ends"},
@@ -176,11 +169,11 @@ def elliptic_catenoid_negative() -> GalleryEntry:
 
 
 def self_intersecting_fb() -> GalleryEntry:
-    """Order-4 general type with b = (-0.75, 0, 0); graph condition holds but b is large."""
+    """Order-4 general type with b = (-0.75, 0, 0); graph condition holds but b is
+    large, and the extension self-intersects."""
     ang = AngularData.from_fractions(4, [Fraction(j, 4) for j in range(8)])
     return GalleryEntry(
         name="self-intersecting-fb",
-        description="order 4, angles pi*j/4, b = (-0.75, 0, 0); extension self-intersects",
         data=build(ang, BlaschkeParams((-0.75, 0.0, 0.0))),
         pair=None,
         expected={"fold_type": True, "period": True, "graph_condition": "strict",
@@ -194,7 +187,6 @@ def self_intersecting_n3() -> GalleryEntry:
           Fraction(5, 3), Fraction(7, 4), Fraction(11, 6)]
     return GalleryEntry(
         name="self-intersecting-n3",
-        description="principal order 3, angles (0,3pi/4,3pi/2,5pi/3,7pi/4,11pi/6); self-intersects",
         data=build(AngularData.from_fractions(3, fr), BlaschkeParams(())),
         pair=None,
         expected={"fold_type": True, "period": True, "graph_condition": "violated",

@@ -101,11 +101,10 @@ class SurfaceEvaluator:
         K = max(data.angular.multiplicities) - 1
         res = np.zeros((3, self.betas.size))
         gamma = np.zeros((3, K, self.betas.size), dtype=complex)
+        ends = [pole for pole, _ in data.phi[0].poles]  # `build` lists them in end order
         for k in range(3):
             for part in partial_fractions(data.phi[k]):
-                beta = cmath.phase(part.pole) % TWO_PI
-                j = int(np.argmin(np.minimum((self.betas - beta) % TWO_PI,
-                                             (beta - self.betas) % TWO_PI)))
+                j = ends.index(part.pole)
                 r = part.coeffs[0]
                 if abs(r.imag) > 1e-9 * (1 + abs(r)):
                     raise NumericError(f"non-real residue {r} of phi_{k}")

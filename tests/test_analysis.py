@@ -501,6 +501,8 @@ def random_gap_data(seed):
 # chart, and for the second the best seed's sector is the wrong one
 @example(seed=1, turn=0.0)
 @example(seed=1416186938, turn=0.303194829291645)
+# a corner solve whose theta lies nearest an end outside its sector
+@example(seed=2214, turn=0.0)
 def test_invert_whole_plane(seed, turn):
     # the paper's claim far out: every target on a log-spaced radial grid to
     # |x| = 1e3, and on a ring at 1e6, has a preimage whose chart point
@@ -512,19 +514,25 @@ def test_invert_whole_plane(seed, turn):
     l, th, lam, ok, rn, (a, b, s, t) = inv._solve(X, Y)
     assert ok.all()
     corner = a >= 0
-    # the end-chart point of a corner solve is (min(p, q), theta)
-    assert np.array_equal(l, np.where(corner, np.minimum(s, t), s))
+    assert np.array_equal(l[~corner], s[~corner]) and np.array_equal(th[~corner], t[~corner])
+    # a corner solve's l is the log clearance of the end j nearest its theta,
+    # by the argmax of cos(theta - beta_j): min(p, q) where j is a or b, and
+    # D_j = D_a + cos(theta - beta_a) - cos(theta - beta_j) wherever j lies
+    beta = inv.evaluator.betas
+    near = np.argmax(np.cos(th[:, None] - beta), axis=1)
+    ab = corner & ((near == a) | (near == b))
+    assert np.array_equal(l[ab], np.minimum(s, t)[ab])
+    D = np.exp(s) + np.cos(th - beta[a]) - np.cos(th - beta[near])
+    assert np.all(np.abs(np.exp(l) - D)[corner] <= 4e-15 * (1 + np.exp(s))[corner])
     u, th = inv._from_chart(l, th)
     vals = np.empty((3, X.size))
     vals[:, corner] = inv.evaluator.corner(a[corner], b[corner], s[corner], t[corner])[1]
     vals[:, ~corner] = inv.evaluator.jet(s[~corner], t[~corner])[0]
     scale = 1 + np.maximum(np.abs(X), np.abs(Y))
     assert np.all(np.abs(vals[1:] - [X, Y]).max(axis=0) <= 1e-10 * scale)
-    # u carries the clearance of the chart's nearest end as far as a double can
-    near = np.where(~corner, np.argmax(np.cos(t[:, None] - inv.evaluator.betas), axis=1),
-                    np.where(s <= t, a, b))
-    assert np.all(np.abs(u - np.cos(th - inv.evaluator.betas[near]) - np.exp(l)) <= 2e-15 * (1 + u))
-    for i in (np.argmin(np.where(corner, np.minimum(s, t), s)), X.size - 1, 0, 20):
+    # u carries the clearance of the nearest end as far as a double can
+    assert np.all(np.abs(u - np.cos(th - beta[near]) - np.exp(l)) <= 2e-15 * (1 + u))
+    for i in (np.argmin(l), X.size - 1, 0, 20):
         x, y = X[i], Y[i]
         assert_chart_point_reproduces(inv, x, y, inv.invert(x, y)[2])
     # where the seed lies above depth -25, invert is the end chart's answer
@@ -535,6 +543,20 @@ def test_invert_whole_plane(seed, turn):
         if ok[0]:
             end = inv._from_chart(l, th) + (lam,)
             assert np.array_equal(inv.invert(X[i], Y[i]), [r[0] for r in end])
+
+
+def test_invert_corner_solve_off_its_sector_reproduces_target():
+    # (0.5, 0.866) solves in the corner chart of sector (2, 3) at p > 0,
+    # where end 4 is the nearest: u comes from that end's clearance, and
+    # (u, theta) re-evaluates to the target
+    x, y = 0.5, 0.866
+    inv = GraphInverter(random_gap_data(2214))
+    _, th, _, _, _, (a, b, _, _) = inv._solve([x], [y])
+    assert (a[0], b[0]) == (2, 3)
+    assert np.argmax(np.cos(th[0] - inv.evaluator.betas)) == 4
+    u, th, lam = inv.invert(x, y)
+    vals = inv.evaluator.eval_batch([u], [th])[:, 0]
+    assert np.abs(vals - [lam, x, y]).max() <= 1e-10 * (1 + max(abs(x), abs(y)))
 
 
 RANDOM_N3 = make(3, (0.0, 1.0724798527999555, 1.5920117877623825,
@@ -1196,7 +1218,8 @@ def test_near_pairs_matches_loop_reference_on_a_capped_scan_grid(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])
 def test_near_pairs_chunks_do_not_change_the_pairs(chunk, monkeypatch):
-    args = _scan_args("self-intersecting-n3", 120, monkeypatch)
+    # a sweep per pair is slow in Python, so chunk 1 runs on a coarser grid
+    args = _scan_args("self-intersecting-n3", 30 if chunk == 1 else 120, monkeypatch)
     want = analysis._near_pairs(*args)
     monkeypatch.setattr(analysis, "_CHUNK", chunk)
     got = analysis._near_pairs(*args)

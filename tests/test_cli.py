@@ -80,7 +80,10 @@ def test_classify_missing_input(capsys):
 @pytest.mark.parametrize("field, value", [
     ("n", "x"), ("re", "a"), ("im", "b"), ("u_max", "big"), ("resolution", "many"),
     ("margin", "thin"), ("base_point", ["a", 0.0]),
-    ("n", 2.7), ("resolution", 12.5)])
+    ("n", 2.7), ("resolution", 12.5),
+    # numbers must be JSON numbers, not strings that spell one
+    ("n", "2"), ("resolution", "12"), ("u_max", "2.5"), ("margin", "0.01"), ("re", "0"),
+    ("base_point", ["2.0", 0.0])])
 def test_document_non_numeric_field(capsys, tmp_path, field, value):
     doc = {"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
            "blaschke": [{"re": 0.0, "im": 0.0}], "options": {}}
