@@ -257,10 +257,11 @@ class GraphInverter:
         sweep would repeat it.
 
         Nodes do not interact, so a batch answers as its targets would one
-        by one, up to rounding: numpy computes a one-column matrix product
-        with BLAS gemv, which rounds unlike the gemm of wider batches, so a
-        node that sweeps alone can end a few ulps from where it would end in
-        company.
+        by one, up to rounding: a node's final values come from the batch
+        that accepted its last step, its start or its last shove, and numpy
+        computes a one-column matrix product with BLAS gemv, which rounds
+        unlike the gemm of wider batches, so a node evaluated alone can end
+        a few ulps from where it would end in company.
 
         Returns (l, theta, lambda, converged, residual): the chart point and
         the height, with the residual measured in this numerically exact
@@ -283,58 +284,50 @@ class GraphInverter:
     @np.errstate(all="ignore")
     def _newton(self, chart, c1, c2, vals, target, shove=None):
         """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
-        (f~, d f~/dc1, d f~/dc2) at nodes k; `shove` moves nodes no step
-        improves.  Returns (c1, c2, lambda, ok, residual).
-        The line search rejects every non-finite value, and ok needs a finite
-        residual, so numpy warns of none of them."""
+        (f~, d f~/dc1, d f~/dc2) at the nodes of index array k.  Updates the
+        chart points c1, c2 and their values vals in place; returns (c1, c2,
+        lambda, ok, residual).  A sweep clips each Newton step to length 8 and
+        tries the lengths alpha = 1, 1/2, ..., 2^-39, evaluating only the nodes
+        that have taken none; a node takes the first with residual <= rn (1 -
+        1e-4 alpha).  `shove` moves the nodes no length improves off the corner
+        they usually sit on; those it leaves in place are frozen.  The line
+        search rejects every non-finite value, and ok needs a finite residual,
+        so numpy warns of none of them."""
         scale = 1.0 + np.abs(target).max(axis=0)
-        R = vals[1:] - target
-        rn = np.hypot(R[0], R[1])
+        rn = np.hypot(*(vals[1:] - target))
         frozen = np.zeros(c1.size, dtype=bool)
         for _ in range(self.MAXITER):
-            active = (rn > self.ATOL * scale) & ~frozen
-            if not active.any():
+            k = np.flatnonzero((rn > self.ATOL * scale) & ~frozen)
+            if not k.size:
                 break
-            ca, cb = c1[active], c2[active]
-            _, d1, d2 = chart(active, ca, cb)
+            _, d1, d2 = chart(k, c1[k], c2[k])
             det = d1[1] * d2[2] - d2[1] * d1[2]
-            Ra = R[:, active]
+            R = vals[1:, k] - target[:, k]
             # a singular Jacobian, or a target near the largest double,
             # gives inf/NaN steps, which the line search below rejects
-            s1 = -(d2[2] * Ra[0] - d2[1] * Ra[1]) / det
-            s2 = -(-d1[2] * Ra[0] + d1[1] * Ra[1]) / det
-            step = np.hypot(s1, s2)
-            shrink = np.minimum(1.0, 8.0 / np.maximum(step, 1e-300))
-            s1 *= shrink
-            s2 *= shrink
-            alpha = np.ones_like(s1)
-            best1, best2 = ca.copy(), cb.copy()
-            best_rn = rn[active].copy()
-            undone = np.ones(s1.shape, dtype=bool)
+            s1 = -(d2[2] * R[0] - d2[1] * R[1]) / det
+            s2 = -(-d1[2] * R[0] + d1[1] * R[1]) / det
+            shrink = np.minimum(1.0, 8.0 / np.maximum(np.hypot(s1, s2), 1e-300))
+            s1, s2, alpha = s1 * shrink, s2 * shrink, 1.0
             for _try in range(40):
-                t1 = ca + alpha * s1
-                t2 = cb + alpha * s2
-                v, _, _ = chart(active, t1, t2, False)
-                rr = v[1:] - target[:, active]
-                crn = np.hypot(rr[0], rr[1])
-                improved = undone & (crn <= best_rn * (1 - 1e-4 * alpha))
-                best1[improved] = t1[improved]
-                best2[improved] = t2[improved]
-                best_rn[improved] = crn[improved]
-                undone &= ~improved
-                if not undone.any():
+                t1, t2 = c1[k] + alpha * s1, c2[k] + alpha * s2
+                v = chart(k, t1, t2, False)[0]
+                crn = np.hypot(*(v[1:] - target[:, k]))
+                take = crn <= rn[k] * (1 - 1e-4 * alpha)
+                i = k[take]
+                c1[i], c2[i], vals[:, i], rn[i] = t1[take], t2[take], v[:, take], crn[take]
+                k, s1, s2 = k[~take], s1[~take], s2[~take]
+                if not k.size:
                     break
-                alpha[undone] /= 2.0
-            if shove is not None:
-                # points that accepted no step are usually parked on a
-                # corner; shove them off it and let the next sweep retry
-                best2[undone] = shove(best2[undone], eps=1e-7)
-            # those left where they were would repeat this very sweep
-            frozen[active] = undone & (best2 == cb)
-            c1[active], c2[active] = best1, best2
-            vals, _, _ = chart(slice(None), c1, c2, False)
-            R = vals[1:] - target
-            rn = np.hypot(R[0], R[1])
+                alpha /= 2.0
+            th = c2[k] if shove is None else shove(c2[k], eps=1e-7)
+            moved = th != c2[k]
+            frozen[k[~moved]] = True
+            k = k[moved]
+            if k.size:
+                c2[k] = th[moved]
+                vals[:, k] = chart(k, c1[k], c2[k], False)[0]
+                rn[k] = np.hypot(*(vals[1:, k] - target[:, k]))
         return c1, c2, vals[0], np.isfinite(rn) & (rn <= 1e-10 * scale), rn
 
     def _corner_seed(self, X, Y):
@@ -379,13 +372,12 @@ class GraphInverter:
             thk = self.evaluator.corner(ka, kb, pk, qk)[0]
             # l is the log clearance of the end j nearest theta, the argmax of
             # cos(theta - beta_j) as in `jet`: min(p, q) for j = a or b, else
-            # e^p + cos(theta - beta_a) - cos(theta - beta_j), product formula
-            bt = self.evaluator.betas
-            near = np.argmax(np.cos(thk[:, None] - bt), axis=1)
+            # log(e^p + D_j - D_a)
+            near = np.argmax(np.cos(thk[:, None] - self.evaluator.betas), axis=1)
             with np.errstate(all="ignore"):  # log D_j is discarded at ends a, b
-                lk = np.where((near == ka) | (near == kb), np.minimum(pk, qk), np.log(
-                    np.exp(pk) - 2.0 * np.sin(thk - (bt[near] + bt[ka]) / 2.0)
-                    * np.sin((bt[near] - bt[ka]) / 2.0)))
+                dj = self.evaluator.dcos(thk, ka)[near, np.arange(k.size)]
+                lk = np.where((near == ka) | (near == kb), np.minimum(pk, qk),
+                              np.log(np.exp(pk) + dj))
             take = ~(res[2] >= out[4, k])
             out[:, k[take]] = np.array([lk, thk, *res, pk, qk, ka, kb])[:, take]
         l, th, lam, ok, rn, s, t, a, b = out
@@ -493,7 +485,7 @@ def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0)):
 def graph_table(inverter: GraphInverter, xs, ys, h: float | None = None):
     """lambda(x, y) over a grid, with the gradient and ZMC residual of
     `graph_derivatives` at the chart points `_grid` solves; `h` is ignored
-    (accepted for one release).  Returns (lam, lx, ly, resid, ok), each
+    (kept while `bench/` passes it).  Returns (lam, lx, ly, resid, ok), each
     shaped (len(ys), len(xs)); ok is False where a result is not finite.
     """
     l, th, lam, ok, _ = inverter._grid(xs, ys)

@@ -584,7 +584,7 @@ def main(argv=None) -> int:
     p.add_argument("--y-range", default="-2:2")
     p.add_argument("--resolution", type=int, default=41)
     p.add_argument("--h", type=float, default=1e-3,
-                   help="ignored: the PDE residual is analytic (accepted for one release)")
+                   help="ignored: the PDE residual is analytic (kept while bench/ passes it)")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_graph)
 

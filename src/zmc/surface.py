@@ -176,6 +176,13 @@ class SurfaceEvaluator:
                 r[a, cols], r[b, cols] = ra, rb
             return (theta,) + self._apply(rows)
 
+    def dcos(self, theta, a):
+        """D_j - D_a = cos(theta - beta_a) - cos(theta - beta_j), shape (ends,
+        N), for the ends a (index array), by the product formula, which keeps
+        its digits where the two cosines agree."""
+        return -2.0 * np.sin(theta[None, :] - self._mid.take(a, axis=1)) \
+            * self._half.take(a, axis=1)
+
     def _apply(self, rows):
         """f~ and its derivatives, as `jet` returns them, from their basis rows."""
         out = tuple(self._M @ r for r in rows)
@@ -192,8 +199,7 @@ class SurfaceEvaluator:
         delta = np.exp(l) if u is None else u - cs[a, cols]
         # >= 0 when beta_a is the nearest end, so rounding is only clipped
         # upward
-        dcos = -2.0 * np.sin(theta[None, :] - self._mid.take(a, axis=1)) \
-            * self._half.take(a, axis=1)
+        dcos = self.dcos(theta, a)
         D = delta[None, :] + (np.maximum(dcos, 0.0) if ref is None else dcos)
         rows = [np.log(D)]
         K = self._order
