@@ -25,7 +25,7 @@ from .errors import (InputError, NumericError, OutsideDomain, ParityError, Preco
                      ZmcError)
 from .gallery import GalleryEntry, Normalization, get_entry
 from .polycheb import ComplexPoly, ReciprocalClass, reduce_reciprocal
-from .surface import LIGHTLIKE_TOL, SurfaceEvaluator, eval_on_disk
+from .surface import SurfaceEvaluator, causal_label, eval_on_disk
 from .weierstrass import (KobayashiData, build, coefficients, period_check,
                           verify_fold_type)
 
@@ -328,8 +328,7 @@ def cmd_sample(args) -> int:
         raise NumericError(f"non-finite value at (u, theta) = ({U[i]}, {TH[i]})")
 
     if fmt == "csv":
-        sign = _analysis.metric_sign(data, U, TH)
-        labels = np.where(sign > 0, "spacelike", np.where(sign < 0, "timelike", "lightlike"))
+        labels = causal_label(_analysis.metric_sign(data, U, TH))
         head = ["u,theta,t,x,y,causal"]
     else:
         vals = vals[["txy".index(nm) for nm in names]]
@@ -383,9 +382,7 @@ def cmd_graph(args) -> int:
         i, j = np.argwhere(~(ok & finite))[0]
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
-    q = 1.0 - lx**2 - ly**2  # as surface.causal_character, vectorized
-    causal = np.where(np.abs(q) < LIGHTLIKE_TOL, "lightlike",
-                      np.where(q > 0, "spacelike", "timelike"))
+    causal = causal_label(1.0 - lx**2 - ly**2)
     xs_s = list(_reprs(xs))
     rows = ("".join(map(f"{{}},{y!r},{{}},{{}},{{}}\n".format, xs_s, _reprs(l), c.tolist(),
                         _reprs(r)))

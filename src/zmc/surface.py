@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -48,21 +47,15 @@ class SurfacePoint:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
-class CausalCharacter(Enum):
-    SPACELIKE = "spacelike"
-    LIGHTLIKE = "lightlike"
-    TIMELIKE = "timelike"
+LIGHTLIKE_TOL = 1e-6  # |q| below this is light-like
 
 
-LIGHTLIKE_TOL = 1e-6  # |1 - f_x^2 - f_y^2| below this is light-like
-
-
-def causal_character(grad: tuple[float, float]) -> CausalCharacter:
-    """Classify a graph t = f(x, y) by the sign of 1 - f_x^2 - f_y^2."""
-    q = 1.0 - grad[0] ** 2 - grad[1] ** 2
-    if abs(q) < LIGHTLIKE_TOL:
-        return CausalCharacter.LIGHTLIKE
-    return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
+def causal_label(q) -> np.ndarray:
+    """The causal type for each q of the metric's sign, such as 1 - f_x^2 - f_y^2
+    on a graph t = f(x, y): light-like where |q| < LIGHTLIKE_TOL, else
+    space-like where q > 0, else time-like."""
+    return np.where(np.abs(q) < LIGHTLIKE_TOL, "lightlike",
+                    np.where(q > 0, "spacelike", "timelike"))
 
 
 def _require_inside(angular: AngularData, u: float, theta: float) -> None:

@@ -56,6 +56,7 @@ SCHERK2 = make(2, tuple(math.pi * j / 2 for j in range(4)))
 SCHERK3 = make(3, tuple(math.pi * j / 3 for j in range(6)))
 GEN3 = make(3, (0.0, 0.9, 2.0, 3.1, 4.2, 5.2), b=(0.1,))
 J2 = make(2, (0.0, 0.0, math.pi, math.pi))
+MIXED3 = make(3, (0.0, 0.0, math.pi / 2, math.pi, math.pi, 3 * math.pi / 2))
 
 
 def domain_points(data, count, rng=RNG):
@@ -243,6 +244,12 @@ def test_invert_rejects_violated():
     with pytest.raises(PreconditionUnmet, match=r"max angular gap 2\.094395 "
                        r"exceeds pi/\(n-1\) = 1\.570796"):
         GraphInverter(data)
+
+
+def test_invert_rejects_repeated_angles_above_order_two():
+    with pytest.raises(PreconditionUnmet,
+                       match="entire-graph certification needs distinct angles for n > 2"):
+        GraphInverter(MIXED3)
 
 
 def test_invert_general_type():
@@ -1286,6 +1293,10 @@ def test_classify_reports():
     assert not repfb.entire_graph_certified          # general type: no certificate
     assert repfb.conditions.witness is None
     assert sum(m for _, m in repfb.conditions.umbilics) == 2
+    repmix = classify(MIXED3)  # boundary case, but repeated angles for n > 2
+    assert repmix.fold.is_fold_type and repmix.period_residual < 1e-10
+    assert repmix.conditions.graph_condition is Condition.BOUNDARY_CASE
+    assert not repmix.entire_graph_certified
 
 
 def test_invert_parabolic_entire_graph():

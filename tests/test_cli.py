@@ -15,7 +15,7 @@ from zmc import cli
 from zmc.analysis import GraphInverter, graph_derivatives, metric_determinant
 from zmc.cli import main
 from zmc.domain import FinitePoint
-from zmc.surface import SurfaceEvaluator, causal_character
+from zmc.surface import SurfaceEvaluator, causal_label
 
 
 def run(argv, capsys):
@@ -35,6 +35,17 @@ def test_classify_gallery_scherk(capsys, tmp_path):
     assert doc["schema"] == "zmc-report/1"
     assert doc["entire_graph_certified"] is True
     assert doc["graph_condition"] == "strict"
+
+
+def test_classify_raw_pair_json(capsys, tmp_path):
+    report = tmp_path / "rep.json"
+    code, _, _ = run(["classify", "--gallery", "helicoid-negative", "--json", str(report)],
+                     capsys)
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["kind"] == "raw-pair"
+    assert doc["fold_type"]["ends_on_circle"] is False
+    assert doc["fold_type"]["is_fold_type"] is False
 
 
 def test_classify_gallery_jorge_meeks3(capsys):
@@ -122,10 +133,12 @@ def test_document_integral_floats_accepted(capsys, tmp_path):
     ("alphas[0]", {"alphas": [False, "1/2 pi", "pi", "3/2 pi"]}),
     ("blaschke[0]", {"n": 3, "alphas": [0, 1, 2, 3, 4, 5], "blaschke": [False]}),
     ("options.u_max", {"options": {"u_max": True}}),
-    ("options.margin", {"options": {"margin": True}})],
+    ("options.margin", {"options": {"margin": True}}),
+    ("below 2*pi", {"alphas": [0, 1, 2, 7]})],
     ids=["blaschke-5", "blaschke-null", "options-list", "options-null", "options-string",
          "angle-1/0", "angle-1e400", "blaschke-1e400", "blaschke-1e-208", "blaschke-1e-12",
-         "angle-true", "angle-false", "blaschke-false", "u_max-true", "margin-true"])
+         "angle-true", "angle-false", "blaschke-false", "u_max-true", "margin-true",
+         "angle-7"])
 @pytest.mark.parametrize("command", ["classify", "check"])
 def test_document_malformed_field_is_input_error(capsys, tmp_path, command, field, change):
     spec = tmp_path / "doc.json"
@@ -510,7 +523,7 @@ def oracle_graph_text(name, x0, x1, y0, y1, res):
     lines = ["x,y,lambda,causal,zmc_residual"]
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            causal = causal_character((lx[i, j], ly[i, j])).value
+            causal = str(causal_label(1.0 - lx[i, j] ** 2 - ly[i, j] ** 2))
             lines.append(",".join([_fmt(x), _fmt(y), _fmt(norm.scale[0] * lam[i, j]),
                                    causal, _fmt(resid[i, j])]))
     return "\n".join(lines) + "\n"
@@ -609,10 +622,26 @@ def test_graph_violated_condition_exit_code(capsys, tmp_path):
     assert "pi/(n-1)" in err
 
 
+@pytest.mark.parametrize("target, why", [
+    (["--gallery", "helicoid-negative"], "is not a graph surface"),
+    ({"n": 3, "alphas": [0, 0, "1/2 pi", "pi", "pi", "3/2 pi"]}, "needs distinct angles")],
+    ids=["raw-pair", "repeated-angles-n3"])
+def test_graph_refuses_non_graph_target(capsys, tmp_path, target, why):
+    if isinstance(target, dict):
+        doc = tmp_path / "s.json"
+        doc.write_text(json.dumps(target))
+        target = [str(doc)]
+    out_path = tmp_path / "g.csv"
+    code, _, err = run(["graph", *target, "-o", str(out_path)], capsys)
+    assert code == 3
+    assert why in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--resolution", "-1"], ["--resolution", "0"],
     ["--h", "0"], ["--h=-1e-3"], ["--h", "nan"], ["--h", "inf"],
-    ["--x-range=-inf:2"], ["--y-range=0:nan"], ["--x-range=-1e308:1e308"]],
+    ["--x-range=-inf:2"], ["--y-range=0:nan"], ["--x-range=-1e308:1e308"], ["--x-range=foo"]],
     ids="".join)
 def test_graph_rejects_bad_options(capsys, tmp_path, flags):
     out_path = tmp_path / "g.csv"
@@ -762,6 +791,24 @@ def test_check_single_entry(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_check_all_gallery(capsys):
+    code, out, _ = run(["check", "--all-gallery"], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-1] == "all checks passed"
+    assert sum("[PASS]" in line for line in lines) == 70
+    assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("name, why", [
+    ("scherk:1", "scherk needs n >= 2"), ("jorge-meeks:1", "jorge-meeks needs n >= 2"),
+    ("scherk:x", "bad order suffix")])
+def test_gallery_bad_order_is_input_error(capsys, name, why):
+    code, _, err = run(["classify", "--gallery", name], capsys)
+    assert code == 2
+    assert why in err
+
+
 def test_check_rejects_negative_seed(capsys):
     code, _, err = run(["check", "--gallery", "scherk:2", "--seed", "-1"], capsys)
     assert code == 2
@@ -840,11 +887,11 @@ def test_reduce_exit_codes(coeffs, m, parity):
 
 
 def test_reduce_zero_or_non_finite_is_input_error(capsys):
-    # zero, non-finite, overflowing ("q(u) = 0" from 2e308), boolean or
-    # non-numeric
+    # zero, non-finite, overflowing ("q(u) = 0" from 2e308), boolean,
+    # non-numeric or not JSON
     for coeffs, m in (("[0]", "0"), ("[NaN]", "0"), ("[Infinity,0,Infinity]", "1"),
                       ("[1e308,0,1e308]", "1"), (f"[{10**400}]", "0"), ("[[1,[2]]]", "0"),
-                      ("[true]", "0"), ("[[1,false]]", "0")):
+                      ("[true]", "0"), ("[[1,false]]", "0"), ("[1,", "0")):
         code, out, err = run(["reduce", "--coeffs", coeffs, "--m", m, "--parity", "self"],
                              capsys)
         assert code == 2 and out == "", coeffs

@@ -10,9 +10,8 @@ from zmc.domain import FinitePoint, P_INFINITY, iota
 from zmc.errors import OutsideDomain, PathBlocked, PatternMismatch
 from zmc.gallery import get_entry
 from zmc.polycheb import partial_fractions
-from zmc.surface import (CausalCharacter, SurfaceEvaluator, SurfacePoint, build_oneforms,
-                         causal_character, eval_degenerate_n2, eval_on_disk,
-                         graph_gradient, integrate_oneform)
+from zmc.surface import (SurfaceEvaluator, SurfacePoint, build_oneforms, causal_label,
+                         eval_degenerate_n2, eval_on_disk, graph_gradient, integrate_oneform)
 from zmc.weierstrass import GeneralCoeffs, build, coefficients
 
 from mp_oracle import mp_corner, mp_reference
@@ -385,26 +384,33 @@ def test_disk_quadrature_blocked_near_end():
 
 # ---------------------------------------------------------------- causal types
 
+def graph_label(grad):
+    return causal_label(1.0 - grad[0] ** 2 - grad[1] ** 2)
+
+
 def test_causal_character_basic():
-    assert causal_character((0.0, 0.0)) is CausalCharacter.SPACELIKE
-    assert causal_character((1.0, 0.0)) is CausalCharacter.LIGHTLIKE
-    assert causal_character((2.0, 0.0)) is CausalCharacter.TIMELIKE
+    assert graph_label((0.0, 0.0)) == "spacelike"
+    assert graph_label((1.0, 0.0)) == "lightlike"
+    assert graph_label((2.0, 0.0)) == "timelike"
+    # `metric_sign`'s 1, 0 and -1, as `zmc sample` passes them
+    assert causal_label(np.array([1.0, 0.0, -1.0])).tolist() == [
+        "spacelike", "lightlike", "timelike"]
 
 
 def test_mixed_type_across_fold():
     forms = build_oneforms(SCHERK2)
     for th in RNG.uniform(0, 2 * math.pi, 16):
         g_space = graph_gradient(forms, 1.0 + 0.8, th)
-        assert causal_character(g_space) is CausalCharacter.SPACELIKE
+        assert graph_label(g_space) == "spacelike"
         g_light = graph_gradient(forms, 1.0, th)
-        assert causal_character(g_light) is CausalCharacter.LIGHTLIKE
+        assert graph_label(g_light) == "lightlike"
     # u < 1 samples sit in the time-like band beyond the fold
     for gamma in SCHERK2.angular.gammas:
         for du in (0.05, 0.15):
             u = float(SCHERK2.angular.max_cos(gamma)) + du
             assert u < 1.0
             g_time = graph_gradient(forms, u, gamma)
-            assert causal_character(g_time) is CausalCharacter.TIMELIKE
+            assert graph_label(g_time) == "timelike"
 
 
 # ---------------------------------------------------------------- one evaluator

@@ -6,10 +6,11 @@ import pytest
 
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.errors import BlaschkeOutOfDisk, AngularOrderError, InputError, RepeatedAngles
-from zmc.gallery import elliptic_catenoid_negative, helicoid_negative
-from zmc.polycheb import contour_residue
-from zmc.weierstrass import (GeneralCoeffs, PrincipalCoeffs, build, coefficients,
-                             dg_numerator, hopf_differential,
+from zmc import weierstrass
+from zmc.gallery import elliptic_catenoid_negative, get_entry, helicoid_negative
+from zmc.polycheb import ComplexPoly, RationalFn, contour_residue
+from zmc.weierstrass import (GeneralCoeffs, PrincipalCoeffs, WeierstrassPair, build,
+                             coefficients, dg_numerator, hopf_differential,
                              hopf_zero_pole_orders, period_check,
                              principal_coefficients, verify_fold_type)
 
@@ -75,6 +76,8 @@ def test_build_rejects_bad_input():
         AngularData(2, (0.1, 0.5, 1.0, 3.0))
     with pytest.raises(InputError):
         build(AngularData(2, (0.0, 1.0, 2.0, 3.0)), BlaschkeParams((0.3,)))
+    with pytest.raises(InputError, match="at most 2 Blaschke parameters"):
+        build(AngularData(3, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)), BlaschkeParams((0.1, 0.2, 0.3)))
 
 
 @pytest.mark.parametrize("alphas", [(0.0, math.nan, 1.0, 3.0), (math.nan, 1.0, 2.0, 3.0),
@@ -202,6 +205,117 @@ def test_fold_type_general_blaschke():
                  BlaschkeParams((0.25, -0.1j)))
     rep = verify_fold_type(data)
     assert rep.is_fold_type
+
+
+def _ref_effective_poles(num, den, den_poles):
+    """Denominator root multiset minus numerator cancellation."""
+    f = RationalFn(num, den, poles=den_poles)
+    parts = [(p, m, f.principal_part(p)) for p, m in f.poles]
+    scale = max((np.abs(c).max() for _, _, c in parts), default=0.0)
+    scale = max(scale, 1e-300)
+    out = []
+    for p, m, coeffs in parts:
+        order = m
+        while order > 0 and abs(coeffs[order - 1]) <= 1e-9 * scale:
+            order -= 1
+        if order:
+            out.append((p, order))
+    return out
+
+
+def _ref_ends_on_circle(pair):
+    """Condition (i) read off the list of ends: every pole of omega, g omega
+    and g^2 omega is merged, counted and phase-sorted, then each finite end
+    is tested against the circle and the order at infinity against 0; the
+    oracle for `weierstrass._ends_on_circle`."""
+    gn, gd = pair.g.num, pair.g.den
+    on, od = pair.omega.num, pair.omega.den
+    den = od * (gd * gd)
+    den_poles = weierstrass._merged_poles(pair.omega.poles, pair.g.poles, pair.g.poles)
+    if den.degree != sum(m for _, m in den_poles):
+        raise InputError("a pole of g lies beyond what double precision resolves in the "
+                         "fold-type test; give Blaschke parameters 0 instead of near 0")
+    finite = {}
+    inf_order = 0
+    for num in (on * (gd * gd), on * (gn * gd), on * (gn * gn)):
+        for p, m in _ref_effective_poles(num, den, den_poles):
+            key = next((q for q in finite if abs(q - p) < 1e-8), None)
+            if key is not None:
+                finite[key] = max(finite[key], m)
+            else:
+                finite[complex(p)] = m
+        inf_order = max(inf_order, num.degree + 2 - den.degree)
+    ends = sorted(finite.items(), key=lambda km: cmath.phase(km[0]) % (2 * math.pi))
+    return inf_order <= 0 and all(abs(abs(p) - 1.0) < weierstrass._CIRCLE_TOL for p, _ in ends)
+
+
+ORACLE_GALLERY = ("scherk:2", "scherk:3", "scherk:4", "scherk:5", "jorge-meeks:2",
+                  "jorge-meeks:3", "ruled-enneper", "parabolic", "self-intersecting-fb",
+                  "self-intersecting-n3", "helicoid-negative", "elliptic-catenoid-negative")
+
+
+def random_kobayashi(rng):
+    """n = 2..5, a repeated angle in about a third of the draws, Blaschke
+    moduli from 1e-9 up to 0.99; drawn again where `build` refuses the
+    moduli as too small to resolve."""
+    while True:
+        n = int(rng.integers(2, 6))
+        alphas = np.sort(rng.uniform(0, 2 * math.pi, 2 * n))
+        alphas[0] = 0.0
+        if rng.random() < 0.35:
+            k = int(rng.integers(1, 2 * n))
+            alphas[k] = alphas[k - 1]
+        b = tuple(rng.choice([1e-9, 1e-3, 0.3, 0.7, 0.99]) * cmath.exp(2j * math.pi * rng.random())
+                  for _ in range(0 if n == 2 else int(rng.integers(0, n))))
+        try:
+            return build(AngularData(n, tuple(alphas)), BlaschkeParams(b))
+        except InputError:
+            pass
+
+
+def random_raw_pair(rng):
+    """g and omega from roots inside, on and outside the circle (about half
+    the draws with every pole on it), some poles repeated, numerators of
+    random degree."""
+    radii = [1.0] if rng.random() < 0.5 else [0.5, 1.0, 2.0]
+
+    def points(k, radii):
+        pts = list(rng.choice(radii, size=k) * np.exp(2j * math.pi * rng.random(k)))
+        if pts and rng.random() < 0.3:
+            pts.append(pts[0])
+        return pts
+
+    def rational(zeros, poles):
+        return RationalFn(ComplexPoly.from_roots(zeros, lead=cmath.exp(2j * rng.random())),
+                          ComplexPoly.from_roots(poles),
+                          poles=[(p, poles.count(p)) for p in dict.fromkeys(poles)])
+
+    g = rational(points(int(rng.integers(0, 3)), [0.5, 1.0, 2.0]),
+                 points(int(rng.integers(0, 3)), radii))
+    omega = rational(points(int(rng.integers(0, 3)), [0.5, 1.0, 2.0]),
+                     points(int(rng.integers(2, 7)), radii))
+    return WeierstrassPair(g, omega)
+
+
+def test_ends_on_circle_matches_reference(monkeypatch):
+    rng = np.random.default_rng(20)
+    cases = [get_entry(nm) for nm in ORACLE_GALLERY]
+    cases = [e.pair if e.data is None else e.data for e in cases]
+    cases += [random_kobayashi(rng) for _ in range(250)]
+    cases += [random_raw_pair(rng) for _ in range(300)]
+
+    def outcome(case):
+        try:
+            return verify_fold_type(case)
+        except InputError as exc:
+            return exc
+
+    reports = [outcome(c) for c in cases]
+    monkeypatch.setattr(weierstrass, "_ends_on_circle", _ref_ends_on_circle)
+    for case, rep in zip(cases, reports):
+        assert repr(rep) == repr(outcome(case)), case
+    on = [rep.ends_on_circle for rep in reports if not isinstance(rep, InputError)]
+    assert min(sum(on), len(on) - sum(on)) >= 50
 
 
 # ---------------------------------------------------------------- periods
