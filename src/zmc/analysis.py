@@ -190,14 +190,16 @@ class GraphInverter:
     boundary logarithm exact.  Far out between two end directions both their
     clearances fall below what a double theta resolves; the corner chart
     (p, q) = (log D_a, log D_b) of each sector between simple ends a, b of gap
-    below pi (`SurfaceEvaluator.corner`) reaches there.
+    below pi (`SurfaceEvaluator.corner`) reaches there.  Each target starts
+    in the chart whose seed leaves the smaller residual.
     """
 
-    DEEP = -25.0  # corner seeds with min(p, q) below this skip the end chart
     # Newton sweeps a node while its residual exceeds ATOL * scale, at most
-    # MAXITER times, in both charts; `_newton` calls it converged at the
-    # looser 1e-10 * scale
-    MAXITER, ATOL = 60, 1e-13
+    # MAXITER times (CORNER_SWEEPS in a corner chart: from a good affine seed
+    # it needs up to 8, and the other chart is the fallback), with the step
+    # lengths 2^-k in the groups STEPS[i] <= k < STEPS[i + 1]; `_newton`
+    # calls it converged at 1e-10 * scale
+    MAXITER, CORNER_SWEEPS, ATOL, STEPS = 60, 10, 1e-13, (0, 1, 2, 4, 8, 16, 40)
 
     def __init__(self, data: KobayashiData):
         why = _graph_refusal(data.angular)
@@ -209,8 +211,7 @@ class GraphInverter:
         l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0),
                             np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
         self._seed_l, self._seed_th = l.ravel(), th.ravel()
-        self._seed_vals = self.evaluator.jet(self._seed_l, self._seed_th)[0]
-        self._seed_tree = cKDTree(self._seed_vals[1:].T)
+        self._seed_tree = cKDTree(self.evaluator.jet(self._seed_l, self._seed_th)[0][1:].T)
         # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
         # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
         # its seeds are clipped to e^p, e^q <= sin g, inside the chart.  A
@@ -244,8 +245,8 @@ class GraphInverter:
 
     def newton_batch(self, X, Y, start=None):
         """Solve for every target in the end chart, from the chart points
-        start = (l, theta) as given, or with no start from the seed-bank
-        point nearest each target.
+        start = (l, theta) as given, by default the seed-bank point nearest
+        each target (`_nearest_seed`).
 
         Iterates on a node while its residual exceeds ``ATOL * scale``, with
         scale = 1 + max(|x|, |y|), for at most ``MAXITER`` sweeps; the
@@ -268,35 +269,36 @@ class GraphInverter:
         boundary chart.
         """
         target = np.array([np.ravel(X), np.ravel(Y)], dtype=float)
-        if start is None:
-            # the seed nearest the target, which is made finite and clipped
-            # so that no distance overflows (the query then finds no seed)
-            best = self._seed_tree.query(np.clip(np.nan_to_num(target.T), -1e150, 1e150))[1]
-            l, th, vals = self._seed_l[best], self._seed_th[best], self._seed_vals[:, best]
-        else:
-            # copies: Newton moves its chart points in place
-            l, th = (np.array(c, dtype=float).ravel() for c in start)
-            th = self._unkink(th)
-            vals = self.evaluator.jet(l, th)[0]
+        # copies: Newton moves its chart points in place
+        l, th = (np.array(c, dtype=float).ravel()
+                 for c in (self._nearest_seed(target)[1] if start is None else start))
         return self._newton(lambda k, l, th, d=True: self.evaluator.jet(l, th, int(d)), l, th,
-                            vals, target, shove=self._unkink)
+                            self.evaluator.jet(l, th)[0], target, shove=self._unkink)
+
+    def _nearest_seed(self, target):
+        """The residual the seed-bank point nearest each target leaves, and that
+        point (l, theta); targets are clipped to +-1e150 so that a seed is found."""
+        d, i = self._seed_tree.query(np.fmax(np.fmin(target.T, 1e150), -1e150))
+        return d, (self._seed_l[i], self._seed_th[i])
 
     @np.errstate(all="ignore")
-    def _newton(self, chart, c1, c2, vals, target, shove=None):
+    def _newton(self, chart, c1, c2, vals, target, shove=None, sweeps=None):
         """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
         (f~, d f~/dc1, d f~/dc2) at the nodes of index array k.  Updates the
-        chart points c1, c2 and their values vals in place; returns (c1, c2,
-        lambda, ok, residual).  A sweep clips each Newton step to length 8 and
-        tries the lengths alpha = 1, 1/2, ..., 2^-39, evaluating only the nodes
-        that have taken none; a node takes the first with residual <= rn (1 -
-        1e-4 alpha).  `shove` moves the nodes no length improves off the corner
-        they usually sit on; those it leaves in place are frozen.  The line
-        search rejects every non-finite value, and ok needs a finite residual,
-        so numpy warns of none of them."""
+        chart points c1, c2 and their values vals in place, in at most
+        `sweeps` (MAXITER) sweeps; returns (c1, c2, lambda, ok, residual).  A
+        sweep clips each Newton step to length 8 and tries the lengths alpha =
+        1, 1/2, ..., 2^-39, one chart call per group of STEPS over the nodes
+        no earlier group improved; a node takes the first length with residual
+        <= rn (1 - 1e-4 alpha), as trying one length at a time would (alpha *
+        step is exact).  `shove` moves the nodes no length improves off the
+        corner they usually sit on; those it leaves in place are frozen.  The
+        line search rejects every non-finite value, and ok needs a finite
+        residual, so numpy warns of none of them."""
         scale = 1.0 + np.abs(target).max(axis=0)
         rn = np.hypot(*(vals[1:] - target))
         frozen = np.zeros(c1.size, dtype=bool)
-        for _ in range(self.MAXITER):
+        for _ in range(sweeps or self.MAXITER):
             k = np.flatnonzero((rn > self.ATOL * scale) & ~frozen)
             if not k.size:
                 break
@@ -308,18 +310,23 @@ class GraphInverter:
             s1 = -(d2[2] * R[0] - d2[1] * R[1]) / det
             s2 = -(-d1[2] * R[0] + d1[1] * R[1]) / det
             shrink = np.minimum(1.0, 8.0 / np.maximum(np.hypot(s1, s2), 1e-300))
-            s1, s2, alpha = s1 * shrink, s2 * shrink, 1.0
-            for _try in range(40):
-                t1, t2 = c1[k] + alpha * s1, c2[k] + alpha * s2
-                v = chart(k, t1, t2, False)[0]
-                crn = np.hypot(*(v[1:] - target[:, k]))
-                take = crn <= rn[k] * (1 - 1e-4 * alpha)
-                i = k[take]
-                c1[i], c2[i], vals[:, i], rn[i] = t1[take], t2[take], v[:, take], crn[take]
-                k, s1, s2 = k[~take], s1[~take], s2[~take]
+            s1, s2 = s1 * shrink, s2 * shrink
+            for k0, k1 in zip(self.STEPS[:-1], self.STEPS[1:]):
+                # the group's candidates, length-major, then node-major views
+                m, a = k1 - k0, 2.0 ** -np.arange(k0, k1)[:, None]
+                t1, t2 = c1[k] + a * s1, c2[k] + a * s2
+                v = chart(k if m == 1 else np.tile(k, m), t1.ravel(), t2.ravel(), False)[0]
+                v = v.reshape(3, m, -1)
+                crn = np.hypot(*(v[1:] - target[:, None, k]))
+                take = crn <= rn[k] * (1 - 1e-4 * a)
+                if m > 1:
+                    take &= np.cumsum(take, axis=0) == 1  # a node's first length that passes
+                hit, take = take.any(axis=0), take.T
+                i = k[hit]
+                c1[i], c2[i], vals[:, i], rn[i] = t1.T[take], t2.T[take], v.T[take].T, crn.T[take]
+                k, s1, s2 = k[~hit], s1[~hit], s2[~hit]
                 if not k.size:
                     break
-                alpha /= 2.0
             th = c2[k] if shove is None else shove(c2[k], eps=1e-7)
             moved = th != c2[k]
             frozen[k[~moved]] = True
@@ -332,43 +339,50 @@ class GraphInverter:
 
     def _corner_seed(self, X, Y):
         """The affine model's solution on every sector, ranked per target by
-        the residual the chart leaves there: (a, b, p, q), each (sectors, n),
-        p = q = NaN where a seed is not finite."""
+        the residual the chart leaves there: (a, b, p, q, residual), each
+        (sectors, n), p = q = NaN where a seed is not finite, and its values."""
         n, target = X.size, np.array([X, Y])[:, None, :]
         c, Jinv, cap = self._affine
         p, q = np.minimum(np.einsum("ijs,jsn->isn", Jinv, target - c[:, :, None]), cap)
         with np.errstate(all="ignore"):
             v = self.evaluator.corner(*np.repeat(self._sec.T, n, axis=1), p.ravel(), q.ravel())[1]
-            rn = np.hypot(*(v[1:].reshape((2,) + p.shape) - target))
+            v = v.reshape((3,) + p.shape)
+            rn = np.hypot(*(v[1:] - target))
         k = np.argsort(np.where(rn >= 0, rn, np.inf), axis=0, kind="stable")
-        p, q = (np.where(np.isfinite(np.take_along_axis(rn, k, 0)), np.take_along_axis(m, k, 0),
-                         np.nan) for m in (p, q))
-        return self._sec[k, 0], self._sec[k, 1], p, q
+        rn, v = np.take_along_axis(rn, k, 0), np.take_along_axis(v, k[None], 1)
+        p, q = (np.where(np.isfinite(rn), np.take_along_axis(m, k, 0), np.nan) for m in (p, q))
+        return self._sec[k, 0], self._sec[k, 1], p, q, rn, v
 
     def _solve(self, X, Y):
-        """`invert`'s dispatch, batched.  Returns (l, theta, lambda, converged,
-        residual, (a, b, s, t)): the end-chart point, and the point Newton
-        solved in: the corner point (p, q) = (s, t) of sector (a, b), or with
-        a = -1 the end point (l, theta) = (s, t).  A corner point's l is the
-        log clearance of the end nearest its theta, as the end chart takes
-        it: min(p, q) where that is end a or b."""
-        X, Y = (np.asarray(v, dtype=float).ravel() for v in (X, Y))
-        sa, sb, p, q = self._corner_seed(X, Y)
+        """`invert`'s dispatch, batched: a target starts in the corner chart if
+        its best corner seed leaves a smaller residual than its nearest
+        seed-bank point, else in the end chart, and falls back to the other
+        chart, keeping the smaller residual.  Returns (l, theta, lambda,
+        converged, residual, (a, b, s, t)): the end-chart point, and the point
+        Newton solved in: the corner point (p, q) = (s, t) of sector (a, b), or
+        with a = -1 the end point (l, theta) = (s, t).  A corner point's l is
+        the log clearance of the end nearest its theta: min(p, q) at end a or b."""
+        X, Y = T = np.array([np.ravel(X), np.ravel(Y)], dtype=float)
+        sa, sb, p, q, crn, cv = self._corner_seed(X, Y)
+        dist, (sl, sth) = self._nearest_seed(T)
+        first = (crn[:1] < dist).any(axis=0)  # starts in the corner chart
         out = np.full((9, X.size), np.nan)  # l, theta, lambda, ok, residual, s, t, a, b
         out[3], out[7:] = 0.0, -1.0
-        end = np.flatnonzero(~(np.minimum(p, q)[:1] < self.DEEP).any(axis=0))
-        if end.size:
-            l, th, *res = self.newton_batch(X[end], Y[end])
-            out[:7, end] = (l, th, *res, l, th)
+
+        def end(k):  # the end chart from the seed-bank points, kept where it does better
+            if k.size:
+                l, th, *res = self.newton_batch(X[k], Y[k], (sl[k], sth[k]))
+                take = ~(res[2] >= out[4, k])
+                out[:7, k[take]], out[7:, k[take]] = np.array([l, th, *res, l, th])[:, take], -1
+        end(np.flatnonzero(~first))
         for r in range(len(p)):  # the sectors in the order of their seeds
             k = np.flatnonzero((out[3] == 0.0) & ~np.isnan(p[r]))
             if not k.size:
                 break
             ka, kb = sa[r, k], sb[r, k]
-            v = self.evaluator.corner(ka, kb, p[r, k], q[r, k])[1]
             pk, qk, *res = self._newton(
                 lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
-                p[r, k], q[r, k], v, np.array([X[k], Y[k]]))
+                p[r, k], q[r, k], cv[:, r, k], T[:, k], sweeps=self.CORNER_SWEEPS)
             thk = self.evaluator.corner(ka, kb, pk, qk)[0]
             # l is the log clearance of the end j nearest theta, the argmax of
             # cos(theta - beta_j) as in `jet`: min(p, q) for j = a or b, else
@@ -380,15 +394,15 @@ class GraphInverter:
                               np.log(np.exp(pk) + dj))
             take = ~(res[2] >= out[4, k])
             out[:, k[take]] = np.array([lk, thk, *res, pk, qk, ka, kb])[:, take]
+        end(np.flatnonzero(first & (out[3] == 0.0)))
         l, th, lam, ok, rn, s, t, a, b = out
         return l, th, lam, ok == 1.0, rn, (a.astype(np.int64), b.astype(np.int64), s, t)
 
     def invert(self, x: float, y: float) -> tuple[float, float, float]:
         """Unique preimage (u, theta) of (x, y), plus the graph height lambda.
 
-        A target whose best corner seed has min(p, q) < DEEP = -25 is solved
-        in the corner chart, any other in the end chart from the seed bank,
-        then in the corner chart if that misses; `NoConvergence` carries the
+        Each target starts in the chart whose seed leaves the smaller residual
+        and falls back to the other (`_solve`); `NoConvergence` carries the
         residual when both miss.  u = max cos(theta - beta) + e^l is formed
         from the end-chart point (l, theta), whose e^l is the clearance of
         the end nearest theta, also for a corner solve: below a clearance of
@@ -414,11 +428,11 @@ class GraphInverter:
 
         Where the dispatch leaves a node of row i >= 1 above Newton's
         tolerance ATOL * scale, one end-chart `newton_batch` starts it from
-        the end-chart point (l, theta mod 2 pi) of node (i - 1, j), where
-        that is finite and e^l does not underflow.  Its answer is kept where
-        it leaves a smaller residual, and the next row starts there.  This
-        fallback reaches far nodes of sectors that have only the end chart
-        (jorge-meeks:2, parabolic), which the seed bank misses.
+        the end-chart point (l, theta mod 2 pi, `_unkink`ed) of node (i - 1,
+        j), where that is finite and e^l does not underflow.  Its answer is
+        kept where it leaves a smaller residual, and the next row starts
+        there.  This fallback reaches far nodes of sectors that have only the
+        end chart (jorge-meeks:2, parabolic), which the seed bank misses.
 
         Returns (l, theta, lam, converged, residual) arrays of shape
         (len(ys), len(xs)).
@@ -431,7 +445,8 @@ class GraphInverter:
             j = np.flatnonzero(miss[i] & (np.exp(l[i - 1]) > 0) & np.isfinite(th[i - 1]))
             if not j.size:
                 continue
-            new = self.newton_batch(X[i, j], Y[i, j], (l[i - 1, j], th[i - 1, j] % TWO_PI))
+            new = self.newton_batch(X[i, j], Y[i, j],
+                                    (l[i - 1, j], self._unkink(th[i - 1, j] % TWO_PI)))
             take = new[4] < np.where(np.isnan(rn[i, j]), np.inf, rn[i, j])
             for v, w in zip(out, new):
                 v[i, j[take]] = w[take]

@@ -221,6 +221,45 @@ def test_invert_round_trip():
     assert abs(lam - vals[0, 0]) < 1e-10
 
 
+def test_invert_far_probe_solves_in_the_corner_chart(monkeypatch):
+    # (-4.963, 6.202) on scherk:2: its corner seed leaves a smaller residual
+    # than the seed bank, so the corner chart solves it in a few evaluator
+    # calls (measured 4), where a 126-call end-chart run used to stop at the
+    # loose test 2.6e-10 off; lambda keeps the 50-digit closed form
+    # (log cosh 2x - log cosh 2y) / 2 to 1e-15 (measured 1e-16)
+    inv = GraphInverter(get_entry("scherk:2").data)
+    calls, jet, corner = [], inv.evaluator.jet, inv.evaluator.corner
+    monkeypatch.setattr(inv.evaluator, "jet", lambda *a: calls.append(a) or jet(*a))
+    monkeypatch.setattr(inv.evaluator, "corner", lambda *a: calls.append(a) or corner(*a))
+    x, y = -4.963, 6.202
+    lam = inv.invert(x, y)[2]
+    assert len(calls) <= 10
+    with mp.workdps(50):
+        want = (mp.log(mp.cosh(2 * mp.mpf(x))) - mp.log(mp.cosh(2 * mp.mpf(y)))) / 2
+        assert abs(lam - want) <= 1e-15 * (1 + abs(lam))
+
+
+def test_invert_corner_run_in_the_wrong_sector_is_capped(monkeypatch):
+    # on this random n = 3 surface the best corner seed of (-1.2, -1.6), in
+    # sector (0, 1), beats the seed bank, but that chart does not hold the
+    # preimage: Newton creeps there with damped steps.  After CORNER_SWEEPS
+    # sweeps the next sector solves it: 59 evaluator calls, where a full
+    # MAXITER run in the first sector made 322
+    data = make(3, (0.0, 0.40161887804327845, 1.8801721927476516, 3.0358415460901265,
+                    4.45883424070194, 5.558687614741227))
+    inv = GraphInverter(data)
+    x, y = -1.2, -1.6
+    sa, sb, _, _, crn, _ = inv._corner_seed(np.array([x]), np.array([y]))
+    assert (sa[0, 0], sb[0, 0]) == (0, 1) and crn[0, 0] < inv._nearest_seed(np.array([[x], [y]]))[0][0]
+    calls, corner = [], inv.evaluator.corner
+    monkeypatch.setattr(inv.evaluator, "corner", lambda *a: calls.append(a) or corner(*a))
+    lam = inv.invert(x, y)[2]
+    assert len(calls) <= 70
+    a, b = inv._solve([x], [y])[5][:2]
+    assert (a[0], b[0]) == (1, 2)
+    assert_chart_point_reproduces(inv, x, y, lam)
+
+
 def test_invert_scherk_identity_grid():
     inv = GraphInverter(SCHERK2)
     for x in np.linspace(-1.2, 1.2, 10):
@@ -546,10 +585,13 @@ def test_invert_whole_plane(seed, turn):
     for i in (np.argmin(l), X.size - 1, 0, 20):
         x, y = X[i], Y[i]
         assert_chart_point_reproduces(inv, x, y, inv.invert(x, y)[2])
-    # where the seed lies above depth -25, invert is the end chart's answer
-    # to the bit, with u formed from its chart point
-    _, _, p, q = inv._corner_seed(X, Y)
-    for i in np.flatnonzero(~(np.minimum(p[0], q[0]) < -25.0)):
+    # where the nearest seed-bank point is at least as close as the best
+    # corner seed, invert is the end chart's answer to the bit, with u formed
+    # from its chart point; elsewhere the corner chart solves the target
+    crn = inv._corner_seed(X, Y)[4][0]
+    first = crn < inv._nearest_seed(np.array([X, Y]))[0]
+    assert np.all(a[first] >= 0)
+    for i in np.flatnonzero(~first):
         l, th, lam, ok, _ = inv.newton_batch([X[i]], [Y[i]])
         if ok[0]:
             end = inv._from_chart(l, th) + (lam,)
@@ -557,14 +599,14 @@ def test_invert_whole_plane(seed, turn):
 
 
 def test_invert_corner_solve_off_its_sector_reproduces_target():
-    # (0.5, 0.866) solves in the corner chart of sector (2, 3) at p > 0,
-    # where end 4 is the nearest: u comes from that end's clearance, and
-    # (u, theta) re-evaluates to the target
-    x, y = 0.5, 0.866
+    # (-1.4, -1.4) solves in the corner chart of sector (2, 3), where end 1
+    # is the nearest: u comes from that end's clearance, and (u, theta)
+    # re-evaluates to the target
+    x, y = -1.4, -1.4
     inv = GraphInverter(random_gap_data(2214))
     _, th, _, _, _, (a, b, _, _) = inv._solve([x], [y])
     assert (a[0], b[0]) == (2, 3)
-    assert np.argmax(np.cos(th[0] - inv.evaluator.betas)) == 4
+    assert np.argmax(np.cos(th[0] - inv.evaluator.betas)) == 1
     u, th, lam = inv.invert(x, y)
     vals = inv.evaluator.eval_batch([u], [th])[:, 0]
     assert np.abs(vals - [lam, x, y]).max() <= 1e-10 * (1 + max(abs(x), abs(y)))
@@ -1352,7 +1394,7 @@ def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
 
 
 @np.errstate(all="ignore")
-def _ref_newton(self, chart, c1, c2, vals, target, shove=None):
+def _ref_newton(self, chart, c1, c2, vals, target, shove=None, sweeps=None):
     """GraphInverter._newton as a loop that keeps a step length per node:
     every length re-evaluates every active node, and every sweep ends by
     evaluating the whole batch; the oracle for the production loop."""
@@ -1360,7 +1402,7 @@ def _ref_newton(self, chart, c1, c2, vals, target, shove=None):
     R = vals[1:] - target
     rn = np.hypot(R[0], R[1])
     frozen = np.zeros(c1.size, dtype=bool)
-    for _ in range(self.MAXITER):
+    for _ in range(sweeps or self.MAXITER):
         active = (rn > self.ATOL * scale) & ~frozen
         if not active.any():
             break
@@ -1416,6 +1458,7 @@ def _grid_chart_points(inv, xs):
 
 @pytest.mark.parametrize("name, res, R", [
     ("scherk:3", 41, 2.0), ("scherk:3", 41, 1e3),  # the end chart, the corner chart
+    ("scherk:2", 41, 20.0), ("scherk:5", 41, 20.0),
     ("parabolic", 21, 5.0),  # fallback rows
     ("jorge-meeks:2", 41, 100.0)])
 def test_newton_matches_loop_reference(name, res, R, monkeypatch):
@@ -1448,12 +1491,15 @@ def test_newton_from_p_infinity_matches_loop_reference(name, monkeypatch):
 
 
 def test_newton_evaluates_only_pending_nodes(monkeypatch):
-    # each step length evaluates only the nodes that have taken none, and no
-    # sweep evaluates the whole batch: measured 33,202 chart points on this
-    # grid against the loop reference's 80,046
+    # replayed from its chart calls, every sweep of the scherk:3 grid makes
+    # one Jacobian call, then one call per step-length group over the nodes
+    # that no earlier group improved, each length once, then at most one
+    # shove call over nodes no length improved; the replayed residuals are
+    # Newton's.  In all, the grid evaluates 22,841 chart points, where the
+    # one-length-at-a-time line search of the same dispatch took 32,067
     inv = GraphInverter(SCHERK3)
     xs = np.linspace(-2.0, 2.0, 41)
-    points, jet, corner = [], inv.evaluator.jet, inv.evaluator.corner
+    points, jet, corner, newton = [], inv.evaluator.jet, inv.evaluator.corner, inv._newton
 
     def counted_jet(l, th, order=0):
         points.append(np.size(l))
@@ -1463,15 +1509,43 @@ def test_newton_evaluates_only_pending_nodes(monkeypatch):
         points.append(np.size(p))
         return corner(a, b, p, q, order)
 
+    def replayed(chart, c1, c2, vals, target, shove=None, sweeps=None):
+        calls, rn = [], np.hypot(*(vals[1:] - target))
+
+        def recorded(k, t1, t2, d=True):
+            out = chart(k, t1, t2, d)
+            calls.append((d, np.array(k), np.hypot(*(out[0][1:] - target[:, k]))))
+            return out
+
+        result = newton(recorded, c1, c2, vals, target, shove, sweeps)
+        calls = iter(calls)
+        call = next(calls, None)
+        while call is not None:
+            d, k, _ = call
+            assert d
+            call = next(calls, None)
+            for k0, k1 in zip(GraphInverter.STEPS[:-1], GraphInverter.STEPS[1:]):
+                if not k.size:
+                    break
+                d, kk, crn = call
+                assert not d and np.array_equal(kk, np.tile(k, k1 - k0))
+                crn = crn.reshape(k1 - k0, -1)
+                take = crn <= rn[k] * (1 - 1e-4 * 2.0 ** -np.arange(k0, k1)[:, None])
+                hit = take.any(axis=0)
+                rn[k[hit]] = crn[take.argmax(axis=0)[hit], np.flatnonzero(hit)]
+                k, call = k[~hit], next(calls, None)
+            if call is not None and not call[0]:
+                d, kk, crn = call
+                assert np.isin(kk, k).all()
+                rn[kk], call = crn, next(calls, None)
+        assert np.array_equal(rn, result[4], equal_nan=True)
+        return result
+
     monkeypatch.setattr(inv.evaluator, "jet", counted_jet)
     monkeypatch.setattr(inv.evaluator, "corner", counted_corner)
-    counts = []
-    for newton in (GraphInverter._newton, _ref_newton):
-        monkeypatch.setattr(GraphInverter, "_newton", newton)
-        points.clear()
-        inv.invert_grid(xs, xs)
-        counts.append(sum(points))
-    assert 2 * counts[0] <= counts[1]
+    monkeypatch.setattr(inv, "_newton", replayed)
+    inv.invert_grid(xs, xs)
+    assert sum(points) < 33_202  # the count under the -25 depth rule and one length at a time
 
 
 # Nodes are independent in newton_batch up to rounding: numpy computes a

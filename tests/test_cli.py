@@ -603,6 +603,21 @@ def test_graph_scherk2_identity(capsys, tmp_path):
     assert worst < 1e-8
 
 
+def test_graph_scherk2_far_grid_closed_form(capsys, tmp_path):
+    # over [-20, 20]^2 every node starts in the chart whose seed is closer
+    # and settles at Newton's tolerance: each height keeps the closed form
+    # log cosh x - log cosh y to 1e-12 (measured 1.5e-13), where the end
+    # chart's loose stop once left nodes off by up to 4.9e-10
+    out_path = tmp_path / "graph.csv"
+    code, _, _ = run(["graph", "--gallery", "scherk:2", "--x-range=-20:20",
+                      "--y-range=-20:20", "--resolution", "41", "-o", str(out_path)], capsys)
+    assert code == 0
+    x, y, lam = np.loadtxt(out_path, delimiter=",", skiprows=1, usecols=(0, 1, 2)).T
+    assert x.size == 41 * 41
+    want = np.log(np.cosh(x)) - np.log(np.cosh(y))
+    assert np.all(np.abs(lam - want) <= 1e-12 * (1 + np.abs(lam)))
+
+
 def test_graph_jorge_meeks2_identity(capsys, tmp_path):
     out_path = tmp_path / "graph.csv"
     code, _, _ = run(["graph", "--gallery", "jorge-meeks:2", "--x-range=-2:2",
