@@ -9,6 +9,7 @@ by explicit critical points where the Chebyshev factors vanish.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from .angular import TWO_PI, AngularData
 from .domain import sample_edges
-from .errors import NoConvergence, OutsideDomain, PreconditionUnmet
+from .errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from .polycheb import ReciprocalClass, cheb_table, cluster_roots, reduce_coeffs
 from .surface import SurfaceEvaluator
 from .weierstrass import (KobayashiData, FoldTypeReport, dg_numerator,
@@ -534,6 +535,9 @@ _CHUNK = 1 << 15  # pairs (of groups, then of points) tested per sweep
 # Gauss-Newton tries the step lengths 2^-k, k < 12, in the groups
 # _STEP_EDGES[i] <= k < _STEP_EDGES[i + 1]
 _STEP_EDGES = (0, 1, 2, 4, 8, 12)
+# the candidate stage's sort key is below 5 N^3 for N = res^2 grid points,
+# which fits int64 up to this resolution
+_SCAN_RES_MAX = 1107
 
 
 def _block_pairs(edges, width):
@@ -546,7 +550,7 @@ def _block_pairs(edges, width):
         blocks = np.arange(p0, p1 + 1)
         p = np.repeat(blocks, np.minimum(edges[blocks + 1], k1) - np.maximum(edges[blocks], k0))
         k = np.arange(k0, k1) - edges[p]
-        yield p, k // width[p], k % width[p]
+        yield p, *np.divmod(k, width[p])
 
 
 def _near_pairs(plane, mu, local, cell, tol_param):
@@ -556,31 +560,40 @@ def _near_pairs(plane, mu, local, cell, tol_param):
 
     The members of a capped cell that share a chart square of side
     tol_param / 4 form a group, bounded by its plane box, its chart box and
-    its largest `local`.  A pair of groups in neighbouring cells is dropped,
-    with all its point pairs, when
+    its largest `local`; a cell is bounded by the chart box and the largest
+    `local` of its groups.  A pair of a cell and a forward neighbour (or
+    itself) is dropped, with all its group pairs, when
+    - its joined chart box has diameter squared at most tol^2 (1 - 1e-9),
+      so every point pair fails the chart prefilter below;
+    - or its largest `local` is at most 0.15 cell.
+    A pair of groups in the surviving cell pairs is dropped, with all its
+    point pairs, when
     - the gap between its plane boxes, squared, is at least cell^2 (1 + 1e-9),
       so every point pair fails the plane prefilter below;
-    - its joined chart box has diameter squared at most tol^2 (1 - 1e-9),
-      so every point pair fails the chart prefilter;
+    - its joined chart box has diameter squared at most tol^2 (1 - 1e-9);
     - its largest `local` is at most 0.15 cell;
     - or its plane gap is at least 2.5 (1 + 1e-9) times its largest `local`.
     Each drop is exact, whatever the grouping: rounding is monotone, so a
     computed box gap (box width) is at most (at least) the computed
     difference of any two members, and so are the squares and sums built
-    from them.  The last rule keeps 1e-9 of slack because hypot is only
-    faithfully rounded.  Within a cell a group is paired with itself (each
-    of its point pairs once) and with each later group; the chart rule
-    drops a group's pairs with itself, as its chart diameter is at most
-    sqrt(2) tol / 4 < tol.  The point pairs of the surviving group pairs
-    are tested at most `_CHUNK` at a time, then sorted into enumeration
-    order."""
+    from them; a cell's box holds the boxes of its groups.  The last rule
+    keeps 1e-9 of slack because hypot is only faithfully rounded.  Within
+    a cell a group is paired with itself (each of its point pairs once)
+    and with each later group; the chart rule drops a group's pairs with
+    itself, as its chart diameter is at most sqrt(2) tol / 4 < tol.  The
+    point pairs of the surviving group pairs are tested at most `_CHUNK`
+    at a time, then sorted into enumeration order by one int64 key,
+    (major * N + I) * N + J with major = 5 * (first point of the cell) +
+    offset, below 5 N^3 (`_SCAN_RES_MAX`)."""
+    n = mu.size
     keys = np.floor(plane / cell).astype(np.int64)
     ky = keys[1] - keys[1].min() + 1  # keeps ky - 1 from wrapping a column
     width = int(ky.max()) + 2
     packed = (keys[0] - keys[0].min()) * width + ky
     order = np.argsort(packed, kind="stable")  # by cell, then by index
-    cells, start, count = np.unique(packed[order], return_index=True,
-                                    return_counts=True)
+    packed = packed[order]
+    start = np.flatnonzero(np.diff(packed, prepend=-1))  # ky >= 1, so packed >= 1
+    cells, count = packed[start], np.diff(np.r_[start, packed.size])
     first = order[start]  # each cell's first point in grid order
     cid = np.repeat(np.arange(cells.size), count)
     # the cap: a cell of more than 800 points keeps every step-th one
@@ -589,20 +602,25 @@ def _near_pairs(plane, mu, local, cell, tol_param):
     members, cid = order[keep], cid[keep]
     del keys, ky, packed, order, keep
 
-    # groups, contiguous per cell: members by cell, then chart square
-    pts = np.vstack((plane[:, members], mu.real[members], mu.imag[members]))
-    sq = np.floor(pts[2:] / (0.25 * tol_param))
-    srt = np.lexsort((sq[1], sq[0], cid))
-    members, cid, pts, sq = members[srt], cid[srt], pts[:, srt], sq[:, srt]
-    new = np.r_[True, (np.diff(cid) != 0) | (np.diff(sq, axis=1) != 0).any(axis=0)]
-    gs = np.flatnonzero(new)  # each group's first member
+    # groups, contiguous per cell: members by cell, then chart square, on
+    # one key below cells * span[0] * span[1]; `take` keeps the rows of pts
+    # contiguous, where plane[:, members] would not
+    pts = np.vstack((plane.take(members, axis=1), mu.real[members], mu.imag[members]))
+    sq = np.floor(pts[2:] / (0.25 * tol_param)).astype(np.int64)
+    sq -= sq.min(axis=1, keepdims=True)
+    span = sq.max(axis=1) + 1
+    key = (cid * span[0] + sq[0]) * span[1] + sq[1]
+    srt = np.argsort(key, kind="stable")
+    members, cid, pts, key = members[srt], cid[srt], pts.take(srt, axis=1), key[srt]
+    gs = np.flatnonzero(np.diff(key, prepend=-1))  # each group's first member
     gn = np.diff(np.r_[gs, members.size])
     per_cell = np.bincount(cid[gs], minlength=cells.size)
+    g0 = np.cumsum(per_cell) - per_cell  # each cell's first group
     xlo, ylo, rlo, ilo = np.minimum.reduceat(pts, gs, axis=1)
     xhi, yhi, rhi, ihi = np.maximum.reduceat(pts, gs, axis=1)
     big = np.maximum.reduceat(local[members], gs)
 
-    # every pair of groups in a cell and a forward neighbour
+    # every cell with itself and each forward neighbour, less the whole-cell drops
     ca, cb, co = [], [], []
     for o, (oi, oj) in enumerate(_FORWARD):
         want = cells + oi * width + oj
@@ -612,9 +630,18 @@ def _near_pairs(plane, mu, local, cell, tol_param):
         cb.append(nb[c])
         co.append(np.full(c.size, o))
     ca, cb, co = (np.concatenate(c) for c in (ca, cb, co))
-    g0 = np.cumsum(per_cell) - per_cell  # each cell's first group
     near2 = cell * cell * (1.0 + 1e-9)
     far2 = tol_param * tol_param * (1.0 - 1e-9)
+    crlo, cilo = np.minimum.reduceat((rlo, ilo), g0, axis=1)
+    crhi, cihi = np.maximum.reduceat((rhi, ihi), g0, axis=1)
+    cbig = np.maximum.reduceat(big, g0)
+    wr = np.maximum(crhi[ca], crhi[cb]) - np.minimum(crlo[ca], crlo[cb])
+    wi = np.maximum(cihi[ca], cihi[cb]) - np.minimum(cilo[ca], cilo[cb])
+    live = np.flatnonzero((wr * wr + wi * wi > far2)
+                          & (np.maximum(cbig[ca], cbig[cb]) > 0.15 * cell))
+    ca, cb, co = ca[live], cb[live], co[live]
+
+    # every pair of groups in the surviving cell pairs
     GA, GB, GO = [ca[:0]], [cb[:0]], [co[:0]]
     for p, ra, rb in _block_pairs(np.r_[0, np.cumsum(per_cell[ca] * per_cell[cb])], per_cell[cb]):
         ga, gb, go = g0[ca[p]] + ra, g0[cb[p]] + rb, co[p]
@@ -638,7 +665,7 @@ def _near_pairs(plane, mu, local, cell, tol_param):
     # the point pairs of the surviving group pairs, _CHUNK at a time
     mx, my, mr, mi = pts
     mm, ml = mu[members], local[members]
-    major, I, J = [np.zeros(0, np.int64)], [members[:0]], [members[:0]]
+    found = [np.zeros(0, np.int64)]
     for p, ra, rb in _block_pairs(np.r_[0, np.cumsum(gn[ga] * gn[gb])], gn[gb]):
         a, b = gs[ga[p]] + ra, gs[gb[p]] + rb
         # squared distances with 1e-9 slack are only a prefilter; the exact
@@ -654,22 +681,30 @@ def _near_pairs(plane, mu, local, cell, tol_param):
         a, b, o = a[ok], b[ok], go[p[ok]]
         i, j = members[a], members[b]
         flip = (o == 0) & (i > j)  # within a cell the lower index comes first
-        I.append(np.where(flip, j, i))
-        J.append(np.where(flip, i, j))
-        major.append(first[cid[a]] * len(_FORWARD) + o)
-    major, I, J = (np.concatenate(c) for c in (major, I, J))
-    pick = np.lexsort((J, I, major))
-    return I[pick], J[pick]
+        major = first[cid[a]] * len(_FORWARD) + o
+        found.append((major * n + np.where(flip, j, i)) * n + np.where(flip, i, j))
+    found = np.concatenate(found)
+    found.sort()
+    IJ, J = np.divmod(found, n)
+    return IJ % n, J
 
 
 def _dedupe_pairs(mu, I, J, h):
     """First pair, in the given order, of each unordered pair of chart cells:
-    mu rounded to a multiple of h, ties to even."""
-    # one id per point; two complex numbers are equal when both parts are
-    q = np.rint(mu.real / h) + 1j * np.rint(mu.imag / h)
-    _, key = np.unique(q, return_inverse=True)
-    lo, hi = np.minimum(key[I], key[J]), np.maximum(key[I], key[J])
-    _, first = np.unique(lo * (key.max() + 1) + hi, return_index=True)
+    mu rounded to a multiple of h, ties to even.  One int64 sort of
+    (cell pair * m + position) over the m pairs finds them."""
+    # one id per chart cell; |mu| < 1 in the scan (u > -1), so there are
+    # fewer than (2 / h + 1)^2 ids, and the sort key stays below that squared
+    # times m
+    qr, qi = np.rint(mu.real / h), np.rint(mu.imag / h)
+    qr, qi = (qr - qr.min()).astype(np.int64), (qi - qi.min()).astype(np.int64)
+    cid = qr * (int(qi.max()) + 1) + qi
+    a, b = cid[I], cid[J]
+    m = I.size
+    key = (np.minimum(a, b) * (int(cid.max()) + 1) + np.maximum(a, b)) * m + np.arange(m)
+    key.sort()
+    pair, pos = np.divmod(key, m)
+    first = pos[np.flatnonzero(np.diff(pair, prepend=-1))]
     first.sort()
     return I[first], J[first]
 
@@ -691,9 +726,12 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     and of the 4 forward cells (1, 0), (0, 1), (1, 1), (1, -1) when their
     plane distance d < cell, max(local) > 0.15 cell, d < 2.5 max(local)
     and their chart points mu = e^(i theta) / (u + 2) lie more than
-    tol_param = 0.05 apart.  Pairs are enumerated by the first appearance
-    of the first point's cell in grid order, then by offset, then by first
-    point, then by second point.  In that order, the first pair of each
+    tol_param = 0.05 apart.  Whole cell pairs, then pairs of groups (the
+    points of a cell in one chart square), that no point pair of theirs
+    can pass are dropped untested; the drops are exact (`_near_pairs`).
+    Pairs are enumerated by the first appearance of the first point's cell
+    in grid order, then by offset, then by first point, then by second
+    point.  In that order, the first pair of each
     unordered pair of chart cells (mu rounded to multiples of tol_param / 2)
     seeds a Gauss-Newton solve.
 
@@ -714,9 +752,13 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
 
     The grid has `grid_resolution` rows, from clearance 0.01 above the
     boundary up to u = 3.  Raises `InputError` for a resolution that
-    `domain.sample_edges` rejects.
+    `domain.sample_edges` rejects, and for one above 1107, before sampling:
+    the candidate stage orders its pairs by one int64 key below 5 N^3,
+    N = resolution^2, which would wrap from 1108 on.
     """
     res, tol_param = grid_resolution, _TOL_PARAM
+    if isinstance(res, numbers.Integral) and res > _SCAN_RES_MAX:
+        raise InputError(f"grid_resolution must be at most {_SCAN_RES_MAX}, got {res}")
     th, lo = sample_edges(data.angular, res, _SCAN_MARGIN, _SCAN_U_MAX)
     ev = SurfaceEvaluator(data)
     s = (np.arange(res) / (res - 1.0)) ** 2

@@ -101,13 +101,20 @@ class ComplexPoly:
         return npoly.polyroots(np.asarray(self.coeffs))
 
     def taylor_at(self, z0: complex, nterms: int) -> np.ndarray:
-        """First nterms Taylor coefficients around z0."""
+        """First nterms Taylor coefficients around z0.
+
+        The value is `npoly.polyval`'s Horner recurrence and the derivative
+        `npoly.polyder`'s j * c[j], written out to skip their per-call
+        overhead."""
         c = np.asarray(self.coeffs)
         out = np.empty(nterms, dtype=complex)
         fact = 1.0
         for i in range(nterms):
-            out[i] = npoly.polyval(z0, c) / fact
-            c = npoly.polyder(c)
+            acc = c[-1] + z0 * 0
+            for ck in c[-2::-1]:
+                acc = ck + acc * z0
+            out[i] = acc / fact
+            c = c[1:] * np.arange(1, c.size) if c.size > 1 else c * 0
             fact *= i + 1
         return out
 
@@ -169,7 +176,7 @@ class RationalFn:
                 continue
             shifted = np.array([pole - p, 1.0], dtype=complex)
             for _ in range(m):
-                c = npoly.polymul(c, shifted)
+                c = np.convolve(c, shifted)  # polymul without its trim: the lead is nonzero
         if c.size < nterms:
             c = np.pad(c, (0, nterms - c.size))
         return c[:nterms]

@@ -947,16 +947,22 @@ def test_injectivity_scan_max_reports_keeps_the_first(monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [
     {"grid_resolution": 1}, {"grid_resolution": 200.5},
-    {"grid_resolution": 60.0}, {"grid_resolution": "60"}], ids=str)
-def test_injectivity_scan_rejects_bad_grid(kwargs):
+    {"grid_resolution": 60.0}, {"grid_resolution": "60"},
+    {"grid_resolution": 1108}], ids=str)
+def test_injectivity_scan_rejects_bad_grid(kwargs, monkeypatch):
     n3 = get_entry("self-intersecting-n3").data
+    if kwargs["grid_resolution"] == 1108:
+        # 1107 is the largest resolution whose pair keys, below 5 N^3 for
+        # N = res^2, fit int64; the scan refuses 1108 before it samples
+        assert analysis._SCAN_RES_MAX == 1107
+        assert 5 * (1107**2) ** 3 < 2**63 <= 5 * (1108**2) ** 3
+        monkeypatch.setattr(analysis, "sample_edges", None)
     with pytest.raises(InputError):
         injectivity_scan(n3, **kwargs)
 
 
-def _ref_near_pairs(plane, mu, local, cell, tol_param):
-    """The scan's candidate stage as a loop over cells; the oracle for
-    analysis._near_pairs."""
+def _ref_cells(plane, cell):
+    """The scan's cells: the grid points of each, in order, capped at 800."""
     cells = {}
     keys = np.floor(plane.T / cell).astype(np.int64)
     for i, key in enumerate(map(tuple, keys)):
@@ -967,6 +973,13 @@ def _ref_near_pairs(plane, mu, local, cell, tol_param):
         if arr.size > 800:
             arr = arr[:: (arr.size + 799) // 800]
         groups[k] = arr
+    return groups
+
+
+def _ref_near_pairs(plane, mu, local, cell, tol_param):
+    """The scan's candidate stage as a loop over cells; the oracle for
+    analysis._near_pairs."""
+    groups = _ref_cells(plane, cell)
     cand_i, cand_j = [], []
     for key, A in groups.items():
         for oi, oj in [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1)]:
@@ -1269,6 +1282,31 @@ def test_near_pairs_matches_loop_reference_on_a_capped_scan_grid(monkeypatch):
     assert np.array_equal(I, rI) and np.array_equal(J, rJ)
 
 
+@pytest.mark.parametrize("name", ["scherk:3", "self-intersecting-n3"])
+def test_near_pairs_drops_whole_cell_pairs(name, monkeypatch):
+    # the cell-level drops leave fewer group pairs to list than the cells'
+    # group counts multiply to, and change no pair; scherk:3 keeps none
+    plane, mu, local, cell, tol = args = _scan_args(name, 120, monkeypatch)
+    listed = []
+    block_pairs = analysis._block_pairs
+
+    def record(edges, width):
+        listed.append(int(edges[-1]))
+        return block_pairs(edges, width)
+
+    monkeypatch.setattr(analysis, "_block_pairs", record)
+    I, J = analysis._near_pairs(*args)
+    side = tol / 4  # a group: the members of a cell in one chart square
+    groups = {key: len({(math.floor(z.real / side), math.floor(z.imag / side)) for z in mu[A]})
+              for key, A in _ref_cells(plane, cell).items()}
+    every = sum(count * groups.get((a + oi, b + oj), 0)
+                for (a, b), count in groups.items() for oi, oj in analysis._FORWARD)
+    assert listed[0] < every
+    rI, rJ = _ref_near_pairs(*args)
+    assert (I.size > 10_000) == (name == "self-intersecting-n3")
+    assert np.array_equal(I, rI) and np.array_equal(J, rJ)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])
 def test_near_pairs_chunks_do_not_change_the_pairs(chunk, monkeypatch):
     # a sweep per pair is slow in Python, so chunk 1 runs on a coarser grid
@@ -1285,6 +1323,12 @@ def test_near_pairs_chunks_do_not_change_the_pairs(chunk, monkeypatch):
        cell=st.sampled_from([1.0, 0.3]), tol_cells=st.sampled_from([0.05, 0.3, 1.0, 1.7]),
        crowded=st.booleans())
 @example(seed=0, n=250, cell=0.3, tol_cells=1.7, crowded=True)
+# whole-cell drops: cell pairs whose chart points all lie within tol, or
+# whose largest `local` is 0.15 cell; and cell pairs kept on the edge, one
+# whose chart box is wider than tol by a nudge, and ones whose largest
+# `local` is the next double above 0.15 cell
+@example(seed=205, n=20, cell=1.0, tol_cells=1.7, crowded=False)
+@example(seed=102, n=40, cell=1.0, tol_cells=1.7, crowded=False)
 def test_near_pairs_matches_loop_reference_on_edge_clouds(seed, n, cell, tol_cells, crowded):
     # points on quarter cells, so many lie exactly on cell edges and many
     # coincide; chart points on multiples of tol / 4, the side of the

@@ -2,14 +2,19 @@ import cmath
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zmc.angular import AngularData, BlaschkeParams
-from zmc.errors import BlaschkeOutOfDisk, AngularOrderError, InputError, RepeatedAngles
+from zmc.errors import (BlaschkeOutOfDisk, AngularOrderError, InputError, RepeatedAngles,
+                        ZmcError)
 from zmc import weierstrass
 from zmc.gallery import elliptic_catenoid_negative, get_entry, helicoid_negative
-from zmc.polycheb import ComplexPoly, RationalFn, contour_residue
-from zmc.weierstrass import (GeneralCoeffs, PrincipalCoeffs, WeierstrassPair, build,
+from zmc.polycheb import ComplexPoly, RationalFn, contour_residue, partial_fractions
+from zmc.surface import SurfaceEvaluator
+from zmc.weierstrass import (GeneralCoeffs, KobayashiData, PrincipalCoeffs, WeierstrassPair, build,
                              coefficients, dg_numerator, hopf_differential,
                              hopf_zero_pole_orders, period_check,
                              principal_coefficients, verify_fold_type)
@@ -316,6 +321,75 @@ def test_ends_on_circle_matches_reference(monkeypatch):
         assert repr(rep) == repr(outcome(case)), case
     on = [rep.ends_on_circle for rep in reports if not isinstance(rep, InputError)]
     assert min(sum(on), len(on) - sum(on)) >= 50
+
+
+def _ref_principal_part(self, pole):
+    """RationalFn.principal_part through numpy.polynomial's polyval, polyder
+    and polymul; the oracle for its written-out Taylor and cofactor
+    expansions."""
+    p, m = self._find_pole(pole)
+    c = np.asarray(self.num.coeffs)
+    a = np.empty(m, dtype=complex)
+    fact = 1.0
+    for i in range(m):
+        a[i] = npoly.polyval(p, c) / fact
+        c = npoly.polyder(c)
+        fact *= i + 1
+    b = np.array([self._lead()], dtype=complex)
+    for q, k in self.poles:
+        if q != p:
+            for _ in range(k):
+                b = npoly.polymul(b, np.array([p - q, 1.0], dtype=complex))
+    b = np.pad(b, (0, max(m - b.size, 0)))[:m]
+    g = np.empty(m, dtype=complex)
+    for i in range(m):
+        g[i] = (a[i] - (g[:i] * b[i:0:-1]).sum()) / b[0]
+    return g[::-1].copy()
+
+
+def _principal_outcomes(case):
+    """repr (exact for every float but NaN) of each principal part,
+    partial-fraction list and fold-type report of `case`, and the bytes of
+    its evaluator matrix; an error stands for its result."""
+    forms = (case.phi + (case.g,)) if isinstance(case, KobayashiData) else (case.g, case.omega)
+
+    def outcome(fn, *args):
+        try:
+            out = fn(*args)
+        except ZmcError as exc:
+            return repr(exc)
+        return out.tobytes() if isinstance(out, np.ndarray) else repr(out)
+
+    got = [outcome(f.principal_part, p) for f in forms for p, _ in f.poles]
+    got += [outcome(partial_fractions, f) for f in forms]
+    got.append(outcome(verify_fold_type, case))
+    if isinstance(case, KobayashiData):
+        got.append(outcome(lambda d: SurfaceEvaluator(d)._M, case))
+    return got
+
+
+def _assert_principal_parts_match_reference(case):
+    got = _principal_outcomes(case)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(RationalFn, "principal_part", _ref_principal_part)
+        assert got == _principal_outcomes(case)
+
+
+@pytest.mark.parametrize("name", ORACLE_GALLERY + ("order6",))
+def test_principal_parts_match_reference_on_gallery(name):
+    if name == "order6":  # one end of pole order 6
+        case = build(AngularData(3, (0.0,) * 6), BlaschkeParams(()))
+    else:
+        entry = get_entry(name)
+        case = entry.pair if entry.data is None else entry.data
+    _assert_principal_parts_match_reference(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(6)  # n = 3 with a repeated angle and two nonzero Blaschke parameters
+def test_principal_parts_match_reference_on_random_data(seed):
+    _assert_principal_parts_match_reference(random_kobayashi(np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------- periods
