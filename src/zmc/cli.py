@@ -217,7 +217,7 @@ def cmd_classify(args) -> int:
     ft = report["fold_type"]
     print(f"  fold-type: {'yes' if ft['is_fold_type'] else 'NO'} "
           f"(ends on circle: {ft['ends_on_circle']}, |g|=1 on circle: {ft['gauss_circle_ok']}, "
-          f"max Re[dg/(g^2 omega)] = {ft['max_re_condition']:.3e})")
+          f"Re[dg/(g^2 omega)] = 0 identity residual {ft['max_re_condition']:.3e})")
     if report["kind"] == "kobayashi":
         print(f"  order n = {report['n']}, "
               f"{'principal' if report['principal'] else 'general'} type")

@@ -152,7 +152,7 @@ def helicoid_negative() -> GalleryEntry:
         name="helicoid-negative",
         data=None,
         pair=WeierstrassPair(g, om),
-        expected={"fold_type": False, "fails": "ends"},
+        expected={"fold_type": False},
     )
 
 
@@ -164,7 +164,7 @@ def elliptic_catenoid_negative() -> GalleryEntry:
         name="elliptic-catenoid-negative",
         data=None,
         pair=WeierstrassPair(g, om),
-        expected={"fold_type": False, "fails": "ends"},
+        expected={"fold_type": False},
     )
 
 

@@ -23,7 +23,6 @@ from .errors import InputError, NumericError, RepeatedAngles
 from .polycheb import ComplexPoly, RationalFn, cluster_roots
 
 _CIRCLE_TOL = 1e-9
-_CIRCLE_SAMPLES = 256  # points of the unit circle the fold-type test reads
 
 
 def _blaschke_factor_polys(b: tuple[complex, ...]) -> tuple[ComplexPoly, ComplexPoly]:
@@ -141,12 +140,6 @@ class WeierstrassPair:
     omega: RationalFn
 
 
-def pair_of(data: KobayashiData) -> WeierstrassPair:
-    return WeierstrassPair(
-        g=data.g,
-        omega=RationalFn(data.omega_num, data.omega_den, poles=data.ends))
-
-
 def _merged_poles(*pole_lists) -> list[tuple[complex, int]]:
     merged: list[tuple[complex, int]] = []
     for p, m in (pm for lst in pole_lists for pm in lst):
@@ -187,6 +180,16 @@ def _ends_on_circle(pair: WeierstrassPair) -> bool:
     return True
 
 
+def _circle_identity(*terms: tuple[ComplexPoly, ComplexPoly]) -> tuple[float, float]:
+    """(largest coefficient of sum p rev(q), largest of the first p rev(q)).
+    rev(q) = z^d conj(q(1/conj z)), d the largest degree, is z^d conj(q) on
+    |z| = 1: the sum is 0 exactly when sum p conj(q) is 0 on the circle."""
+    d = max(len(f.coeffs) for t in terms for f in t)
+    cs = [[np.pad(f.coeffs, (0, d - len(f.coeffs))) for f in t] for t in terms]
+    prods = [np.convolve(p, np.conj(q)[::-1]) for p, q in cs]
+    return float(np.abs(sum(prods)).max()), float(np.abs(prods[0]).max())
+
+
 @dataclass(frozen=True)
 class FoldTypeReport:
     ends_on_circle: bool
@@ -196,7 +199,7 @@ class FoldTypeReport:
 
     @property
     def fold_condition_ok(self) -> bool:
-        return self.max_re_condition < 1e-9 * self.re_condition_scale
+        return self.max_re_condition <= 1e-9 * self.re_condition_scale
 
     @property
     def is_fold_type(self) -> bool:
@@ -204,35 +207,31 @@ class FoldTypeReport:
 
 
 def verify_fold_type(data: KobayashiData | WeierstrassPair) -> FoldTypeReport:
-    """Numerically test the three fold-type conditions.
+    """Test the three fold-type conditions as exact coefficient identities.
 
-    (i) every end on the unit circle: a yes/no test that no pole of omega,
-    g omega or g^2 omega lies off the circle or at infinity; (ii) |g| = 1
-    exactly on the circle; (iii) Re[dg/(g^2 omega)] vanishing along it.
+    (i) no pole of omega, g omega or g^2 omega off the unit circle or at
+    infinity: `build` puts every end on the circle, so for its data (i) is
+    deg p_k <= deg q - 2; raw pairs go through `_ends_on_circle`.
+    (ii) |g| = 1 on the circle: gnum rev(gnum) = gden rev(gden).
+    (iii) Re[dg/(g^2 omega)] = Re(A/B) = 0 on it, A = N omega_den and
+    B = gnum^2 omega_num: A rev(B) + rev(A) B = 0.  (ii) and (iii) hold when
+    the identity's largest coefficient is at most 1e-9 of its first term's.
     """
-    pair = pair_of(data) if isinstance(data, KobayashiData) else data
-    ends_on_circle = _ends_on_circle(pair)
-
-    theta = np.arange(_CIRCLE_SAMPLES) * (2 * math.pi / _CIRCLE_SAMPLES) + 1e-3
-    circle = np.exp(1j * theta)
-    gn, gd = pair.g.num, pair.g.den
-    gvals = gn(circle) / gd(circle)
-    gauss_circle_ok = bool(np.max(np.abs(np.abs(gvals) - 1.0)) < 1e-10)
-
-    # dg/(g^2 omega) = N * omega_den / (gnum^2 * omega_num)
-    wnum = dg_numerator(pair) * pair.omega.den
-    wden = (gn * gn) * pair.omega.num
-    dvals = wden(circle)
-    ok = np.abs(dvals) > 1e-12 * np.max(np.abs(dvals))
-    w = wnum(circle[ok]) / dvals[ok]
-    scale = max(1.0, float(np.max(np.abs(w))))
-    max_re = float(np.max(np.abs(w.real)))
-
+    gn, gd = data.g.num, data.g.den
+    if isinstance(data, KobayashiData):
+        on, od = data.omega_num, data.omega_den
+        ends_on_circle = all(f.num.degree <= f.den.degree - 2 for f in data.phi)
+    else:
+        on, od = data.omega.num, data.omega.den
+        ends_on_circle = _ends_on_circle(data)
+    gauss_res, gauss_scale = _circle_identity((gn, gn), (-gd, gd))
+    A, B = dg_numerator(data) * od, (gn * gn) * on
+    re_res, re_scale = _circle_identity((A, B), (B, A))
     return FoldTypeReport(
         ends_on_circle=ends_on_circle,
-        gauss_circle_ok=gauss_circle_ok,
-        max_re_condition=max_re,
-        re_condition_scale=scale,
+        gauss_circle_ok=gauss_res <= 1e-9 * gauss_scale,
+        max_re_condition=re_res,
+        re_condition_scale=re_scale,
     )
 
 

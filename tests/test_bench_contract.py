@@ -7,14 +7,19 @@ show up when the benchmark runs; these tests resolve every name without
 running it or installing the tracer.
 """
 
+import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from zmc import cli
 from zmc.analysis import GraphInverter, graph_table, injectivity_scan
 from zmc.gallery import get_entry
 from zmc.surface import eval_on_disk, integrate_oneform
@@ -136,3 +141,25 @@ def test_scan_collisions_hold_python_floats():
     for c in hits:
         assert type(c.p1) is tuple and type(c.p2) is tuple
         assert [type(v) for v in c.p1 + c.p2 + (c.distance,)] == [float] * 5
+
+
+def _scan_surfaces():
+    """SCAN_SURFACES as bench/workloads.py assigns it."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SCAN_SURFACES"])
+
+
+@pytest.mark.parametrize("name", _scan_surfaces())
+def test_classify_report_keys_the_scan_checker_reads(name, tmp_path):
+    # bench/workloads.py's _classify_checker compares these four report
+    # values with the gallery's expected verdicts
+    path = tmp_path / "rep.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", "--gallery", name, "--json", str(path)]) == 0
+    rep, want = json.loads(path.read_text()), get_entry(name).expected
+    assert rep["fold_type"]["is_fold_type"] is want["fold_type"]
+    assert rep["graph_condition"] == want["graph_condition"]
+    assert rep["entire_graph_certified"] is want["entire_graph"]
+    assert (rep["period_residual"] < 1e-10) is want["period"]
