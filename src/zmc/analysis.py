@@ -1,8 +1,9 @@
 """Graph / immersion criteria, Newton inversion, analytic PDE residuals, scans.
 
-The two gap conditions on the angular data decide everything: gaps up to
-pi/(n-1) make (x1, x2) a diffeomorphism onto the plane (an entire graph),
-gaps up to 2 pi/(n-1) still give an immersion.  Violations are witnessed
+For principal data (b = 0) the two gap conditions decide everything: gaps
+up to pi/(n-1) make (x1, x2) a diffeomorphism onto the plane (an entire
+graph), gaps up to 2 pi/(n-1) still give an immersion; for b != 0 the gap
+rule alone certifies no graph (ROADMAP item 7).  Violations are witnessed
 by explicit critical points where the Chebyshev factors vanish.
 """
 
@@ -126,8 +127,8 @@ def jacobian_x1x2(data: KobayashiData, u: float, theta: float) -> float:
     p^2, is prod |z - b|^4).  Y = -2 U_{2n-3}(u) for principal data.
     """
     n = data.n
-    if u - data.angular.max_cos(theta) <= 0:
-        raise OutsideDomain(f"({u}, {theta}) outside the extension domain")
+    if not (math.isfinite(u) and math.isfinite(theta) and u - data.angular.max_cos(theta) > 0):
+        raise OutsideDomain(f"({u}, {theta}) not finite or outside the extension domain")
     prod = float(np.prod(u - np.cos(theta - np.asarray(data.angular.alphas))))
     p = _blaschke_poly(data, theta)
     sq = np.convolve(p, p)
@@ -147,7 +148,8 @@ def _fold_factor(data: KobayashiData, u, theta) -> np.ndarray:
 
 
 def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
-    """Determinant of the induced metric of f~ in (u, theta), in closed form.
+    """Determinant of the induced metric of f~ in (u, theta), in closed form:
+    the oracle that the tests hold `causal_label` against.
 
     On the disk the metric is |omega|^2 (1 - |g|^2)^2 |dz|^2, which in
     (u, theta) gives
@@ -166,17 +168,22 @@ def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
     return 16.0 * (u * u - 1.0) * Q**4 / (4.0 ** (2 * data.n) * np.prod(D, axis=-1) ** 2)
 
 
-def metric_sign(data: KobayashiData, u, theta) -> np.ndarray:
-    """Sign of `metric_determinant`: 1 space-like, -1 time-like, 0 light-like.
+def causal_label(data: KobayashiData, u, theta) -> np.ndarray:
+    """The causal type of f~ at each (u, theta), the one label rule of both
+    csv exports: the sign of `metric_determinant`, read off the fold side.
 
-    The determinant itself (about u^-6 far out) overflows or underflows at
-    large u, its sign never: for |u| > 1 the point lies in the open disk,
-    where |g| < 1 keeps Q away from 0, so the sign is 1 there; for |u| < 1
-    it is -1 off the zeros of Q, and 0 at |u| = 1.
+    Space-like for |u| > 1: the point lies in the open disk, where |g| < 1
+    keeps Q away from 0, and the determinant (about u^-6 far out) may
+    underflow or overflow there but its sign cannot change.  Time-like for
+    |u| < 1 where Q != 0, light-like on the zeros of Q and at |u| = 1.
     """
-    a = np.abs(np.asarray(u, dtype=float))
-    Q = _fold_factor(data, np.where(a < 1.0, u, 0.0), theta)
-    return np.where(a > 1.0, 1.0, np.where((a < 1.0) & (Q != 0), -1.0, 0.0))
+    u, theta = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(theta, dtype=float))
+    a = np.abs(u)
+    label = np.where(a > 1.0, "spacelike", "lightlike")
+    inner = a < 1.0  # the only points whose label reads Q
+    label[inner] = np.where(_fold_factor(data, u[inner], theta[inner]) != 0,
+                            "timelike", "lightlike")
+    return label
 
 
 # ---------------------------------------------------------------------------

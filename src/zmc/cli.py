@@ -25,7 +25,7 @@ from .errors import (InputError, NumericError, OutsideDomain, ParityError, Preco
                      ZmcError)
 from .gallery import GalleryEntry, Normalization, get_entry
 from .polycheb import ComplexPoly, ReciprocalClass, reduce_reciprocal
-from .surface import SurfaceEvaluator, causal_label, eval_on_disk
+from .surface import SurfaceEvaluator, eval_on_disk
 from .weierstrass import (KobayashiData, build, coefficients, period_check,
                           verify_fold_type)
 
@@ -328,7 +328,7 @@ def cmd_sample(args) -> int:
         raise NumericError(f"non-finite value at (u, theta) = ({U[i]}, {TH[i]})")
 
     if fmt == "csv":
-        labels = causal_label(_analysis.metric_sign(data, U, TH))
+        labels = _analysis.causal_label(data, U, TH)
         head = ["u,theta,t,x,y,causal"]
     else:
         vals = vals[["txy".index(nm) for nm in names]]
@@ -377,12 +377,12 @@ def cmd_graph(args) -> int:
     ys = np.linspace(y0, y1, res)
     raw_x, raw_y = np.stack([xs, ys]) / np.array(norm.scale[1:])[:, None]
     l, th, lam, ok, _ = inverter._grid(raw_x, raw_y)
-    (lx, ly), _, resid, finite = _analysis.graph_derivatives(inverter, l, th, norm.scale)
+    _, _, resid, finite = _analysis.graph_derivatives(inverter, l, th, norm.scale)
     if not (ok & finite).all():
         i, j = np.argwhere(~(ok & finite))[0]
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
-    causal = causal_label(1.0 - lx**2 - ly**2)
+    causal = _analysis.causal_label(target.data, *inverter._from_chart(l, th))
     xs_s = list(_reprs(xs))
     rows = ("".join(map(f"{{}},{y!r},{{}},{{}},{{}}\n".format, xs_s, _reprs(l), c.tolist(),
                         _reprs(r)))
@@ -466,7 +466,7 @@ def _random_principal(rng, n: int) -> KobayashiData:
     while True:
         gaps = rng.uniform(0.05, 1.0, size=2 * n)
         gaps *= 2 * math.pi / gaps.sum()
-        if n == 2 or gaps.max() < bound * 0.98:
+        if gaps.max() < bound * 0.98:
             alphas = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
             return build(AngularData(n, tuple(alphas)), BlaschkeParams(()))
 

@@ -127,7 +127,7 @@ def ruled_enneper() -> GalleryEntry:
         pair=None,
         implicit=_enneper_implicit,
         expected={"fold_type": True, "period": True, "graph_condition": "violated",
-                  "entire_graph": False, "self_intersecting": False, "embedded": True},
+                  "entire_graph": False, "self_intersecting": False},
     )
 
 

@@ -47,20 +47,9 @@ class SurfacePoint:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
-LIGHTLIKE_TOL = 1e-6  # |q| below this is light-like
-
-
-def causal_label(q) -> np.ndarray:
-    """The causal type for each q of the metric's sign, such as 1 - f_x^2 - f_y^2
-    on a graph t = f(x, y): light-like where |q| < LIGHTLIKE_TOL, else
-    space-like where q > 0, else time-like."""
-    return np.where(np.abs(q) < LIGHTLIKE_TOL, "lightlike",
-                    np.where(q > 0, "spacelike", "timelike"))
-
-
 def _require_inside(angular: AngularData, u: float, theta: float) -> None:
-    if u - angular.max_cos(theta) < _EDGE:
-        raise OutsideDomain(f"(u, theta) = ({u}, {theta}) too close to the boundary")
+    if not (math.isfinite(u) and math.isfinite(theta) and u - angular.max_cos(theta) >= _EDGE):
+        raise OutsideDomain(f"(u, theta) = ({u}, {theta}) not finite or too close to the boundary")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zmc import analysis
-from zmc.analysis import (Condition, GraphInverter, check_conditions, classify,
+from zmc.analysis import (Condition, GraphInverter, causal_label, check_conditions, classify,
                           graph_derivatives, graph_table, injectivity_scan,
-                          jacobian_x1x2, metric_determinant, metric_sign, umbilics)
+                          jacobian_x1x2, metric_determinant, umbilics)
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from zmc.gallery import get_entry
@@ -202,12 +202,20 @@ def test_metric_determinant_matches_gram_determinant(data):
     det = metric_determinant(data, u, th)
     assert np.all(np.abs(det - (E * G - F * F)) <= 1e-10 * size)
     assert np.all(np.sign(det) == np.sign(u - 1))
-    assert np.array_equal(metric_sign(data, u, th), np.sign(det))
+    want = np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
+    assert np.array_equal(causal_label(data, u, th), want)
 
 
 def test_jacobian_outside_domain():
     with pytest.raises(OutsideDomain):
         jacobian_x1x2(SCHERK2, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("u, theta", [(math.nan, 0.3), (1.5, math.nan), (math.inf, 0.3)])
+def test_jacobian_refuses_non_finite(u, theta):
+    # a NaN fails the domain test, and an infinite u is no point of the domain
+    with pytest.raises(OutsideDomain):
+        jacobian_x1x2(get_entry("scherk:3").data, u, theta)
 
 
 # ---------------------------------------------------------------- inversion
@@ -688,15 +696,19 @@ def test_inverter_leaves_out_singular_corner_sectors(n, alphas):
 
 def test_invert_grid_fallback_rows_reach_far_nodes():
     # parabolic's sectors have only the end chart; far out the seed bank
-    # misses nodes that a start from the row before reaches
+    # misses nodes that a start from the row before reaches.  The second
+    # case is `zmc graph`'s default table (R = 2, resolution 41): the
+    # dispatch alone misses (-1, -1.2), where Newton stalls at theta = pi/2,
+    # and only the fallback rows write the table whole
     inv = GraphInverter(get_entry("parabolic").data)
-    xs = np.linspace(-5.0, 5.0, 21)
-    X, Y = np.meshgrid(xs, xs)
-    u, th, lam, ok, rn = inv.invert_grid(xs, xs)
-    assert ok.sum() >= 440 and ok.sum() > inv._solve(X, Y)[3].sum()
-    with np.errstate(over="ignore"):
-        phi = 0.5 * (np.exp(4 * (lam + X)) - 1) + 2 * (lam - X) - 4 * Y * Y
-    assert np.all(np.abs(phi[ok]) <= 1e-10 * (1 + np.maximum(np.abs(X), np.abs(Y)))[ok])
+    for R, res, least in ((5.0, 21, 440), (2.0, 41, 41 * 41)):
+        xs = np.linspace(-R, R, res)
+        X, Y = np.meshgrid(xs, xs)
+        u, th, lam, ok, rn = inv.invert_grid(xs, xs)
+        assert ok.sum() >= least and ok.sum() > inv._solve(X, Y)[3].sum()
+        with np.errstate(over="ignore"):
+            phi = 0.5 * (np.exp(4 * (lam + X)) - 1) + 2 * (lam - X) - 4 * Y * Y
+        assert np.all(np.abs(phi[ok]) <= 1e-10 * (1 + np.maximum(np.abs(X), np.abs(Y)))[ok])
 
 
 def test_graph_table_shares_invert_grid_solve():

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from zmc import cli
-from zmc.analysis import GraphInverter, graph_derivatives, metric_determinant
+from zmc.analysis import (GraphInverter, causal_label, graph_derivatives, graph_table,
+                          metric_determinant)
 from zmc.cli import main
 from zmc.domain import FinitePoint
-from zmc.surface import SurfaceEvaluator, causal_label
+from zmc.surface import SurfaceEvaluator
 
 
 def run(argv, capsys):
@@ -536,12 +537,15 @@ def oracle_graph_text(name, x0, x1, y0, y1, res):
     xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
     raw_x, raw_y = xs / norm.scale[1], ys / norm.scale[2]
     l, th, lam, ok, _ = inverter._grid(raw_x, raw_y)
-    (lx, ly), _, resid, finite = graph_derivatives(inverter, l, th, norm.scale)
+    _, _, resid, finite = graph_derivatives(inverter, l, th, norm.scale)
     assert (ok & finite).all()
+    # each node's label is the sign of the metric determinant at its chart point
+    det = metric_determinant(entry.data, *inverter._from_chart(l, th))
     lines = ["x,y,lambda,causal,zmc_residual"]
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            causal = str(causal_label(1.0 - lx[i, j] ** 2 - ly[i, j] ** 2))
+            causal = ("spacelike" if det[i, j] > 0 else "timelike" if det[i, j] < 0
+                      else "lightlike")
             lines.append(",".join([_fmt(x), _fmt(y), _fmt(norm.scale[0] * lam[i, j]),
                                    causal, _fmt(resid[i, j])]))
     return "\n".join(lines) + "\n"
@@ -634,6 +638,46 @@ def test_graph_scherk2_far_grid_closed_form(capsys, tmp_path):
     assert x.size == 41 * 41
     want = np.log(np.cosh(x)) - np.log(np.cosh(y))
     assert np.all(np.abs(lam - want) <= 1e-12 * (1 + np.abs(lam)))
+
+
+def graph_labels(capsys, tmp_path, name, x_range, y_range):
+    out_path = tmp_path / "graph.csv"
+    code, _, _ = run(["graph", "--gallery", name, f"--x-range={x_range}",
+                      f"--y-range={y_range}", "--resolution", "41", "-o", str(out_path)], capsys)
+    assert code == 0
+    return np.loadtxt(out_path, delimiter=",", skiprows=1, usecols=3, dtype=str).reshape(41, 41)
+
+
+@pytest.mark.parametrize("name, R", [("scherk:2", 20), ("scherk:4", 2), ("jorge-meeks:2", 2)])
+def test_graph_labels_are_the_sample_rule_at_the_preimage(capsys, tmp_path, name, R):
+    # both csv exports label by one rule: a graph node's label is
+    # `causal_label` at its preimage (u, theta), the label `zmc sample`
+    # writes there; off the fold it is the gradient's sign(1 - |grad lambda|^2)
+    labels = graph_labels(capsys, tmp_path, name, f"-{R}:{R}", f"-{R}:{R}")
+    entry = cli.get_entry(name)
+    data, scale = entry.data, entry.normalization.scale
+    inv = GraphInverter(data)
+    xs = np.linspace(-R, R, 41)
+    raw_x, raw_y = xs / scale[1], xs / scale[2]
+    u, th, _, ok, _ = inv.invert_grid(raw_x, raw_y)
+    assert ok.all()
+    assert np.array_equal(labels, causal_label(data, u, th))
+    _, lx, ly, _, _ = graph_table(inv, raw_x, raw_y)
+    q = 1.0 - (lx * scale[0] / scale[1]) ** 2 - (ly * scale[0] / scale[2]) ** 2
+    off = np.abs(q) > 1e-15
+    assert np.array_equal(labels[off], np.where(q > 0, "spacelike", "timelike")[off])
+
+
+def test_graph_scherk2_axis_nodes_are_spacelike(capsys, tmp_path):
+    # on the x axis of scherk:2 the chart point of every node with |x| <= 18
+    # lies strictly on the space-like side, u > 1, although from |x| = 8 on
+    # 1 - |grad lambda|^2 = 1 - tanh^2 x is below 1e-6, where a tolerance on
+    # the gradient once wrote light-like; at |x| = 19 and 20 u rounds to 1
+    labels = graph_labels(capsys, tmp_path, "scherk:2", "-20:20", "0:0")[0]
+    x = np.abs(np.arange(-20, 21))
+    assert np.all(labels[x <= 18] == "spacelike") and np.all(labels[x > 18] == "lightlike")
+    q = 1.0 - np.tanh(x.astype(float)) ** 2
+    assert np.all(q[(x >= 8) & (x <= 18)] < 1e-6)
 
 
 def test_graph_jorge_meeks2_identity(capsys, tmp_path):

@@ -5,13 +5,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zmc.analysis import causal_label
 from zmc.angular import AngularData, BlaschkeParams
 from zmc.domain import FinitePoint, P_INFINITY, iota
 from zmc.errors import OutsideDomain, PathBlocked, PatternMismatch
 from zmc.gallery import get_entry
 from zmc.polycheb import partial_fractions
-from zmc.surface import (SurfaceEvaluator, SurfacePoint, build_oneforms, causal_label,
-                         eval_degenerate_n2, eval_on_disk, graph_gradient, integrate_oneform)
+from zmc.surface import (SurfaceEvaluator, SurfacePoint, build_oneforms, eval_degenerate_n2,
+                         eval_on_disk, graph_gradient, integrate_oneform)
 from zmc.weierstrass import GeneralCoeffs, build, coefficients
 
 from mp_oracle import mp_corner, mp_reference
@@ -82,6 +83,13 @@ def test_eval_refuses_boundary():
             ev.eval(FinitePoint(1.0, 0.0))
         with pytest.raises(OutsideDomain):
             ev.eval(FinitePoint(0.2, 0.1))
+
+
+@pytest.mark.parametrize("u, theta", [(math.nan, 0.3), (1.5, math.nan), (math.inf, 0.3)])
+def test_eval_refuses_non_finite(u, theta):
+    # a NaN fails the domain test, and an infinite u is no point of the domain
+    with pytest.raises(OutsideDomain):
+        SurfaceEvaluator(get_entry("scherk:3").data).eval(FinitePoint(u, theta))
 
 
 def test_eval_general_matches_principal_route():
@@ -384,33 +392,37 @@ def test_disk_quadrature_blocked_near_end():
 
 # ---------------------------------------------------------------- causal types
 
-def graph_label(grad):
-    return causal_label(1.0 - grad[0] ** 2 - grad[1] ** 2)
-
-
 def test_causal_character_basic():
-    assert graph_label((0.0, 0.0)) == "spacelike"
-    assert graph_label((1.0, 0.0)) == "lightlike"
-    assert graph_label((2.0, 0.0)) == "timelike"
-    # `metric_sign`'s 1, 0 and -1, as `zmc sample` passes them
-    assert causal_label(np.array([1.0, 0.0, -1.0])).tolist() == [
+    # the fold side of (u, theta): space-like for |u| > 1, light-like at
+    # |u| = 1, time-like for |u| < 1 off the zeros of Q, light-like on them
+    th = np.full(3, 0.3)
+    assert causal_label(SCHERK2, np.array([1.8, 1.0, 0.9]), th).tolist() == [
         "spacelike", "lightlike", "timelike"]
+    assert causal_label(SCHERK2, 1.0 + 2.0**-52, 0.3) == "spacelike"
+    # principal n = 3: Q = -U_1(u) = -2u vanishes at u = 0
+    scherk3 = make(3, tuple(math.pi * j / 3 for j in range(6)))
+    assert causal_label(scherk3, np.array([[0.0, 0.5]]), np.array([[1.0, 1.0]])).tolist() == [
+        ["lightlike", "timelike"]]
 
 
 def test_mixed_type_across_fold():
+    # the gradient oracle of the 1-forms agrees with each label:
+    # 1 - |grad lambda|^2 is positive, zero and negative on the three sides
     forms = build_oneforms(SCHERK2)
+
+    def q(u, th):
+        gx, gy = graph_gradient(forms, u, th)
+        return 1.0 - gx * gx - gy * gy
+
     for th in RNG.uniform(0, 2 * math.pi, 16):
-        g_space = graph_gradient(forms, 1.0 + 0.8, th)
-        assert graph_label(g_space) == "spacelike"
-        g_light = graph_gradient(forms, 1.0, th)
-        assert graph_label(g_light) == "lightlike"
+        assert causal_label(SCHERK2, 1.8, th) == "spacelike" and q(1.8, th) > 0
+        assert causal_label(SCHERK2, 1.0, th) == "lightlike" and abs(q(1.0, th)) < 1e-13
     # u < 1 samples sit in the time-like band beyond the fold
     for gamma in SCHERK2.angular.gammas:
         for du in (0.05, 0.15):
             u = float(SCHERK2.angular.max_cos(gamma)) + du
             assert u < 1.0
-            g_time = graph_gradient(forms, u, gamma)
-            assert graph_label(g_time) == "timelike"
+            assert causal_label(SCHERK2, u, gamma) == "timelike" and q(u, gamma) < 0
 
 
 # ---------------------------------------------------------------- one evaluator
