@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -238,6 +239,10 @@ class GraphInverter:
                         np.array([[dq[2], -dq[1]], [-dp[2], dp[1]]]) / det,
                         np.log(np.sin(g[sec]))[:, None])
 
+    @cached_property
+    def _phi_polys(self):  # num, den, num', den' of each phi form, for `graph_derivatives`
+        return [(phi.num, phi.den, phi.num.deriv(), phi.den.deriv()) for phi in self.data.phi]
+
     def _unkink(self, th, eps=3e-9):
         """Shift theta off the boundary corners, where the chart Jacobian
         is one-sided and can poison the Newton direction."""
@@ -304,45 +309,49 @@ class GraphInverter:
         line search rejects every non-finite value, and ok needs a finite
         residual, so numpy warns of none of them."""
         scale = 1.0 + np.abs(target).max(axis=0)
-        rn = np.hypot(*(vals[1:] - target))
-        frozen = np.zeros(c1.size, dtype=bool)
+        # rows c1, c2, f~, residual; tol is inf at a frozen node
+        S = np.array([c1, c2, *vals, np.hypot(*(vals[1:] - target))])
+        tol = self.ATOL * scale
         for _ in range(sweeps or self.MAXITER):
-            k = np.flatnonzero((rn > self.ATOL * scale) & ~frozen)
+            k = (S[5] > tol).nonzero()[0]
             if not k.size:
                 break
-            _, d1, d2 = chart(k, c1[k], c2[k])
+            c, T = S[:2, k], target[:, k]
+            _, d1, d2 = chart(k, *c)
             det = d1[1] * d2[2] - d2[1] * d1[2]
-            R = vals[1:, k] - target[:, k]
+            R = S[3:5, k] - T
             # a singular Jacobian, or a target near the largest double,
             # gives inf/NaN steps, which the line search below rejects
             s1 = -(d2[2] * R[0] - d2[1] * R[1]) / det
             s2 = -(-d1[2] * R[0] + d1[1] * R[1]) / det
             shrink = np.minimum(1.0, 8.0 / np.maximum(np.hypot(s1, s2), 1e-300))
-            s1, s2 = s1 * shrink, s2 * shrink
+            # the pending nodes' rows c1, c2, step, residual, target
+            W = np.array([*c, s1 * shrink, s2 * shrink, S[5, k], *T])
             for k0, k1 in zip(self.STEPS[:-1], self.STEPS[1:]):
-                # the group's candidates, length-major, then node-major views
                 m, a = k1 - k0, 2.0 ** -np.arange(k0, k1)[:, None]
-                t1, t2 = c1[k] + a * s1, c2[k] + a * s2
-                v = chart(k if m == 1 else np.tile(k, m), t1.ravel(), t2.ravel(), False)[0]
-                v = v.reshape(3, m, -1)
-                crn = np.hypot(*(v[1:] - target[:, None, k]))
-                take = crn <= rn[k] * (1 - 1e-4 * a)
+                t = W[:2, None] + a * W[2:4, None]  # the group's candidates, length-major
+                v = chart(np.concatenate((k,) * m), *t.reshape(2, -1), False)[0]
+                crn = np.hypot(*(v[1:].reshape(2, m, -1) - W[5:, None]))
+                take = crn <= W[4] * (1 - 1e-4 * a)
                 if m > 1:
-                    take &= np.cumsum(take, axis=0) == 1  # a node's first length that passes
-                hit, take = take.any(axis=0), take.T
-                i = k[hit]
-                c1[i], c2[i], vals[:, i], rn[i] = t1.T[take], t2.T[take], v.T[take].T, crn.T[take]
-                k, s1, s2 = k[~hit], s1[~hit], s2[~hit]
+                    take &= take.cumsum(axis=0) == 1  # a node's first length that passes
+                pick = take.ravel().nonzero()[0]  # (length, node) flat, one per improved node
+                S[:, k[pick % k.size]] = np.concatenate(
+                    (t.reshape(2, -1), v, crn.reshape(1, -1)), axis=0)[:, pick]
+                keep = ~take.any(axis=0)
+                k, W = k[keep], W[:, keep]
                 if not k.size:
                     break
-            th = c2[k] if shove is None else shove(c2[k], eps=1e-7)
-            moved = th != c2[k]
-            frozen[k[~moved]] = True
-            k = k[moved]
-            if k.size:
-                c2[k] = th[moved]
-                vals[:, k] = chart(k, c1[k], c2[k], False)[0]
-                rn[k] = np.hypot(*(vals[1:, k] - target[:, k]))
+            else:  # no length improved k: shove it off its corner, or freeze it
+                th = W[1] if shove is None else shove(W[1], eps=1e-7)
+                moved = th != W[1]
+                tol[k[~moved]] = np.inf
+                k = k[moved]
+                if k.size:
+                    S[1, k] = th[moved]
+                    S[2:5, k] = chart(k, *S[:2, k], False)[0]
+                    S[5, k] = np.hypot(*(S[3:5, k] - target[:, k]))
+        c1[:], c2[:], vals[:], rn = S[0], S[1], S[2:5], S[5]
         return c1, c2, vals[0], np.isfinite(rn) & (rn <= 1e-10 * scale), rn
 
     def _corner_seed(self, X, Y):
@@ -351,15 +360,14 @@ class GraphInverter:
         (sectors, n), p = q = NaN where a seed is not finite, and its values."""
         n, target = X.size, np.array([X, Y])[:, None, :]
         c, Jinv, cap = self._affine
-        p, q = np.minimum(np.einsum("ijs,jsn->isn", Jinv, target - c[:, :, None]), cap)
+        pq = np.minimum(np.einsum("ijs,jsn->isn", Jinv, target - c[:, :, None]), cap)
         with np.errstate(all="ignore"):
-            v = self.evaluator.corner(*np.repeat(self._sec.T, n, axis=1), p.ravel(), q.ravel())[1]
-            v = v.reshape((3,) + p.shape)
+            v = self.evaluator.corner(*self._sec.T.repeat(n, axis=1), *pq.reshape(2, -1))[1]
+            v = v.reshape((3,) + pq.shape[1:])
             rn = np.hypot(*(v[1:] - target))
-        k = np.argsort(np.where(rn >= 0, rn, np.inf), axis=0, kind="stable")
-        rn, v = np.take_along_axis(rn, k, 0), np.take_along_axis(v, k[None], 1)
-        p, q = (np.where(np.isfinite(rn), np.take_along_axis(m, k, 0), np.nan) for m in (p, q))
-        return self._sec[k, 0], self._sec[k, 1], p, q, rn, v
+        pq[:, ~np.isfinite(rn)] = np.nan
+        k, cols = np.where(rn >= 0, rn, np.inf).argsort(axis=0, kind="stable"), np.arange(n)
+        return (*self._sec.T[:, k], *pq[:, k, cols], rn[k, cols], v[:, k, cols])
 
     def _solve(self, X, Y):
         """`invert`'s dispatch, batched: a target starts in the corner chart if
@@ -370,7 +378,7 @@ class GraphInverter:
         Newton solved in: the corner point (p, q) = (s, t) of sector (a, b), or
         with a = -1 the end point (l, theta) = (s, t).  A corner point's l is
         the log clearance of the end nearest its theta: min(p, q) at end a or b."""
-        X, Y = T = np.array([np.ravel(X), np.ravel(Y)], dtype=float)
+        X, Y = T = np.array([X, Y], dtype=float).reshape(2, -1)
         sa, sb, p, q, crn, cv = self._corner_seed(X, Y)
         dist, (sl, sth) = self._nearest_seed(T)
         first = (crn[:1] < dist).any(axis=0)  # starts in the corner chart
@@ -382,29 +390,29 @@ class GraphInverter:
                 l, th, *res = self.newton_batch(X[k], Y[k], (sl[k], sth[k]))
                 take = ~(res[2] >= out[4, k])
                 out[:7, k[take]], out[7:, k[take]] = np.array([l, th, *res, l, th])[:, take], -1
-        end(np.flatnonzero(~first))
+        end((~first).nonzero()[0])
         for r in range(len(p)):  # the sectors in the order of their seeds
-            k = np.flatnonzero((out[3] == 0.0) & ~np.isnan(p[r]))
+            k = ((out[3] == 0.0) & ~np.isnan(p[r])).nonzero()[0]
             if not k.size:
                 break
             ka, kb = sa[r, k], sb[r, k]
             pk, qk, *res = self._newton(
                 lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
                 p[r, k], q[r, k], cv[:, r, k], T[:, k], sweeps=self.CORNER_SWEEPS)
-            thk = self.evaluator.corner(ka, kb, pk, qk)[0]
-            # l is the log clearance of the end j nearest theta, the argmax of
-            # cos(theta - beta_j) as in `jet`: min(p, q) for j = a or b, else
-            # log(e^p + D_j - D_a)
-            near = np.argmax(np.cos(thk[:, None] - self.evaluator.betas), axis=1)
-            with np.errstate(all="ignore"):  # log D_j is discarded at ends a, b
-                dj = self.evaluator.dcos(thk, ka)[near, np.arange(k.size)]
-                lk = np.where((near == ka) | (near == kb), np.minimum(pk, qk),
-                              np.log(np.exp(pk) + dj))
             take = ~(res[2] >= out[4, k])
-            out[:, k[take]] = np.array([lk, thk, *res, pk, qk, ka, kb])[:, take]
-        end(np.flatnonzero(first & (out[3] == 0.0)))
-        l, th, lam, ok, rn, s, t, a, b = out
-        return l, th, lam, ok == 1.0, rn, (a.astype(np.int64), b.astype(np.int64), s, t)
+            out[2:, k[take]] = np.array([*res, pk, qk, ka, kb])[:, take]
+        end((first & (out[3] == 0.0)).nonzero()[0])
+        l, th, lam, ok, rn, s, t, a, b = *out[:7], *out[7:].astype(np.int64)
+        # a corner solve's theta is the chart's, and its l the log clearance of the end j
+        # nearest theta (as in `jet`): min(p, q) for j = a or b, else log(e^p + D_j - D_a)
+        k = (a >= 0).nonzero()[0]
+        ka, kb, pk, qk = a[k], b[k], s[k], t[k]
+        with np.errstate(all="ignore"):  # off-chart thetas, and log D_j at ends a, b
+            th[k] = thk = self.evaluator.corner_theta(ka, kb, pk, qk)[0]
+            near = np.cos(thk[:, None] - self.evaluator.betas).argmax(axis=1)
+            dj = np.exp(pk) + self.evaluator.dcos(thk, ka)[near, np.arange(k.size)]
+            l[k] = np.where((near == ka) | (near == kb), np.minimum(pk, qk), np.log(dj))
+        return l, th, lam, ok == 1.0, rn, (a, b, s, t)
 
     def invert(self, x: float, y: float) -> tuple[float, float, float]:
         """Unique preimage (u, theta) of (x, y), plus the graph height lambda.
@@ -449,7 +457,7 @@ class GraphInverter:
         out = [v.reshape(X.shape) for v in self._solve(X, Y)[:5]]
         l, th, _, _, rn = out
         miss = ~(rn <= self.ATOL * (1.0 + np.maximum(np.abs(X), np.abs(Y))))
-        for i in range(1, X.shape[0]):
+        for i in np.flatnonzero(miss[1:].any(axis=1)) + 1:
             j = np.flatnonzero(miss[i] & (np.exp(l[i - 1]) > 0) & np.isfinite(th[i - 1]))
             if not j.size:
                 continue
@@ -483,9 +491,9 @@ def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0)):
         far = l > math.log(2.0)
         u, tf = inverter._from_chart(l[far], t[far])
         z = np.exp(1j * tf) / (u + np.sqrt(u * u - 1.0))
-        f1 = np.array([phi(z) for phi in inverter.data.phi])
-        f2 = np.array([(phi.num.deriv()(z) - phi(z) * phi.den.deriv()(z)) / phi.den(z)
-                       for phi in inverter.data.phi])
+        n, d, dn, dd = np.array([[f(z) for f in fs] for fs in inverter._phi_polys]).swapaxes(0, 1)
+        f1 = n / d
+        f2 = (dn - f1 * dd) / d
         for Fk, Dk in zip(F, (f1.real, -f1.imag, f2.real, -f2.imag, -f2.real)):
             Fk[:, far] = Dk
         F1, F2, F11, F12, F22 = F
@@ -593,12 +601,14 @@ def _near_pairs(plane, mu, local, cell, tol_param):
     (major * N + I) * N + J with major = 5 * (first point of the cell) +
     offset, below 5 N^3 (`_SCAN_RES_MAX`)."""
     n = mu.size
+    # cells by rank 1, 2, ... along each axis, two apart across an empty column (row), so
+    # neighbours stay neighbours and ranks below 2N keep the sort key below 5 N^3
     keys = np.floor(plane / cell).astype(np.int64)
-    ky = keys[1] - keys[1].min() + 1  # keeps ky - 1 from wrapping a column
-    width = int(ky.max()) + 2
-    packed = (keys[0] - keys[0].min()) * width + ky
-    order = np.argsort(packed, kind="stable")  # by cell, then by index
-    packed = packed[order]
+    kx, ky = rank = np.empty_like(keys)
+    for k, r, o in zip(keys, rank, keys.argsort(axis=1)):
+        r[o] = np.cumsum(np.minimum(np.diff(k[o], prepend=k[o[:1]] - 1), 2))
+    width = int(ky.max()) + 2  # ky >= 1 keeps ky - 1 from wrapping a column
+    packed, order = np.divmod(np.sort((kx * width + ky) * n + np.arange(n)), n)  # by cell, index
     start = np.flatnonzero(np.diff(packed, prepend=-1))  # ky >= 1, so packed >= 1
     cells, count = packed[start], np.diff(np.r_[start, packed.size])
     first = order[start]  # each cell's first point in grid order
@@ -607,18 +617,18 @@ def _near_pairs(plane, mu, local, cell, tol_param):
     step = (count + _CELL_CAP - 1) // _CELL_CAP
     keep = (np.arange(order.size) - start[cid]) % step[cid] == 0
     members, cid = order[keep], cid[keep]
-    del keys, ky, packed, order, keep
+    del keys, rank, kx, ky, k, r, o, packed, order, keep
 
-    # groups, contiguous per cell: members by cell, then chart square, on
-    # one key below cells * span[0] * span[1]; `take` keeps the rows of pts
-    # contiguous, where plane[:, members] would not
+    # groups, contiguous per cell: members by cell, chart square and index,
+    # on one key below cells * span[0] * span[1] * N; `take` keeps the rows
+    # of pts contiguous, where plane[:, members] would not
     pts = np.vstack((plane.take(members, axis=1), mu.real[members], mu.imag[members]))
     sq = np.floor(pts[2:] / (0.25 * tol_param)).astype(np.int64)
     sq -= sq.min(axis=1, keepdims=True)
     span = sq.max(axis=1) + 1
     key = (cid * span[0] + sq[0]) * span[1] + sq[1]
-    srt = np.argsort(key, kind="stable")
-    members, cid, pts, key = members[srt], cid[srt], pts.take(srt, axis=1), key[srt]
+    key, srt = np.divmod(np.sort(key * n + np.arange(members.size)), n)
+    members, cid, pts = members[srt], cid[srt], pts.take(srt, axis=1)
     gs = np.flatnonzero(np.diff(key, prepend=-1))  # each group's first member
     gn = np.diff(np.r_[gs, members.size])
     per_cell = np.bincount(cid[gs], minlength=cells.size)

@@ -97,8 +97,8 @@ class AngularData:
         """max_j cos(theta - beta_j) over the distinct angles."""
         th = np.asarray(theta, dtype=float)
         b = np.asarray(self.betas)
-        return np.max(np.cos(th[..., None] - b), axis=-1) if th.ndim else float(
-            np.max(np.cos(th - b)))
+        m = np.cos(th - b.reshape(b.shape + (1,) * th.ndim)).max(axis=0)
+        return m if th.ndim else float(m)
 
 
 @dataclass(frozen=True)

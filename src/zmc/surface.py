@@ -101,10 +101,12 @@ class SurfaceEvaluator:
         # product formula tables, indexed [j, a]
         self._mid = (self.betas[:, None] + self.betas[None, :]) / 2.0
         self._half = np.sin((self.betas[:, None] - self.betas[None, :]) / 2.0)
+        g = (self.betas[None, :] - self.betas[:, None]) % TWO_PI / 2.0  # [a, b]: half gap a->b
+        self._sin2g, self._middle = 2.0 * np.sin(g), self.betas[:, None] + g  # for `corner`
         # columns: log D_j, then Re S_k(s_j) and Im S_k(s_j), k-major
         self._M = np.hstack([res / 2.0, gamma.real.reshape(3, -1),
                              -gamma.imag.reshape(3, -1)])
-        self._dead = ~self._M.any(axis=0)
+        self._dead = np.flatnonzero(~self._M.any(axis=0))
 
     def jet(self, l, theta, order: int = 0):
         """f~ at the end-chart point (l, theta), e^l = u - max_j cos(theta - beta_j).
@@ -143,20 +145,23 @@ class SurfaceEvaluator:
         Returns (theta, values, d/dp, d/dq) as `jet` does for order 0 or 1;
         NaN off the chart.
         """
-        g = (self.betas[b] - self.betas[a]) % TWO_PI / 2.0
         with np.errstate(all="ignore"):
-            ep, eq = np.exp(p), np.exp(q)
-            x = (ep - eq) / (2.0 * np.sin(g))
-            theta = self.betas[a] + g + np.arcsin(x)
-            rows, cols = list(self._rows(theta, order, l=p, ref=a)), np.arange(theta.size)
+            theta, x = self.corner_theta(a, b, p, q)
+            rows, cols = self._rows(theta, order, l=p, ref=a), np.arange(theta.size)
             if order:
-                w = 1.0 / (2.0 * np.sin(g) * np.sqrt(1.0 - x * x))  # d theta / d(e^p - e^q)
-                rows[1:] = rows[1] + rows[2] * (ep * w), rows[2] * (-eq * w)
+                w = 1.0 / (self._sin2g[a, b] * np.sqrt(1.0 - x * x))  # d theta / d(e^p - e^q)
+                rows[1:] = rows[1] + rows[2] * (np.exp(p) * w), rows[2] * (-np.exp(q) * w)
             # log D_a, log D_b are the coordinates; zero-weight rows may be NaN
             for r, ra, rb in zip(rows, (p, 1.0, 0.0), (q, 0.0, 1.0)):
                 r[self._dead] = 0.0
                 r[a, cols], r[b, cols] = ra, rb
             return (theta,) + self._apply(rows)
+
+    def corner_theta(self, a, b, p, q):
+        """(theta, x) of `corner` at (p, q) on the sectors (a, b): theta = m +
+        asin(x), x = (e^p - e^q) / (2 sin g), m = beta_a + g; NaN off the chart."""
+        x = (np.exp(p) - np.exp(q)) / self._sin2g[a, b]
+        return self._middle[a, b] + np.arcsin(x), x
 
     def dcos(self, theta, a):
         """D_j - D_a = cos(theta - beta_a) - cos(theta - beta_j), shape (ends,
@@ -177,8 +182,7 @@ class SurfaceEvaluator:
         s = theta[None, :] - self.betas[:, None]
         cs = np.cos(s)
         a = np.argmax(cs, axis=0) if ref is None else ref
-        cols = np.arange(theta.size)
-        delta = np.exp(l) if u is None else u - cs[a, cols]
+        delta = np.exp(l) if u is None else u - cs[a, np.arange(theta.size)]
         # >= 0 when beta_a is the nearest end, so rounding is only clipped
         # upward
         dcos = self.dcos(theta, a)
@@ -201,6 +205,7 @@ class SurfaceEvaluator:
         vals = np.concatenate(rows)
         if not order:
             return [vals]
+        cols = np.arange(theta.size)
         # dD/dtheta: sin s at fixed u, sin s - sin s_a at fixed l
         Dth = sn if u is not None else sn - sn[a, cols]
         w = Dth * invD

@@ -620,6 +620,21 @@ def test_invert_corner_solve_off_its_sector_reproduces_target():
     assert np.abs(vals - [lam, x, y]).max() <= 1e-10 * (1 + max(abs(x), abs(y)))
 
 
+@pytest.mark.parametrize("name", ["scherk:2", "scherk:3", "scherk:4", "scherk:5", 1, 2214])
+def test_corner_solve_theta_is_the_chart_theta(name):
+    # `_solve` forms a corner solve's theta by the chart formula alone: on a
+    # probe ring (11 radii from 1 to 1e3, 5 angles) of the scherk surfaces
+    # and two random n = 3 surfaces it is `corner`'s theta at the solved
+    # chart point, bit for bit
+    inv = GraphInverter(get_entry(name).data if isinstance(name, str) else random_gap_data(name))
+    angles = 2 * math.pi * (np.arange(5) + 0.37) / 5
+    X, Y = (np.outer(np.logspace(0.0, 3.0, 11), f(angles)).ravel() for f in (np.cos, np.sin))
+    _, th, *_, (a, b, s, t) = inv._solve(X, Y)
+    k = np.flatnonzero(a >= 0)
+    assert k.size >= 20
+    assert np.array_equal(th[k], inv.evaluator.corner(a[k], b[k], s[k], t[k])[0])
+
+
 RANDOM_N3 = make(3, (0.0, 1.0724798527999555, 1.5920117877623825,
                      3.0747301101615054, 4.008583837552972, 4.944751739369208))
 
@@ -1328,6 +1343,22 @@ def test_near_pairs_chunks_do_not_change_the_pairs(chunk, monkeypatch):
     got = analysis._near_pairs(*args)
     assert want[0].size > 10_000
     assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+
+def test_near_pairs_matches_loop_reference_beyond_2_32_cells():
+    # 30 clusters of 20 points spread over 7e10 cells per axis: packed
+    # (cell x, cell y) coordinates would wrap int64, their dense ranks
+    # cannot, and neighbours across a cluster's cell edges still pair
+    rng = np.random.default_rng(11)
+    centres = rng.uniform(0.0, 7e10, (2, 30))
+    plane = np.repeat(np.floor(centres), 20, axis=1) + rng.uniform(-1.5, 1.5, (2, 600))
+    mu = 0.9 * (rng.uniform(-1, 1, 600) + 1j * rng.uniform(-1, 1, 600))
+    local = rng.uniform(0.3, 1.0, 600)
+    assert np.ptp(np.floor(plane), axis=1).min() > 2.0**32
+    I, J = analysis._near_pairs(plane, mu, local, 1.0, 0.05)
+    rI, rJ = _ref_near_pairs(plane, mu, local, 1.0, 0.05)
+    assert rI.size > 400
+    assert np.array_equal(I, rI) and np.array_equal(J, rJ)
 
 
 @settings(max_examples=40, deadline=None)

@@ -88,6 +88,18 @@ def test_unit_disk_image_lies_inside():
         assert p.u > SCHERK2.max_cos(p.theta)
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_max_cos_matches_the_trailing_axis_formula(shape):
+    # max_cos reduces over a leading axis of ends; the same subtractions and
+    # an exact max give the trailing-axis formula's bits, a float for a scalar
+    angular = AngularData(3, (0.0, 0.4, 1.9, 3.0, 4.5, 5.6))
+    th = np.asarray(np.random.default_rng(3).uniform(-7.0, 7.0, shape))
+    got = angular.max_cos(th if shape else float(th))
+    want = np.max(np.cos(th[..., None] - np.asarray(angular.betas)), axis=-1)
+    assert type(got) is (float if not shape else np.ndarray)
+    assert np.array_equal(got, want)
+
+
 def test_active_interval_examples():
     # max cos is the cosine of the active end: beta_0 at 0.1 and on the tie
     # at pi/4, beta_2 at beta_2; arrays give the same values as scalars
