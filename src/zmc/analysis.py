@@ -169,7 +169,7 @@ def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
     return 16.0 * (u * u - 1.0) * Q**4 / (4.0 ** (2 * data.n) * np.prod(D, axis=-1) ** 2)
 
 
-def causal_label(data: KobayashiData, u, theta) -> np.ndarray:
+def causal_label(data: KobayashiData, u, theta, l=None) -> np.ndarray:
     """The causal type of f~ at each (u, theta), the one label rule of both
     csv exports: the sign of `metric_determinant`, read off the fold side.
 
@@ -177,11 +177,20 @@ def causal_label(data: KobayashiData, u, theta) -> np.ndarray:
     keeps Q away from 0, and the determinant (about u^-6 far out) may
     underflow or overflow there but its sign cannot change.  Time-like for
     |u| < 1 where Q != 0, light-like on the zeros of Q and at |u| = 1.
+    The side is |u| - 1, or with the end-chart points (l, theta) e^l - 2
+    sin^2(d / 2), d = theta - beta_a for the nearest end a, which keeps its
+    sign where u rounds to 1; within the rounding of its terms and what one
+    ulp of theta moves it, it is 0.
     """
     u, theta = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(theta, dtype=float))
-    a = np.abs(u)
-    label = np.where(a > 1.0, "spacelike", "lightlike")
-    inner = a < 1.0  # the only points whose label reads Q
+    side, err = np.abs(u) - 1.0, 0.0
+    if l is not None:
+        b = np.asarray(data.angular.betas)
+        d = theta - b[np.cos(theta[..., None] - b).argmax(axis=-1)]
+        e, c, h = np.exp(l), 2.0 * np.sin(d / 2.0) ** 2, np.spacing(theta)
+        side, err = e - c, 4 * np.finfo(float).eps * (e + c) + h * (np.abs(np.sin(d)) + h)
+    label = np.where(side > err, "spacelike", "lightlike")
+    inner = side < -err  # the only points whose label reads Q
     label[inner] = np.where(_fold_factor(data, u[inner], theta[inner]) != 0,
                             "timelike", "lightlike")
     return label
@@ -220,7 +229,7 @@ class GraphInverter:
         l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0),
                             np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
         self._seed_l, self._seed_th = l.ravel(), th.ravel()
-        self._seed_tree = cKDTree(self.evaluator.jet(self._seed_l, self._seed_th)[0][1:].T)
+        self._seed_tree = cKDTree(self.evaluator.jet(l, th[0])[0][1:].T)
         # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
         # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
         # its seeds are clipped to e^p, e^q <= sin g, inside the chart.  A
@@ -780,11 +789,9 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     ev = SurfaceEvaluator(data)
     s = (np.arange(res) / (res - 1.0)) ** 2
     u = lo[None, :] + s[:, None] * (_SCAN_U_MAX - lo)[None, :]
-    U = u.ravel()
-    TH = np.tile(th, res)
-    vals = ev.eval_batch(U, TH)  # (3, N)
+    vals = ev.eval_batch(u, th)  # (3, N)
     plane = vals[1:]
-    mu = _chart(U, TH)
+    mu = _chart(u, th).ravel()
 
     # local plane-resolution of the grid at each sample (step to u/theta neighbors)
     px = plane[0].reshape(res, res)
@@ -798,7 +805,8 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     if not I.size:
         return []
     I, J = _dedupe_pairs(mu, I, J, 0.5 * tol_param)
-    return _gauss_newton(ev, data.angular, U[I], TH[I], U[J], TH[J], tol_param)
+    return _gauss_newton(ev, data.angular, u.flat[I], th[I % res], u.flat[J], th[J % res],
+                         tol_param)
 
 
 def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):

@@ -250,9 +250,12 @@ def _grid(data: KobayashiData, options: Options, resolution: int | None):
     return u, th
 
 
-def _reprs(a: np.ndarray):
-    """Each value of a 1-D array as Python's shortest round-trip repr."""
-    return map(repr, a.tolist())
+def _interleave(cols) -> tuple:
+    """cols[0][0], cols[1][0], ..., cols[0][1], ...: the arguments of one `%`."""
+    out = [None] * (len(cols) * len(cols[0]))
+    for k, c in enumerate(cols):
+        out[k::len(cols)] = c
+    return tuple(out)
 
 
 def _write(path: str, head: list[str], rows) -> None:
@@ -267,29 +270,29 @@ def _write(path: str, head: list[str], rows) -> None:
         fh.writelines(rows)
 
 
-def _sample_rows(fmt: str, U, th, vals, labels):
+def _sample_rows(fmt: str, u, th, vals, labels):
     """The body of a `zmc sample` file, one chunk of text per u-row of
-    vertices and per band of faces; theta takes only `res` values, so it is
+    vertices and per band of faces, each one `%` over the row's values (%r
+    is repr, %d of an int is str); theta takes only `res` values, so it is
     formatted once."""
     res = th.size
-    starts = range(0, U.size, res)
+    starts = range(0, u.size, res)
     if fmt == "csv":
-        th_s = list(_reprs(th))
-        for a in starts:
-            s = slice(a, a + res)
-            yield "".join(map("{},{},{},{},{},{}\n".format, _reprs(U[s]), th_s,
-                              *map(_reprs, vals[:, s]), labels[s].tolist()))
+        th_s, line = list(map(repr, th.tolist())), "%r,%s,%r,%r,%r,%s\n" * res
+        for a, row in zip(starts, u.tolist()):
+            yield line % _interleave([row, th_s, *vals[:, a:a + res].tolist(),
+                                      labels[a:a + res].tolist()])
         return
     obj = fmt == "obj"
-    vertex = "v {} {} {}\n" if obj else "{} {} {}\n"
+    vertex = ("v %r %r %r\n" if obj else "%r %r %r\n") * res
     for a in starts:
-        yield "".join(map(vertex.format, *map(_reprs, vals[:, a:a + res])))
+        yield vertex % _interleave(vals[:, a:a + res].tolist())
     # quad (i, j) -> (i, j + 1) -> (i + 1, j + 1) -> (i + 1, j), closed in theta
     j = np.stack([np.arange(res), np.roll(np.arange(res), -1)])
     quad = np.concatenate([j, j[::-1] + res]) + obj
-    face = "f {} {} {} {}\n" if obj else "4 {} {} {} {}\n"
+    face = ("f %d %d %d %d\n" if obj else "4 %d %d %d %d\n") * res
     for a in starts[:-1]:
-        yield "".join(map(face.format, *(quad + a).tolist()))
+        yield face % _interleave((quad + a).tolist())
 
 
 def cmd_sample(args) -> int:
@@ -319,28 +322,27 @@ def cmd_sample(args) -> int:
         except OutsideDomain:
             raise InputError(f"options.base_point {list(options.base_point)} is not "
                              "strictly inside the extension domain")
-    U, TH = u.ravel(), np.tile(th, res)
     with np.errstate(all="ignore"):
-        vals = target.normalization.apply_batch(evaluator.eval_batch(U, TH) - base[:, None])
+        vals = target.normalization.apply_batch(evaluator.eval_batch(u, th) - base[:, None])
     bad = ~np.isfinite(vals).all(axis=0)
     if bad.any():
-        i = np.argmax(bad)
-        raise NumericError(f"non-finite value at (u, theta) = ({U[i]}, {TH[i]})")
+        i, j = divmod(np.argmax(bad), res)
+        raise NumericError(f"non-finite value at (u, theta) = ({u[i, j]}, {th[j]})")
 
     if fmt == "csv":
-        labels = _analysis.causal_label(data, U, TH)
+        labels = _analysis.causal_label(data, u, th).ravel()
         head = ["u,theta,t,x,y,causal"]
     else:
         vals = vals[["txy".index(nm) for nm in names]]
         labels = None
         head = ([f"# zmc surface {target.name}; axis order " + ",".join(names)] if fmt == "obj"
                 else ["ply", "format ascii 1.0", f"comment zmc surface {target.name}",
-                      f"element vertex {U.size}",
+                      f"element vertex {u.size}",
                       "property float x", "property float y", "property float z",
                       f"element face {(res - 1) * res}",
                       "property list uchar int vertex_indices", "end_header"])
-    _write(args.out, head, _sample_rows(fmt, U, th, vals, labels))
-    print(f"wrote {U.size} vertices to {args.out}")
+    _write(args.out, head, _sample_rows(fmt, u, th, vals, labels))
+    print(f"wrote {u.size} vertices to {args.out}")
     return 0
 
 
@@ -382,11 +384,11 @@ def cmd_graph(args) -> int:
         i, j = np.argwhere(~(ok & finite))[0]
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
-    causal = _analysis.causal_label(target.data, *inverter._from_chart(l, th))
-    xs_s = list(_reprs(xs))
-    rows = ("".join(map(f"{{}},{y!r},{{}},{{}},{{}}\n".format, xs_s, _reprs(l), c.tolist(),
-                        _reprs(r)))
-            for y, l, c, r in zip(ys.tolist(), norm.scale[0] * lam, causal, resid))
+    causal = _analysis.causal_label(target.data, *inverter._from_chart(l, th), l=l)
+    xs_s = list(map(repr, xs.tolist()))
+    rows = ((f"%s,{y!r},%r,%s,%r\n" * res) % _interleave([xs_s, *r])
+            for y, *r in zip(ys.tolist(), (norm.scale[0] * lam).tolist(), causal.tolist(),
+                             resid.tolist()))
     _write(args.out, ["x,y,lambda,causal,zmc_residual"], rows)
     print(f"wrote {res * res} graph samples to {args.out}")
     return 0

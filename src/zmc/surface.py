@@ -124,7 +124,11 @@ class SurfaceEvaluator:
                                       l=np.asarray(l, dtype=float)))
 
     def eval_batch(self, u, theta) -> np.ndarray:
-        """Values of shape (3, N); no domain checks."""
+        """Values of shape (3, N); no domain checks.  u may be an (R, C) grid
+        against theta of shape (C,): N = R C, in the order of the flat call
+        on (u.ravel(), np.tile(theta, R)), and the work that depends on theta
+        alone (cos, nearest end, product formula, sin s, e^{-is}) is done
+        once per column."""
         return self._apply(self._rows(np.asarray(theta, dtype=float), 0,
                                       u=np.asarray(u, dtype=float)))[0]
 
@@ -178,19 +182,25 @@ class SurfaceEvaluator:
     def _rows(self, theta, order, l=None, u=None, ref=None):
         """The basis rows of `jet`, or with u in place of l those of d/du and
         d/dtheta at fixed u, order <= 1.  With `ref`, e^l is the clearance of
-        end ref, not the nearest end's, and D is unclipped."""
-        s = theta[None, :] - self.betas[:, None]
+        end ref, not the nearest end's, and D is unclipped.  l or u may be an
+        (R, C) grid against theta of shape (C,); rows are in grid order."""
+        s = theta - self.betas[:, None, None]  # (ends, 1, C)
         cs = np.cos(s)
-        a = np.argmax(cs, axis=0) if ref is None else ref
-        delta = np.exp(l) if u is None else u - cs[a, np.arange(theta.size)]
+        cols = np.arange(theta.size)
+        a = np.argmax(cs[:, 0], axis=0) if ref is None else ref
+        delta = np.exp(l) if u is None else u - cs[a, 0, cols]
         # >= 0 when beta_a is the nearest end, so rounding is only clipped
         # upward
-        dcos = self.dcos(theta, a)
-        D = delta[None, :] + (np.maximum(dcos, 0.0) if ref is None else dcos)
+        dcos = self.dcos(theta, a)[:, None]
+        D = delta + (np.maximum(dcos, 0.0) if ref is None else dcos)  # (ends, R, C)
+
+        def flat(rows):  # (basis, R, C) -> (basis, R C)
+            v = np.concatenate(rows) if len(rows) > 1 else rows[0]
+            return v.reshape(len(v), -1)
         rows = [np.log(D)]
         K = self._order
         if not (K or order):
-            return rows
+            return [flat(rows)]
         sn = np.sin(s)
         invD = 1.0 / D
         t = sn * invD
@@ -202,12 +212,11 @@ class SurfaceEvaluator:
                 q.append(b1 * q[-1] + c * q[-2])
             S = [(q[k] - (-1) ** k) / 2.0 for k in range(1, K + 1)]
             rows += [x.real for x in S] + [x.imag for x in S]
-        vals = np.concatenate(rows)
+        vals = flat(rows)
         if not order:
             return [vals]
-        cols = np.arange(theta.size)
         # dD/dtheta: sin s at fixed u, sin s - sin s_a at fixed l
-        Dth = sn if u is not None else sn - sn[a, cols]
+        Dth = sn if u is not None else sn - sn[a, 0, cols]
         w = Dth * invD
         r = invD if u is not None else delta / D  # d log D / du, or / dl
         dd, dth = [r], [w]
@@ -221,11 +230,11 @@ class SurfaceEvaluator:
                     dqx.append(db1 * q[k - 1] + b1 * dqx[-1] + dcx * q[k - 2] + c * dqx[-2])
                 drows += [x.real / 2.0 for x in dqx[1:]] + [x.imag / 2.0 for x in dqx[1:]]
                 dq.append(dqx)
-        first = [vals, np.concatenate(dd), np.concatenate(dth)]
+        first = [vals, flat(dd), flat(dth)]
         if order == 1:
             return first
         # d2D/dtheta2 at fixed l is cos s - cos s_a
-        Dthth = cs - cs[a, cols]
+        Dthth = cs - cs[a, 0, cols]
         second = ([r - r * r], [-w * r], [Dthth * invD - w * w])
         if K:
             # as t = -2 Im c, b1 = -1 + 2i Im c follows c
@@ -238,7 +247,7 @@ class SurfaceEvaluator:
                                + dq[j][1] * dq[i][k - 1] + b1 * d2q[-1] + d2cx * q[k - 2]
                                + dc[i] * dq[j][k - 2] + dc[j] * dq[i][k - 2] + c * d2q[-2])
                 drows += [x.real / 2.0 for x in d2q[1:]] + [x.imag / 2.0 for x in d2q[1:]]
-        return first + [np.concatenate(rows) for rows in second]
+        return first + [flat(rows) for rows in second]
 
     def eval(self, p: ExtendedPoint) -> SurfacePoint:
         if isinstance(p, PointAtInfinity):

@@ -539,16 +539,62 @@ def oracle_graph_text(name, x0, x1, y0, y1, res):
     l, th, lam, ok, _ = inverter._grid(raw_x, raw_y)
     _, _, resid, finite = graph_derivatives(inverter, l, th, norm.scale)
     assert (ok & finite).all()
-    # each node's label is the sign of the metric determinant at its chart point
-    det = metric_determinant(entry.data, *inverter._from_chart(l, th))
+    # each node's label is the sign of the metric determinant at its chart
+    # point, wherever both the determinant and the chart point's fold side
+    # (`causal_label` with l, which keeps the side where u rounds to 1) are
+    # resolved
+    u, t = inverter._from_chart(l, th)
+    det, causal = metric_determinant(entry.data, u, t), causal_label(entry.data, u, t, l)
+    sign = np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
+    both = (sign != "lightlike") & (causal != "lightlike")
+    assert np.array_equal(causal[both], sign[both])
     lines = ["x,y,lambda,causal,zmc_residual"]
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            causal = ("spacelike" if det[i, j] > 0 else "timelike" if det[i, j] < 0
-                      else "lightlike")
             lines.append(",".join([_fmt(x), _fmt(y), _fmt(norm.scale[0] * lam[i, j]),
-                                   causal, _fmt(resid[i, j])]))
+                                   causal[i, j], _fmt(resid[i, j])]))
     return "\n".join(lines) + "\n"
+
+
+def oracle_sample_rows(fmt, U, th, vals, labels):
+    """`cli._sample_rows` as one `str.format` per vertex over the repr of
+    each value, before each chunk became one `%`."""
+    def reprs(a):
+        return map(repr, a.tolist())
+    res = th.size
+    starts = range(0, U.size, res)
+    if fmt == "csv":
+        th_s = list(reprs(th))
+        for a in starts:
+            s = slice(a, a + res)
+            yield "".join(map("{},{},{},{},{},{}\n".format, reprs(U[s]), th_s,
+                              *map(reprs, vals[:, s]), labels[s].tolist()))
+        return
+    obj = fmt == "obj"
+    vertex = "v {} {} {}\n" if obj else "{} {} {}\n"
+    for a in starts:
+        yield "".join(map(vertex.format, *map(reprs, vals[:, a:a + res])))
+    j = np.stack([np.arange(res), np.roll(np.arange(res), -1)])
+    quad = np.concatenate([j, j[::-1] + res]) + obj
+    face = "f {} {} {} {}\n" if obj else "4 {} {} {} {}\n"
+    for a in starts[:-1]:
+        yield "".join(map(face.format, *(quad + a).tolist()))
+
+
+@pytest.mark.parametrize("res", [1, 2, 9])
+@pytest.mark.parametrize("fmt", ["obj", "ply", "csv"])
+def test_sample_rows_match_format_oracle(fmt, res):
+    # %r is repr and %d of an int is str: the same bytes on awkward doubles
+    rng = np.random.default_rng(res)
+    awkward = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 0.1 + 0.2,
+                        1.0, -3.0, 1e16, 1.7976931348623157e308, 123456789.125, 1 / 3])
+    pool = np.concatenate([awkward, rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)])
+    u, vals = rng.choice(pool, (res, res)), rng.choice(pool, (3, res * res))
+    th = rng.choice(pool, res)
+    labels = rng.choice(["spacelike", "timelike", "lightlike"], res * res)
+    got = "".join(cli._sample_rows(fmt, u, th, vals, labels))
+    assert got == "".join(oracle_sample_rows(fmt, u.ravel(), th, vals, labels))
+    assert got.count("\n") == res * res + (fmt != "csv") * (res - 1) * res
 
 
 BASE_POINT_DOC = {"n": 2, "alphas": [0, "1/2 pi", "pi", "3/2 pi"],
@@ -659,9 +705,15 @@ def test_graph_labels_are_the_sample_rule_at_the_preimage(capsys, tmp_path, name
     inv = GraphInverter(data)
     xs = np.linspace(-R, R, 41)
     raw_x, raw_y = xs / scale[1], xs / scale[2]
-    u, th, _, ok, _ = inv.invert_grid(raw_x, raw_y)
+    l, th, _, ok, _ = inv._grid(raw_x, raw_y)
+    u, th = inv._from_chart(l, th)
     assert ok.all()
-    assert np.array_equal(labels, causal_label(data, u, th))
+    assert np.array_equal(labels, causal_label(data, u, th, l))
+    # the graph reads the side from the chart point, the sample from u: the
+    # two agree wherever u does not round to the fold and the chart point
+    # resolves its side
+    both = (u != 1.0) & (labels != "lightlike")
+    assert np.array_equal(labels[both], causal_label(data, u, th)[both])
     _, lx, ly, _, _ = graph_table(inv, raw_x, raw_y)
     q = 1.0 - (lx * scale[0] / scale[1]) ** 2 - (ly * scale[0] / scale[2]) ** 2
     off = np.abs(q) > 1e-15
@@ -669,15 +721,21 @@ def test_graph_labels_are_the_sample_rule_at_the_preimage(capsys, tmp_path, name
 
 
 def test_graph_scherk2_axis_nodes_are_spacelike(capsys, tmp_path):
-    # on the x axis of scherk:2 the chart point of every node with |x| <= 18
-    # lies strictly on the space-like side, u > 1, although from |x| = 8 on
-    # 1 - |grad lambda|^2 = 1 - tanh^2 x is below 1e-6, where a tolerance on
-    # the gradient once wrote light-like; at |x| = 19 and 20 u rounds to 1
-    labels = graph_labels(capsys, tmp_path, "scherk:2", "-20:20", "0:0")[0]
-    x = np.abs(np.arange(-20, 21))
-    assert np.all(labels[x <= 18] == "spacelike") and np.all(labels[x > 18] == "lightlike")
-    q = 1.0 - np.tanh(x.astype(float)) ** 2
-    assert np.all(q[(x >= 8) & (x <= 18)] < 1e-6)
+    # on the axes of scherk:2 every node is space-like, although from |x| = 8
+    # on 1 - |grad lambda|^2 = 1 - tanh^2 x is below 1e-6, where a tolerance
+    # on the gradient once wrote light-like, and at |x| = 19 and 20 the
+    # display u rounds to 1, where a label read off u wrote light-like; the
+    # chart point's clearance e^l - 2 sin^2((theta - beta_a) / 2) keeps the
+    # side.  Every node of the table has the sign of 1 - tanh^2 x - tanh^2 y
+    # = (1 - sinh^2 x sinh^2 y) / (cosh^2 x cosh^2 y), exact at integer nodes
+    labels = graph_labels(capsys, tmp_path, "scherk:2", "-20:20", "-20:20")
+    x = np.arange(-20.0, 21.0)
+    assert np.all(labels[20] == "spacelike") and np.all(labels[:, 20] == "spacelike")
+    q = 1.0 - np.tanh(x) ** 2
+    assert np.all(q[(np.abs(x) >= 8) & (np.abs(x) <= 18)] < 1e-6)
+    assert np.all(q[np.abs(x) >= 19] == 0.0)  # u and 1 - tanh^2 x both round
+    p = np.abs(np.outer(np.sinh(x), np.sinh(x)))
+    assert np.array_equal(labels, np.where(p < 1.0, "spacelike", "timelike"))
 
 
 def test_graph_jorge_meeks2_identity(capsys, tmp_path):

@@ -405,6 +405,26 @@ def test_causal_character_basic():
         ["lightlike", "timelike"]]
 
 
+def test_causal_label_from_the_chart_point():
+    # with the end-chart point (l, theta) the side is e^l - 2 sin^2(d / 2),
+    # d = theta - beta_a: resolved where u = cos d + e^l rounds to 1, and
+    # light-like only within the rounding of its two terms and one ulp of
+    # theta
+    u = np.ones(4)
+    th = np.array([0.0, 1e-20, 1e-20, 0.5])
+    c = 2.0 * math.sin(0.25) ** 2
+    l = np.array([-80.0, -80.0, -100.0, math.log(c)])
+    assert causal_label(SCHERK2, u, th).tolist() == ["lightlike"] * 4
+    assert causal_label(SCHERK2, u, th, l).tolist() == [
+        "spacelike", "spacelike", "timelike", "lightlike"]
+    # next to the end at 3 pi / 2, where an ulp of theta is 8.9e-16, e^l must exceed
+    # about 1e-30 to resolve the side
+    near = np.nextafter(3 * math.pi / 2, 0.0)
+    assert causal_label(SCHERK2, 1.0, 3 * math.pi / 2, -60.0) == "spacelike"
+    assert causal_label(SCHERK2, 1.0, near, -60.0) == "spacelike"
+    assert causal_label(SCHERK2, 1.0, near, -80.0) == "lightlike"
+
+
 def test_mixed_type_across_fold():
     # the gradient oracle of the 1-forms agrees with each label:
     # 1 - |grad lambda|^2 is positive, zero and negative on the three sides
@@ -551,6 +571,36 @@ def test_jet_accuracy_in_chart(name):
                 w = np.array([float(x) for x in w])
                 bound = 1e-13 if q < 3 else JET2_BOUND
                 assert np.abs(gq[:, i] - w).max() <= bound * (1 + np.abs(w).max())
+
+
+def random_blaschke_n3(seed):
+    rng = np.random.default_rng(seed)
+    alphas = np.sort(rng.uniform(0.0, 2 * math.pi, 6))
+    alphas[0] = 0.0
+    return make(3, alphas, b=(complex(*rng.uniform(-0.5, 0.5, 2)),))
+
+
+GRID_SURFACES = {**SURFACES, "random-b-0": random_blaschke_n3(0),
+                 "random-b-1": random_blaschke_n3(1)}
+
+
+@pytest.mark.parametrize("R, C", [(1, 9), (6, 1), (4, 7), (7, 4)])
+@pytest.mark.parametrize("name", list(GRID_SURFACES))
+def test_grid_call_is_the_flat_call(name, R, C):
+    # an (R, C) grid against theta of shape (C,) forms its theta-only work
+    # once per column; every output bit equals the flattened call's
+    data = GRID_SURFACES[name]
+    ev = SurfaceEvaluator(data)
+    rng = np.random.default_rng(R * 100 + C)
+    th = rng.uniform(0.0, 2 * math.pi, C)
+    u = data.angular.max_cos(th) + rng.uniform(1e-9, 3.0, (R, C)) ** 2
+    l = rng.uniform(-40.0, 5.0, (R, C))
+    TH = np.tile(th, R)
+    assert ev.eval_batch(u, th).shape == (3, R * C)
+    assert np.array_equal(ev.eval_batch(u, th), ev.eval_batch(u.ravel(), TH))
+    for order in (0, 1, 2):
+        for grid, flat in zip(ev.jet(l, th, order), ev.jet(l.ravel(), TH, order)):
+            assert (grid is None and flat is None) or np.array_equal(grid, flat)
 
 
 # ---------------------------------------------------------------- corner chart
