@@ -169,7 +169,7 @@ def metric_determinant(data: KobayashiData, u, theta) -> np.ndarray:
     return 16.0 * (u * u - 1.0) * Q**4 / (4.0 ** (2 * data.n) * np.prod(D, axis=-1) ** 2)
 
 
-def causal_label(data: KobayashiData, u, theta, l=None) -> np.ndarray:
+def causal_label(data: KobayashiData, u, theta, chart=None) -> np.ndarray:
     """The causal type of f~ at each (u, theta), the one label rule of both
     csv exports: the sign of `metric_determinant`, read off the fold side.
 
@@ -177,20 +177,25 @@ def causal_label(data: KobayashiData, u, theta, l=None) -> np.ndarray:
     keeps Q away from 0, and the determinant (about u^-6 far out) may
     underflow or overflow there but its sign cannot change.  Time-like for
     |u| < 1 where Q != 0, light-like on the zeros of Q and at |u| = 1.
-    The side is |u| - 1, or with the end-chart points (l, theta) e^l - 2
-    sin^2(d / 2), d = theta - beta_a for the nearest end a, which keeps its
-    sign where u rounds to 1; within the rounding of its terms and what one
-    ulp of theta moves it, it is 0.
+
+    With chart = (l, dl, dtheta), the end-chart point (l, theta) of a solved
+    node and bounds on its distance from the exact preimage, the side u - 1 =
+    e^l - 2 sin^2(d / 2), d = theta - beta_a for the nearest end a, keeps its
+    sign where u rounds to 1.
+    It is 0 within what moving the point moves it, e^l expm1(dl) + h (|sin d|
+    + h / 2) with h = dtheta + ulp(d), plus its rounding, 3 eps (e^l + 2 sin^2)
+    < 7e-16 (e^l + 2 sin^2).
     """
     u, theta = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(theta, dtype=float))
-    side, err = np.abs(u) - 1.0, 0.0
-    if l is not None:
+    side, tol = np.abs(u) - 1.0, 0.0
+    if chart is not None:
+        l, dl, dth = chart
         b = np.asarray(data.angular.betas)
         d = theta - b[np.cos(theta[..., None] - b).argmax(axis=-1)]
-        e, c, h = np.exp(l), 2.0 * np.sin(d / 2.0) ** 2, np.spacing(theta)
-        side, err = e - c, 4 * np.finfo(float).eps * (e + c) + h * (np.abs(np.sin(d)) + h)
-    label = np.where(side > err, "spacelike", "lightlike")
-    inner = side < -err  # the only points whose label reads Q
+        e, c, h = np.exp(l), 2.0 * np.sin(d / 2.0) ** 2, dth + np.spacing(np.abs(d))
+        side, tol = e - c, e * np.expm1(dl) + h * (abs(np.sin(d)) + h / 2) + 7e-16 * (e + c)
+    label = np.where(side > tol, "spacelike", "lightlike")
+    inner = side < -tol  # the only points whose label reads Q
     label[inner] = np.where(_fold_factor(data, u[inner], theta[inner]) != 0,
                             "timelike", "lightlike")
     return label
@@ -260,6 +265,17 @@ class GraphInverter:
         out = th.copy()
         out[(d < 1e-9).any(axis=1)] += eps
         return out
+
+    def _chart_error(self, l, th, rn, X, Y):
+        """(dl, dtheta) of `causal_label`'s chart for `_grid`'s points (l, theta)
+        of the targets (X, Y): a point leaving the residual r lies J^-1 r from
+        its preimage to first order, J = d(x1, x2)/d(l, theta), with |r| taken
+        as at least ATOL * scale, where Newton stops; 0 where e^l > 2 (side > 1)."""
+        with np.errstate(all="ignore"):
+            _, Jl, Jt = self.evaluator.jet(np.ravel(l), np.ravel(th), 1)
+            r = np.maximum(rn, self.ATOL * (1.0 + np.maximum(abs(X), abs(Y)))).ravel()
+            r = np.where(np.ravel(l) > math.log(2.0), 0.0, r / abs(Jl[1] * Jt[2] - Jt[1] * Jl[2]))
+            return tuple(((abs(J[1]) + abs(J[2])) * r).reshape(np.shape(l)) for J in (Jt, Jl))
 
     def _from_chart(self, l, th):
         """(u, theta) of end-chart points: the display form of a solved node."""

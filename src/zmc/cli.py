@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -250,14 +251,6 @@ def _grid(data: KobayashiData, options: Options, resolution: int | None):
     return u, th
 
 
-def _interleave(cols) -> tuple:
-    """cols[0][0], cols[1][0], ..., cols[0][1], ...: the arguments of one `%`."""
-    out = [None] * (len(cols) * len(cols[0]))
-    for k, c in enumerate(cols):
-        out[k::len(cols)] = c
-    return tuple(out)
-
-
 def _write(path: str, head: list[str], rows) -> None:
     """The header lines, then each chunk of text in `rows` as it comes; a
     path that cannot be opened for writing is an input error."""
@@ -271,28 +264,27 @@ def _write(path: str, head: list[str], rows) -> None:
 
 
 def _sample_rows(fmt: str, u, th, vals, labels):
-    """The body of a `zmc sample` file, one chunk of text per u-row of
-    vertices and per band of faces, each one `%` over the row's values (%r
-    is repr, %d of an int is str); theta takes only `res` values, so it is
-    formatted once."""
+    """The body of a `zmc sample` file, one `%` per u-row of vertices and per
+    band of faces (%r is repr, %d of an int str); theta takes only `res`
+    values, so it is formatted once."""
     res = th.size
     starts = range(0, u.size, res)
     if fmt == "csv":
         th_s, line = list(map(repr, th.tolist())), "%r,%s,%r,%r,%r,%s\n" * res
         for a, row in zip(starts, u.tolist()):
-            yield line % _interleave([row, th_s, *vals[:, a:a + res].tolist(),
-                                      labels[a:a + res].tolist()])
+            yield line % tuple(chain.from_iterable(zip(row, th_s, *vals[:, a:a + res].tolist(),
+                                                       labels[a:a + res].tolist())))
         return
     obj = fmt == "obj"
     vertex = ("v %r %r %r\n" if obj else "%r %r %r\n") * res
     for a in starts:
-        yield vertex % _interleave(vals[:, a:a + res].tolist())
+        yield vertex % tuple(vals[:, a:a + res].T.ravel().tolist())
     # quad (i, j) -> (i, j + 1) -> (i + 1, j + 1) -> (i + 1, j), closed in theta
     j = np.stack([np.arange(res), np.roll(np.arange(res), -1)])
     quad = np.concatenate([j, j[::-1] + res]) + obj
     face = ("f %d %d %d %d\n" if obj else "4 %d %d %d %d\n") * res
     for a in starts[:-1]:
-        yield face % _interleave((quad + a).tolist())
+        yield face % tuple((quad + a).T.ravel().tolist())
 
 
 def cmd_sample(args) -> int:
@@ -378,17 +370,18 @@ def cmd_graph(args) -> int:
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
     raw_x, raw_y = np.stack([xs, ys]) / np.array(norm.scale[1:])[:, None]
-    l, th, lam, ok, _ = inverter._grid(raw_x, raw_y)
+    l, th, lam, ok, rn = inverter._grid(raw_x, raw_y)
     _, _, resid, finite = _analysis.graph_derivatives(inverter, l, th, norm.scale)
     if not (ok & finite).all():
         i, j = np.argwhere(~(ok & finite))[0]
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
-    causal = _analysis.causal_label(target.data, *inverter._from_chart(l, th), l=l)
+    chart = (l, *inverter._chart_error(l, th, rn, *np.meshgrid(raw_x, raw_y)))
+    causal = _analysis.causal_label(target.data, inverter._from_chart(l, th)[0], th, chart)
     xs_s = list(map(repr, xs.tolist()))
-    rows = ((f"%s,{y!r},%r,%s,%r\n" * res) % _interleave([xs_s, *r])
-            for y, *r in zip(ys.tolist(), (norm.scale[0] * lam).tolist(), causal.tolist(),
-                             resid.tolist()))
+    rows = ("".join(map(f"{{}},{y!r},{{}},{{}},{{}}\n".format, xs_s, map(repr, l.tolist()),
+                        c.tolist(), map(repr, r.tolist())))
+            for y, l, c, r in zip(ys.tolist(), norm.scale[0] * lam, causal, resid))
     _write(args.out, ["x,y,lambda,causal,zmc_residual"], rows)
     print(f"wrote {res * res} graph samples to {args.out}")
     return 0

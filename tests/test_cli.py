@@ -540,14 +540,16 @@ def oracle_graph_text(name, x0, x1, y0, y1, res):
     _, _, resid, finite = graph_derivatives(inverter, l, th, norm.scale)
     assert (ok & finite).all()
     # each node's label is the sign of the metric determinant at its chart
-    # point, wherever both the determinant and the chart point's fold side
-    # (`causal_label` with l, which keeps the side where u rounds to 1) are
-    # resolved
+    # point, except where the chart point's fold side e^l - 2 sin^2(d / 2)
+    # lies within 1e-12 (e^l + |sin d|), which a point 1e-12 off in l and
+    # theta could cross: such a node reads light-like
     u, t = inverter._from_chart(l, th)
-    det, causal = metric_determinant(entry.data, u, t), causal_label(entry.data, u, t, l)
-    sign = np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
-    both = (sign != "lightlike") & (causal != "lightlike")
-    assert np.array_equal(causal[both], sign[both])
+    det = metric_determinant(entry.data, u, t)
+    causal = np.where(det > 0, "spacelike", np.where(det < 0, "timelike", "lightlike"))
+    b = np.asarray(entry.data.angular.betas)
+    d = th - b[np.cos(th[..., None] - b).argmax(axis=-1)]
+    near = np.abs(np.exp(l) - 2 * np.sin(d / 2) ** 2) <= 1e-12 * (np.exp(l) + np.abs(np.sin(d)))
+    causal[near] = "lightlike"
     lines = ["x,y,lambda,causal,zmc_residual"]
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
@@ -705,10 +707,11 @@ def test_graph_labels_are_the_sample_rule_at_the_preimage(capsys, tmp_path, name
     inv = GraphInverter(data)
     xs = np.linspace(-R, R, 41)
     raw_x, raw_y = xs / scale[1], xs / scale[2]
-    l, th, _, ok, _ = inv._grid(raw_x, raw_y)
-    u, th = inv._from_chart(l, th)
+    l, th, _, ok, rn = inv._grid(raw_x, raw_y)
+    u = inv._from_chart(l, th)[0]
     assert ok.all()
-    assert np.array_equal(labels, causal_label(data, u, th, l))
+    chart = (l, *inv._chart_error(l, th, rn, *np.meshgrid(raw_x, raw_y)))
+    assert np.array_equal(labels, causal_label(data, u, th, chart))
     # the graph reads the side from the chart point, the sample from u: the
     # two agree wherever u does not round to the fold and the chart point
     # resolves its side
@@ -736,6 +739,35 @@ def test_graph_scherk2_axis_nodes_are_spacelike(capsys, tmp_path):
     assert np.all(q[np.abs(x) >= 19] == 0.0)  # u and 1 - tanh^2 x both round
     p = np.abs(np.outer(np.sinh(x), np.sinh(x)))
     assert np.array_equal(labels, np.where(p < 1.0, "spacelike", "timelike"))
+
+
+def test_graph_scherk4_corner_nodes_are_not_timelike(capsys, tmp_path):
+    # these nodes of scherk:4 are solved in a corner chart, whose theta
+    # Newton leaves about 7e-13 from the end direction, where 2 sin^2(d / 2)
+    # = 2.8e-25 swamps e^l = 1.3e-30 at (0, -9); a 50-digit solve from the
+    # chart point finds theta within 7e-17 of the end and the side e^l > 0,
+    # space-like.  The chart point's error leaves the side unresolved
+    labels = graph_labels(capsys, tmp_path, "scherk:4", "-20:20", "-20:20")
+    nodes = [(0, 8), (0, 9), (8, 0), (9, 0), (6, 6)]
+    for x, y in nodes + [(-x, -y) for x, y in nodes] + [(6, -6), (-6, 6)]:
+        assert labels[y + 20, x + 20] in ("spacelike", "lightlike"), (x, y)
+
+
+def test_chart_error_covers_the_corner_chart_theta():
+    # the chart points of scherk:4's (0, -9) and (9, 0) lie 7.5e-13 from the
+    # end direction, their exact preimages within 7e-17 of it (50-digit
+    # solves): the theta bound covers that, and a residual below Newton's
+    # tolerance counts as the tolerance
+    entry = cli.get_entry("scherk:4")
+    inv, scale = GraphInverter(entry.data), entry.normalization.scale
+    X, Y = np.array([0.0, 9.0]) / scale[1], np.array([-9.0, 0.0]) / scale[2]
+    l, th, _, ok, rn, (a, _, _, _) = inv._solve(X, Y)
+    assert ok.all() and (a >= 0).all()  # solved in a corner chart
+    b = np.asarray(entry.data.angular.betas)
+    d = th - b[np.cos(th[:, None] - b).argmax(axis=1)]
+    dl, dth = inv._chart_error(l, th, rn, X, Y)
+    assert np.all(np.abs(d) > 1e-13) and np.all(dth >= np.abs(d)) and np.all(dl > 0)
+    assert np.array_equal(inv._chart_error(l, th, 0.0 * rn, X, Y)[1], dth)
 
 
 def test_graph_jorge_meeks2_identity(capsys, tmp_path):

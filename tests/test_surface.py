@@ -408,21 +408,26 @@ def test_causal_character_basic():
 def test_causal_label_from_the_chart_point():
     # with the end-chart point (l, theta) the side is e^l - 2 sin^2(d / 2),
     # d = theta - beta_a: resolved where u = cos d + e^l rounds to 1, and
-    # light-like only within the rounding of its two terms and one ulp of
-    # theta
+    # light-like only within the rounding of its two terms and, with chart =
+    # (l, dl, dtheta), what moving the point by that much does to it
     u = np.ones(4)
     th = np.array([0.0, 1e-20, 1e-20, 0.5])
     c = 2.0 * math.sin(0.25) ** 2
     l = np.array([-80.0, -80.0, -100.0, math.log(c)])
     assert causal_label(SCHERK2, u, th).tolist() == ["lightlike"] * 4
-    assert causal_label(SCHERK2, u, th, l).tolist() == [
+    assert causal_label(SCHERK2, u, th, (l, 0.0, 0.0)).tolist() == [
         "spacelike", "spacelike", "timelike", "lightlike"]
-    # next to the end at 3 pi / 2, where an ulp of theta is 8.9e-16, e^l must exceed
-    # about 1e-30 to resolve the side
+    # one ulp below the end at 3 pi / 2, d = -8.9e-16 exactly: 2 sin^2(d / 2)
+    # = 3.9e-31 decides against e^-80 = 1.8e-35 for an exact point, but a
+    # point only known to 1e-12 in theta resolves only clearances above
+    # about 5e-25, and one known to 0.1 in l only sides beyond 0.1 e^l
     near = np.nextafter(3 * math.pi / 2, 0.0)
-    assert causal_label(SCHERK2, 1.0, 3 * math.pi / 2, -60.0) == "spacelike"
-    assert causal_label(SCHERK2, 1.0, near, -60.0) == "spacelike"
-    assert causal_label(SCHERK2, 1.0, near, -80.0) == "lightlike"
+    assert causal_label(SCHERK2, 1.0, near, (-60.0, 0.0, 0.0)) == "spacelike"
+    assert causal_label(SCHERK2, 1.0, near, (-80.0, 0.0, 0.0)) == "timelike"
+    assert causal_label(SCHERK2, 1.0, near, (-60.0, 0.0, 1e-12)) == "lightlike"
+    assert causal_label(SCHERK2, 1.0, near, (-50.0, 0.0, 1e-12)) == "spacelike"
+    assert causal_label(SCHERK2, 1.0, 0.5, (np.log(c * 1.05), 0.1, 0.0)) == "lightlike"
+    assert causal_label(SCHERK2, 1.0, 0.5, (np.log(c * 1.2), 0.1, 0.0)) == "spacelike"
 
 
 def test_mixed_type_across_fold():
