@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .angular import TWO_PI, AngularData
 from .domain import sample_edges
@@ -205,6 +204,15 @@ def causal_label(data: KobayashiData, u, theta, chart=None) -> np.ndarray:
 # Newton inversion of (x1, x2)
 # ---------------------------------------------------------------------------
 
+def _stalled(rn, last):
+    """True where the residual rn fell by less than a tenth over the last 4
+    sweeps: `last` (4, n) holds the residuals at their starts, oldest first
+    (inf before the first sweep), and rn replaces the oldest."""
+    out = rn > 0.9 * last[0]
+    last[:-1], last[-1] = last[1:], rn
+    return out
+
+
 class GraphInverter:
     """Damped Newton solver for (x1, x2)(u, theta) = (x, y), in two charts.
 
@@ -218,13 +226,14 @@ class GraphInverter:
     """
 
     # Newton sweeps a node while its residual exceeds ATOL * scale, at most
-    # MAXITER times (CORNER_SWEEPS in a corner chart: from a good affine seed
-    # it needs up to 8, and the other chart is the fallback), with the step
-    # lengths 2^-k in the groups STEPS[i] <= k < STEPS[i + 1]; `_newton`
-    # calls it converged at 1e-10 * scale
-    MAXITER, CORNER_SWEEPS, ATOL, STEPS = 60, 10, 1e-13, (0, 1, 2, 4, 8, 16, 40)
+    # MAXITER times, with the step lengths 2^-k in the groups STEPS[i] <= k <
+    # STEPS[i + 1]; `_newton` calls it converged at 1e-10 * scale.  A corner
+    # run also stops once `_stalled`, as another chart takes its target; an
+    # end-chart run has none, and its far nodes can stall long yet converge
+    MAXITER, ATOL, STEPS = 60, 1e-13, (0, 1, 2, 4, 8, 16, 40)
 
     def __init__(self, data: KobayashiData):
+        from scipy.spatial import cKDTree  # here, so that importing zmc loads no scipy
         why = _graph_refusal(data.angular)
         if why:
             raise PreconditionUnmet(why)
@@ -320,11 +329,13 @@ class GraphInverter:
         return d, (self._seed_l[i], self._seed_th[i])
 
     @np.errstate(all="ignore")
-    def _newton(self, chart, c1, c2, vals, target, shove=None, sweeps=None):
+    def _newton(self, chart, c1, c2, vals, target, shove=None, stall=False):
         """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
         (f~, d f~/dc1, d f~/dc2) at the nodes of index array k.  Updates the
-        chart points c1, c2 and their values vals in place, in at most
-        `sweeps` (MAXITER) sweeps; returns (c1, c2, lambda, ok, residual).  A
+        chart points c1, c2 and their values vals in place, in at most MAXITER
+        sweeps; returns (c1, c2, lambda, ok, residual).  With `stall` (corner
+        runs, whose targets have another chart to go to) a node also stops
+        once it is `_stalled`; end-chart runs have none (class comment).  A
         sweep clips each Newton step to length 8 and tries the lengths alpha =
         1, 1/2, ..., 2^-39, one chart call per group of STEPS over the nodes
         no earlier group improved; a node takes the first length with residual
@@ -336,8 +347,10 @@ class GraphInverter:
         scale = 1.0 + np.abs(target).max(axis=0)
         # rows c1, c2, f~, residual; tol is inf at a frozen node
         S = np.array([c1, c2, *vals, np.hypot(*(vals[1:] - target))])
-        tol = self.ATOL * scale
-        for _ in range(sweeps or self.MAXITER):
+        tol, last = self.ATOL * scale, np.full((4, S.shape[1]), np.inf)
+        for _ in range(self.MAXITER):
+            if stall:
+                tol[_stalled(S[5], last)] = np.inf
             k = (S[5] > tol).nonzero()[0]
             if not k.size:
                 break
@@ -423,7 +436,7 @@ class GraphInverter:
             ka, kb = sa[r, k], sb[r, k]
             pk, qk, *res = self._newton(
                 lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
-                p[r, k], q[r, k], cv[:, r, k], T[:, k], sweeps=self.CORNER_SWEEPS)
+                p[r, k], q[r, k], cv[:, r, k], T[:, k], stall=True)
             take = ~(res[2] >= out[4, k])
             out[2:, k[take]] = np.array([*res, pk, qk, ka, kb])[:, take]
         end((first & (out[3] == 0.0)).nonzero()[0])
@@ -778,19 +791,19 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     seeds a Gauss-Newton solve.
 
     Gauss-Newton: each seed pair (q1, q2) solves f(q2) - f(q1) = 0 in
-    (u1, theta1, u2, theta2), at most 30 sweeps; a pair stops once its
-    residual norm is at most 1e-12.  A sweep takes the minimum-norm step of
-    the linearised equations and tries 2^-k times it for k = 0..11, taking
-    the first k whose candidate is inside and lowers the residual norm.
-    Inside means both points clear the boundary by more than 1e-12
-    (u > max_j cos(theta - beta_j) + 1e-12), both have u < 1e6, and their
-    chart points lie more than tol_param / 2 = 0.025 apart.  A pair is
-    dropped when no step improves it or its normal matrix is singular.  A
-    pair confirms a crossing when its residual norm is at most 1e-9 * scale,
-    scale = 1 + max |f(q1)|, and its chart points lie more than tol_param
-    apart.  A confirmed crossing is reported unless both its chart points
-    lie within tol_param / 2 of an earlier report's; at most the first 200
-    are reported.
+    (u1, theta1, u2, theta2), at most `GraphInverter.MAXITER` sweeps; a pair
+    stops once its residual norm is at most 1e-12 or it is `_stalled` (for
+    good: the norm never rises).  A sweep takes the minimum-norm step of the
+    linearised equations and tries 2^-k times it for k = 0..11, taking the
+    first k whose candidate is inside and lowers the residual norm.  Inside
+    means both points clear the boundary by more than 1e-12 (u > max_j
+    cos(theta - beta_j) + 1e-12), both have u < 1e6, and their chart points
+    lie more than tol_param / 2 = 0.025 apart.  A pair is dropped when no
+    step improves it or its normal matrix is singular.  A pair confirms a
+    crossing when its residual norm is at most 1e-9 * scale, scale = 1 +
+    max |f(q1)|, and its chart points lie more than tol_param apart.  A
+    confirmed crossing is reported unless both its chart points lie within
+    tol_param / 2 of an earlier report's; at most the first 200 are reported.
 
     The grid has `grid_resolution` rows, from clearance 0.01 above the
     boundary up to u = 3.  Raises `InputError` for a resolution that
@@ -849,9 +862,9 @@ def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
     alive = np.ones(x.shape[2], dtype=bool)
     F = residual(x)
     rn = np.linalg.norm(F, axis=0)
-    alphas = 2.0 ** -np.arange(_STEP_EDGES[-1])
-    for _ in range(30):
-        idx = np.flatnonzero(alive & (rn > 1e-12))
+    alphas, last = 2.0 ** -np.arange(_STEP_EDGES[-1]), np.full((4, rn.size), np.inf)
+    for _ in range(GraphInverter.MAXITER):
+        idx = np.flatnonzero(alive & (rn > 1e-12) & ~_stalled(rn, last))
         if not idx.size:
             break
         n = idx.size

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.integrate import quad_vec
 
 from .angular import TWO_PI, AngularData
 from .domain import ExtendedPoint, FinitePoint, PointAtInfinity
@@ -433,6 +432,7 @@ def integrate_oneform(forms: OneFormUV, start: ExtendedPoint, stop: ExtendedPoin
     forms are closed on the simply connected domain, so any such polyline
     gives the same answer.
     """
+    from scipy.integrate import quad_vec  # here, so that importing zmc loads no scipy
     for p in (start, stop):
         if isinstance(p, FinitePoint) and p.u - forms.angular.max_cos(p.theta) <= _EDGE:
             raise PathBlocked(f"endpoint {p} is not strictly inside the domain")
@@ -510,6 +510,7 @@ def eval_on_disk(data: KobayashiData, z: complex, z0: complex = 0j,
     Pure quadrature of the holomorphic forms along a polyline that keeps
     clear of the ends; both points may lie outside the unit disk.
     """
+    from scipy.integrate import quad_vec
     ends = [e for e, _ in data.ends]
 
     def route(a: complex, b: complex) -> list[complex]:

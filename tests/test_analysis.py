@@ -250,9 +250,10 @@ def test_invert_far_probe_solves_in_the_corner_chart(monkeypatch):
 def test_invert_corner_run_in_the_wrong_sector_is_capped(monkeypatch):
     # on this random n = 3 surface the best corner seed of (-1.2, -1.6), in
     # sector (0, 1), beats the seed bank, but that chart does not hold the
-    # preimage: Newton creeps there with damped steps.  After CORNER_SWEEPS
-    # sweeps the next sector solves it: 59 evaluator calls, where a full
-    # MAXITER run in the first sector made 322
+    # preimage: Newton creeps there with damped steps.  Once the run stalls
+    # (`_stalled`) the next sector solves it: 52 evaluator calls (57 under a
+    # fixed cap of 10 corner sweeps), where a full MAXITER run in the first
+    # sector made 322
     data = make(3, (0.0, 0.40161887804327845, 1.8801721927476516, 3.0358415460901265,
                     4.45883424070194, 5.558687614741227))
     inv = GraphInverter(data)
@@ -561,6 +562,9 @@ def random_gap_data(seed):
 @example(seed=1416186938, turn=0.303194829291645)
 # a corner solve whose theta lies nearest an end outside its sector
 @example(seed=2214, turn=0.0)
+# (100, 0) lies in the thin image of sector (5, 0), gap 2e-3 below pi/2:
+# its corner run needs up to 15 sweeps
+@example(seed=122001676, turn=0.0)
 def test_invert_whole_plane(seed, turn):
     # the paper's claim far out: every target on a log-spaced radial grid to
     # |x| = 1e3, and on a ring at 1e6, has a preimage whose chart point
@@ -604,6 +608,34 @@ def test_invert_whole_plane(seed, turn):
         if ok[0]:
             end = inv._from_chart(l, th) + (lam,)
             assert np.array_equal(inv.invert(X[i], Y[i]), [r[0] for r in end])
+
+
+def near_boundary_data(eps):
+    """Principal n = 3 data with gaps (pi/2 - eps, pi/2 - eps, r, r, r, r),
+    r = pi/4 + eps/2: far out, the sectors of the two gaps next to the
+    boundary pi/2 have nearly singular affine models and map onto thin
+    strips (ROADMAP item 16)."""
+    r = math.pi / 4 + eps / 2
+    return make(3, np.concatenate([[0.0], np.cumsum([math.pi / 2 - eps] * 2 + [r] * 3)]))
+
+
+def test_invert_near_boundary_strip_converges_whole():
+    # the strip of (100, 0) above: every node of a 41^2 grid over it solves,
+    # where 10 corner sweeps solved 340 of 1681
+    inv = GraphInverter(random_gap_data(122001676))
+    X, Y = np.meshgrid(np.linspace(60.0, 120.0, 41), np.linspace(-0.05, 0.05, 41))
+    assert inv._solve(X.ravel(), Y.ravel())[3].all()
+
+
+@pytest.mark.parametrize("eps, R", [(1e-2, R) for R in (10.0, 30.0, 100.0, 300.0, 1e3)]
+                         + [(eps, R) for eps in (1e-3, 1e-4, 1e-6) for R in (10.0, 30.0)])
+def test_invert_near_boundary_rings_converge_whole(eps, R):
+    # rings of 14,400 targets; at eps = 1e-2, 10 corner sweeps missed 10 / 3
+    # / 1 of them at R = 100 / 300 / 1e3, and at eps = 1e-6 a stall window of
+    # 3 sweeps misses 2 at R = 10 (smaller eps miss more far out: ROADMAP 16)
+    inv = GraphInverter(near_boundary_data(eps))
+    angles = 2 * math.pi * np.arange(14_400) / 14_400
+    assert inv._solve(R * np.cos(angles), R * np.sin(angles))[3].all()
 
 
 def test_invert_corner_solve_off_its_sector_reproduces_target():
@@ -1193,6 +1225,16 @@ def test_gauss_newton_matches_loop_reference(name, res, cap, crossings, monkeypa
     assert results == [hits] and len(hits) == crossings
 
 
+def test_gauss_newton_stops_stalled_pairs(monkeypatch):
+    # every pair of self-intersecting-n3 at 120 has confirmed or stalled
+    # (`_stalled`) after 16 sweeps, where a fixed count ran all 30
+    sweeps, partials = [], SurfaceEvaluator.partials
+    monkeypatch.setattr(SurfaceEvaluator, "partials",
+                        lambda self, u, th: sweeps.append(1) or partials(self, u, th))
+    hits = injectivity_scan(get_entry("self-intersecting-n3").data, grid_resolution=120)
+    assert len(hits) == 31 and len(sweeps) <= 20
+
+
 def test_gauss_newton_all_singular_is_quiet(monkeypatch):
     # every normal matrix of the first sweep is zero: every seed is dropped
     # there, with no warning (RuntimeWarnings are errors here)
@@ -1258,12 +1300,12 @@ def test_gauss_newton_single_pair(monkeypatch):
 
 
 def test_gauss_newton_group_wholly_outside(monkeypatch):
-    # on the first 8 seeds many groups have no candidate inside the domain
+    # on the first 64 seeds many groups have no candidate inside the domain
     # (one max_cos call and no evaluation); the search goes on to the next
     # group, as the oracle goes on to the next length
     ev, *rest = _gauss_newton_args("self-intersecting-n3", 120, monkeypatch)
     angular, u1, t1, u2, t2, tol = rest
-    args = (angular, u1[:8], t1[:8], u2[:8], t2[:8], tol)
+    args = (angular, u1[:64], t1[:64], u2[:64], t2[:64], tol)
     log, max_cos, eval_batch = [], AngularData.max_cos, SurfaceEvaluator.eval_batch
 
     def logged_max_cos(self, theta):
@@ -1481,15 +1523,21 @@ def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
 
 
 @np.errstate(all="ignore")
-def _ref_newton(self, chart, c1, c2, vals, target, shove=None, sweeps=None):
+def _ref_newton(self, chart, c1, c2, vals, target, shove=None, stall=False):
     """GraphInverter._newton as a loop that keeps a step length per node:
     every length re-evaluates every active node, and every sweep ends by
-    evaluating the whole batch; the oracle for the production loop."""
+    evaluating the whole batch; the oracle for the production loop.  With
+    `stall`, a node whose residual at the start of a sweep exceeds 0.9 times
+    its residual at the start of the sweep 4 earlier is frozen."""
     scale = 1.0 + np.abs(target).max(axis=0)
     R = vals[1:] - target
     rn = np.hypot(R[0], R[1])
     frozen = np.zeros(c1.size, dtype=bool)
-    for _ in range(sweeps or self.MAXITER):
+    history = []
+    for sweep in range(self.MAXITER):
+        if stall and sweep >= 4:
+            frozen |= rn > 0.9 * history[sweep - 4]
+        history.append(rn.copy())
         active = (rn > self.ATOL * scale) & ~frozen
         if not active.any():
             break
@@ -1596,7 +1644,7 @@ def test_newton_evaluates_only_pending_nodes(monkeypatch):
         points.append(np.size(p))
         return corner(a, b, p, q, order)
 
-    def replayed(chart, c1, c2, vals, target, shove=None, sweeps=None):
+    def replayed(chart, c1, c2, vals, target, shove=None, stall=False):
         calls, rn = [], np.hypot(*(vals[1:] - target))
 
         def recorded(k, t1, t2, d=True):
@@ -1604,7 +1652,7 @@ def test_newton_evaluates_only_pending_nodes(monkeypatch):
             calls.append((d, np.array(k), np.hypot(*(out[0][1:] - target[:, k]))))
             return out
 
-        result = newton(recorded, c1, c2, vals, target, shove, sweeps)
+        result = newton(recorded, c1, c2, vals, target, shove, stall)
         calls = iter(calls)
         call = next(calls, None)
         while call is not None:

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from types import SimpleNamespace
@@ -23,6 +25,16 @@ def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where it is used (the inverter's seed-bank tree, the
+    # quadrature oracles), so a fresh `import zmc.cli` loads none of it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, zmc.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------- classify
