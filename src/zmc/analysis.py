@@ -14,7 +14,8 @@ import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import zip_longest
 
 import numpy as np
 
@@ -243,7 +244,8 @@ class GraphInverter:
         l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0),
                             np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
         self._seed_l, self._seed_th = l.ravel(), th.ravel()
-        self._seed_tree = cKDTree(self.evaluator.jet(l, th[0])[0][1:].T)
+        bank = self.evaluator.jet(l, th[0])[0][1:]
+        self._seed_tree, self._bank_r = cKDTree(bank.T), np.hypot(*bank).max()
         # the corner sectors, and on each the affine model (x1, x2) = c + J (p, q)
         # up to O(e^p, e^q): the chart and its Jacobian where e^p = e^q = 0;
         # its seeds are clipped to e^p, e^q <= sin g, inside the chart.  A
@@ -263,8 +265,9 @@ class GraphInverter:
                         np.log(np.sin(g[sec]))[:, None])
 
     @cached_property
-    def _phi_polys(self):  # num, den, num', den' of each phi form, for `graph_derivatives`
-        return [(phi.num, phi.den, phi.num.deriv(), phi.den.deriv()) for phi in self.data.phi]
+    def _phi_polys(self):  # num, den, num', den' of each phi: (power, 4, 3, 1), 0-padded on top
+        cs = [c.coeffs for f in self.data.phi for c in (f.num, f.den, f.num.deriv(), f.den.deriv())]
+        return np.array(list(zip_longest(*cs, fillvalue=0j))).reshape(-1, 3, 4, 1).swapaxes(1, 2)
 
     def _unkink(self, th, eps=3e-9):
         """Shift theta off the boundary corners, where the chart Jacobian
@@ -275,13 +278,12 @@ class GraphInverter:
         out[(d < 1e-9).any(axis=1)] += eps
         return out
 
-    def _chart_error(self, l, th, rn, X, Y):
-        """(dl, dtheta) of `causal_label`'s chart for `_grid`'s points (l, theta)
-        of the targets (X, Y): a point leaving the residual r lies J^-1 r from
-        its preimage to first order, J = d(x1, x2)/d(l, theta), with |r| taken
-        as at least ATOL * scale, where Newton stops; 0 where e^l > 2 (side > 1)."""
+    def _chart_error(self, Jl, Jt, l, rn, X, Y):
+        """(dl, dtheta) of `causal_label`'s chart for `_grid`'s points (l, theta) of
+        the targets (X, Y), from their `jet` rows d/dl, d/dtheta: a point leaving
+        the residual r lies J^-1 r from its preimage to first order, with |r|
+        taken as at least ATOL * scale, where Newton stops; 0 where e^l > 2."""
         with np.errstate(all="ignore"):
-            _, Jl, Jt = self.evaluator.jet(np.ravel(l), np.ravel(th), 1)
             r = np.maximum(rn, self.ATOL * (1.0 + np.maximum(abs(X), abs(Y)))).ravel()
             r = np.where(np.ravel(l) > math.log(2.0), 0.0, r / abs(Jl[1] * Jt[2] - Jt[1] * Jl[2]))
             return tuple(((abs(J[1]) + abs(J[2])) * r).reshape(np.shape(l)) for J in (Jt, Jl))
@@ -411,24 +413,36 @@ class GraphInverter:
         """`invert`'s dispatch, batched: a target starts in the corner chart if
         its best corner seed leaves a smaller residual than its nearest
         seed-bank point, else in the end chart, and falls back to the other
-        chart, keeping the smaller residual.  Returns (l, theta, lambda,
-        converged, residual, (a, b, s, t)): the end-chart point, and the point
-        Newton solved in: the corner point (p, q) = (s, t) of sector (a, b), or
-        with a = -1 the end point (l, theta) = (s, t).  A corner point's l is
-        the log clearance of the end nearest its theta: min(p, q) at end a or b."""
+        chart, keeping the smaller residual.  Bank points lie |T| - R_bank or
+        more from the target T (less a 1e-9 |T| margin for rounding): a
+        closer corner seed starts first without the query, which its target
+        makes only if it falls back to the end chart.  A corner seed within
+        Newton's tolerance is its answer, as `_newton` gives it after 0 sweeps.
+        Returns (l, theta, lambda, converged, residual, (a, b, s, t)): the
+        end-chart point, and the point Newton solved in: the corner point (p,
+        q) = (s, t) of sector (a, b), or with a = -1 the end point (l, theta)
+        = (s, t).  A corner point's l is the log clearance of the end nearest
+        its theta: min(p, q) at end a or b."""
         X, Y = T = np.array([X, Y], dtype=float).reshape(2, -1)
         sa, sb, p, q, crn, cv = self._corner_seed(X, Y)
-        dist, (sl, sth) = self._nearest_seed(T)
-        first = (crn[:1] < dist).any(axis=0)  # starts in the corner chart
+        c0 = crn[:1].min(axis=0, initial=np.inf)  # the best corner seed's residual
+        first = c0 < (1 - 1e-9) * np.hypot(*np.clip(T, -1e150, 1e150)) - self._bank_r
+        seed, k = np.full((2, X.size), np.nan), (~first).nonzero()[0]
+        if k.size:  # the seed-bank points nearest the other targets
+            d, seed[:, k] = self._nearest_seed(T[:, k])
+            first[k] = c0[k] < d  # starts in the corner chart
         out = np.full((9, X.size), np.nan)  # l, theta, lambda, ok, residual, s, t, a, b
         out[3], out[7:] = 0.0, -1.0
 
-        def end(k):  # the end chart from the seed-bank points, kept where it does better
+        def end(k, start=None):  # the end chart from seed-bank points, kept where it does better
             if k.size:
-                l, th, *res = self.newton_batch(X[k], Y[k], (sl[k], sth[k]))
+                l, th, *res = self.newton_batch(X[k], Y[k], None if start is None else start[:, k])
                 take = ~(res[2] >= out[4, k])
                 out[:7, k[take]], out[7:, k[take]] = np.array([l, th, *res, l, th])[:, take], -1
-        end((~first).nonzero()[0])
+        end((~first).nonzero()[0], seed)
+        k = (first & (c0 <= self.ATOL * (1.0 + np.abs(T).max(axis=0)))).nonzero()[0]
+        if k.size:  # seeds within Newton's tolerance: `_newton`'s return after 0 sweeps, ok finite
+            out[2:, k] = cv[0, 0, k], c0[k] < np.inf, c0[k], p[0, k], q[0, k], sa[0, k], sb[0, k]
         for r in range(len(p)):  # the sectors in the order of their seeds
             k = ((out[3] == 0.0) & ~np.isnan(p[r])).nonzero()[0]
             if not k.size:
@@ -439,7 +453,7 @@ class GraphInverter:
                 p[r, k], q[r, k], cv[:, r, k], T[:, k], stall=True)
             take = ~(res[2] >= out[4, k])
             out[2:, k[take]] = np.array([*res, pk, qk, ka, kb])[:, take]
-        end((first & (out[3] == 0.0)).nonzero()[0])
+        end((first & (out[3] == 0.0)).nonzero()[0])  # `newton_batch` queries their seeds
         l, th, lam, ok, rn, s, t, a, b = *out[:7], *out[7:].astype(np.int64)
         # a corner solve's theta is the chart's, and its l the log clearance of the end j
         # nearest theta (as in `jet`): min(p, q) for j = a or b, else log(e^p + D_j - D_a)
@@ -457,11 +471,12 @@ class GraphInverter:
 
         Each target starts in the chart whose seed leaves the smaller residual
         and falls back to the other (`_solve`); `NoConvergence` carries the
-        residual when both miss.  u = max cos(theta - beta) + e^l is formed
-        from the end-chart point (l, theta), whose e^l is the clearance of
-        the end nearest theta, also for a corner solve: below a clearance of
-        about 1e-8 it no longer reproduces (x, y), though the chart point
-        does.
+        residual when both miss.  A far target whose corner seed meets
+        Newton's tolerance costs one `corner` call.  u = max cos(theta - beta)
+        + e^l is formed from the end-chart point (l, theta), whose e^l is the
+        clearance of the end nearest theta, also for a corner solve: below a
+        clearance of about 1e-8 it no longer reproduces (x, y), though the
+        chart point does.
         """
         l, th, lam, ok, rn, _ = self._solve([x], [y])
         u, th = self._from_chart(l, th)
@@ -507,10 +522,10 @@ class GraphInverter:
         return tuple(out)
 
 
-def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0)):
+def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0), F=None):
     """Analytic gradient, Hessian and ZMC residual of the graph height
     lambda at the end-chart points (l, theta) of solved nodes, from one
-    order-2 `jet` there.
+    order-2 `jet` there, or its rows 1: given as F (overwritten where e^l > 2).
 
     In a chart p with J = d(x1, x2)/dp, implicit differentiation of
     x0 = lambda(x1, x2) gives grad lambda = J^-T grad_p x0 and the Hessian
@@ -522,14 +537,15 @@ def graph_derivatives(inverter: GraphInverter, l, th, scale=(1.0, 1.0, 1.0)):
     """
     shape, l, t = np.shape(l), np.ravel(l), np.ravel(th)
     with np.errstate(all="ignore"):
-        F = inverter.evaluator.jet(l, t, order=2)[1:]
+        F = inverter.evaluator.jet(l, t, order=2)[1:] if F is None else F
         # towards p_infinity (the origin's node sits near l = 30) d/dl sums
         # nearly cancelling 1/D_j; so for e^l > 2 (u > 2) the chart is the disk
         # point z = p1 + i p2 of (u, theta), where f~ = Re of the integral of phi
         far = l > math.log(2.0)
         u, tf = inverter._from_chart(l[far], t[far])
-        z = np.exp(1j * tf) / (u + np.sqrt(u * u - 1.0))
-        n, d, dn, dd = np.array([[f(z) for f in fs] for fs in inverter._phi_polys]).swapaxes(0, 1)
+        z, C = np.exp(1j * tf) / (u + np.sqrt(u * u - 1.0)), inverter._phi_polys
+        # `polyval`'s Horner on all twelve: a zero pad adds 0 before the top term, bit for bit
+        n, d, dn, dd = reduce(lambda acc, c: c + acc * z, C[-2::-1], C[-1] + z * 0)
         f1 = n / d
         f2 = (dn - f1 * dd) / d
         for Fk, Dk in zip(F, (f1.real, -f1.imag, f2.real, -f2.imag, -f2.real)):

@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -371,13 +372,15 @@ def cmd_graph(args) -> int:
     ys = np.linspace(y0, y1, res)
     raw_x, raw_y = np.stack([xs, ys]) / np.array(norm.scale[1:])[:, None]
     l, th, lam, ok, rn = inverter._grid(raw_x, raw_y)
-    _, _, resid, finite = _analysis.graph_derivatives(inverter, l, th, norm.scale)
+    with np.errstate(all="ignore"):
+        F = inverter.evaluator.jet(l.ravel(), th.ravel(), 2)[1:]
+    err = inverter._chart_error(*F[:2], l, rn, *np.meshgrid(raw_x, raw_y))
+    _, _, resid, finite = _analysis.graph_derivatives(inverter, l, th, norm.scale, F)
     if not (ok & finite).all():
         i, j = np.argwhere(~(ok & finite))[0]
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
-    chart = (l, *inverter._chart_error(l, th, rn, *np.meshgrid(raw_x, raw_y)))
-    causal = _analysis.causal_label(target.data, inverter._from_chart(l, th)[0], th, chart)
+    causal = _analysis.causal_label(target.data, inverter._from_chart(l, th)[0], th, (l, *err))
     xs_s = list(map(repr, xs.tolist()))
     rows = ("".join(map(f"{{}},{y!r},{{}},{{}},{{}}\n".format, xs_s, map(repr, l.tolist()),
                         c.tolist(), map(repr, r.tolist())))
@@ -547,7 +550,8 @@ def _add_target_args(p):
     p.add_argument("--gallery", help="gallery entry, e.g. scherk:3")
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:  # built once per process
     parser = argparse.ArgumentParser(
         prog="zmc",
         description="Zero-mean-curvature surfaces of mixed type: classify, "
@@ -592,8 +596,11 @@ def main(argv=None) -> int:
     p.add_argument("--m", type=int, required=True, help="half the reciprocal order")
     p.add_argument("--parity", choices=("self", "anti"), required=True)
     p.set_defaults(func=cmd_reduce)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

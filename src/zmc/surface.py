@@ -184,7 +184,8 @@ class SurfaceEvaluator:
         end ref, not the nearest end's, and D is unclipped.  l or u may be an
         (R, C) grid against theta of shape (C,); rows are in grid order."""
         s = theta - self.betas[:, None, None]  # (ends, 1, C)
-        cs = np.cos(s)
+        # read by the nearest end, u, pole ends and order 2: not by simple-end corners below order 2
+        cs = np.cos(s) if ref is None or self._order or order > 1 else None
         cols = np.arange(theta.size)
         a = np.argmax(cs[:, 0], axis=0) if ref is None else ref
         delta = np.exp(l) if u is None else u - cs[a, 0, cols]

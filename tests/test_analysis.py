@@ -388,6 +388,60 @@ def test_graph_table_flags_non_finite_derivatives(monkeypatch):
     assert np.isfinite(np.array([lx, ly, resid])[:, ok]).all()
 
 
+def _ref_graph_derivatives(inverter, l, th, scale=(1.0, 1.0, 1.0)):
+    """`graph_derivatives` with the disk branch's twelve numpy `polyval`
+    calls (num, den, num', den' of each phi form, one call each): the oracle
+    for its stacked Horner."""
+    shape, l, t = np.shape(l), np.ravel(l), np.ravel(th)
+    with np.errstate(all="ignore"):
+        F = inverter.evaluator.jet(l, t, order=2)[1:]
+        far = l > math.log(2.0)
+        u, tf = inverter._from_chart(l[far], t[far])
+        z = np.exp(1j * tf) / (u + np.sqrt(u * u - 1.0))
+        polys = [(f.num, f.den, f.num.deriv(), f.den.deriv()) for f in inverter.data.phi]
+        n, d, dn, dd = np.array([[f(z) for f in fs] for fs in polys]).swapaxes(0, 1)
+        f1 = n / d
+        f2 = (dn - f1 * dd) / d
+        for Fk, Dk in zip(F, (f1.real, -f1.imag, f2.real, -f2.imag, -f2.real)):
+            Fk[:, far] = Dk
+        F1, F2, F11, F12, F22 = F
+        det = F1[1] * F2[2] - F2[1] * F1[2]
+        Jinv = np.array([[F2[2], -F2[1]], [-F1[2], F1[1]]]) / det
+        grad = np.einsum("pin,pn->in", Jinv, np.array([F1[0], F2[0]]))
+        Hp = np.array([[F11, F12], [F12, F22]])
+        M = Hp[:, :, 0] - grad[0] * Hp[:, :, 1] - grad[1] * Hp[:, :, 2]
+        hess = np.einsum("pin,pqn,qjn->ijn", Jinv, M, Jinv)
+        s = np.array(scale[1:])
+        grad *= scale[0] / s[:, None]
+        hess *= scale[0] / np.outer(s, s)[:, :, None]
+        (lx, ly), H = grad, hess
+        resid = (1 - ly**2) * H[0, 0] + 2 * lx * ly * H[0, 1] + (1 - lx**2) * H[1, 1]
+    finite = np.isfinite(grad).all(axis=0) & np.isfinite(resid)
+    return tuple(a.reshape(a.shape[:-1] + shape) for a in (grad, hess, resid, finite))
+
+
+@pytest.mark.parametrize("name", ["scherk:2", "scherk:3", "scherk:4", "jorge-meeks:2",
+                                  "parabolic", "self-intersecting-fb"])
+def test_graph_derivatives_disk_branch_matches_polyval(name):
+    # towards the origin (e^l > 2) the twelve polynomials of the disk branch
+    # go through one Horner over a zero-padded coefficient array: bit for bit
+    # the twelve `polyval` calls, with the jet evaluated here or passed in.
+    # The jet's order <= 1 rows at order 2 are its order-1 jet, which lets
+    # `zmc graph` read its chart error off the same jet
+    inv = GraphInverter(get_entry(name).data)
+    scale = (1.5, 0.5, 2.0)
+    for R in (0.3, 2.0):
+        xs = np.linspace(-R, R, 41)
+        l, th = inv._grid(xs, xs)[:2]
+        assert (l > math.log(2.0)).sum() >= 9
+        want = _ref_graph_derivatives(inv, l, th, scale)
+        F = inv.evaluator.jet(l.ravel(), th.ravel(), 2)[1:]
+        for got in (graph_derivatives(inv, l, th, scale), graph_derivatives(inv, l, th, scale, F)):
+            assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+        one, two = (inv.evaluator.jet(l.ravel(), th.ravel(), k) for k in (1, 2))
+        assert all(np.array_equal(a, b) for a, b in zip(one, two[:3]))
+
+
 # Far from the origin `invert`'s dispatch solves some of scherk:3's nodes in
 # the corner chart.
 FAR_XS = np.linspace(3.0, 8.0, 6)
@@ -636,6 +690,143 @@ def test_invert_near_boundary_rings_converge_whole(eps, R):
     inv = GraphInverter(near_boundary_data(eps))
     angles = 2 * math.pi * np.arange(14_400) / 14_400
     assert inv._solve(R * np.cos(angles), R * np.sin(angles))[3].all()
+
+
+def _ref_solve(self, X, Y):
+    """GraphInverter._solve as it was before it skipped work: every target
+    queries the seed bank, and every corner run enters `_newton`, also one
+    whose seed already meets Newton's tolerance; the oracle for the
+    production dispatch's two shortcuts."""
+    X, Y = T = np.array([X, Y], dtype=float).reshape(2, -1)
+    sa, sb, p, q, crn, cv = self._corner_seed(X, Y)
+    dist, (sl, sth) = self._nearest_seed(T)
+    first = (crn[:1] < dist).any(axis=0)
+    out = np.full((9, X.size), np.nan)
+    out[3], out[7:] = 0.0, -1.0
+
+    def end(k):
+        if k.size:
+            l, th, *res = self.newton_batch(X[k], Y[k], (sl[k], sth[k]))
+            take = ~(res[2] >= out[4, k])
+            out[:7, k[take]], out[7:, k[take]] = np.array([l, th, *res, l, th])[:, take], -1
+    end((~first).nonzero()[0])
+    for r in range(len(p)):
+        k = ((out[3] == 0.0) & ~np.isnan(p[r])).nonzero()[0]
+        if not k.size:
+            break
+        ka, kb = sa[r, k], sb[r, k]
+        pk, qk, *res = self._newton(
+            lambda i, p, q, d=True: self.evaluator.corner(ka[i], kb[i], p, q, int(d))[1:],
+            p[r, k], q[r, k], cv[:, r, k], T[:, k], stall=True)
+        take = ~(res[2] >= out[4, k])
+        out[2:, k[take]] = np.array([*res, pk, qk, ka, kb])[:, take]
+    end((first & (out[3] == 0.0)).nonzero()[0])
+    l, th, lam, ok, rn, s, t, a, b = *out[:7], *out[7:].astype(np.int64)
+    k = (a >= 0).nonzero()[0]
+    ka, kb, pk, qk = a[k], b[k], s[k], t[k]
+    with np.errstate(all="ignore"):
+        th[k] = thk = self.evaluator.corner_theta(ka, kb, pk, qk)[0]
+        near = np.cos(thk[:, None] - self.evaluator.betas).argmax(axis=1)
+        dj = np.exp(pk) + self.evaluator.dcos(thk, ka)[near, np.arange(k.size)]
+        l[k] = np.where((near == ka) | (near == kb), np.minimum(pk, qk), np.log(dj))
+    return l, th, lam, ok == 1.0, rn, (a, b, s, t)
+
+
+def assert_solve_matches_reference(inv, X, Y):
+    """The six outputs of `_solve` and `_ref_solve`, bit for bit, and the
+    same end-chart runs: `newton_batch` on the same targets from the same
+    seed-bank points, in the same order (the first chart is the same)."""
+    runs, batch = [], inv.newton_batch
+
+    def recorded(X, Y, start=None):
+        seeds = inv._nearest_seed(np.array([X, Y]))[1] if start is None else start
+        runs.append((X, Y, *seeds))
+        return batch(X, Y, start)
+    inv.newton_batch = recorded
+    try:
+        got = inv._solve(X, Y)
+        n = len(runs)
+        want = _ref_solve(inv, X, Y)
+    finally:
+        del inv.newton_batch
+    for g, w in zip(got[:5] + got[5], want[:5] + want[5]):
+        assert np.array_equal(g, w, equal_nan=True)
+    assert len(runs) == 2 * n
+    for g, w in zip(runs[:n], runs[n:]):
+        assert all(np.array_equal(np.asarray(u), np.asarray(v), equal_nan=True)
+                   for u, v in zip(g, w))
+
+
+RING_ANGLES = 2 * math.pi * (np.arange(24) + 0.37) / 24
+
+
+@pytest.mark.parametrize("name", ["scherk:2", "scherk:3", "scherk:4", "scherk:5",
+                                  "jorge-meeks:2", "parabolic", "near-boundary"])
+def test_solve_matches_dispatch_reference(name):
+    # rings from R = 1 to 1e6 and non-finite targets: skipping the seed-bank
+    # query where a corner seed beats every bank point, and `_newton` where a
+    # seed already meets its tolerance, changes no bit of any output
+    data = near_boundary_data(1e-3) if name == "near-boundary" else get_entry(name).data
+    inv = GraphInverter(data)
+    R = np.array([1.0, 2.0, 10.0, 100.0, 1e3, 1e6])[:, None]
+    X, Y = (np.ravel(R * f(RING_ANGLES)) for f in (np.cos, np.sin))
+    assert_solve_matches_reference(inv, X, Y)
+    big = [1e200, -1e200, math.inf, -math.inf, math.nan, 3.0]
+    X, Y = np.array([(x, y) for x in big for y in big]).T
+    assert_solve_matches_reference(inv, X, Y)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_solve_matches_dispatch_reference_on_random_data(seed):
+    inv = GraphInverter(random_gap_data(seed))
+    R = np.array([1.0, 3.0, 30.0, 300.0, 1e4])[:, None]
+    X, Y = (np.ravel(R * f(RING_ANGLES)) for f in (np.cos, np.sin))
+    assert_solve_matches_reference(inv, X, Y)
+
+
+def test_solve_ties_at_the_bank_bound_query_the_bank(monkeypatch):
+    # targets on the ray through scherk:2's farthest bank image s lie exactly
+    # |T| - |s| from it, and the rounded |T| - R_bank can exceed the queried
+    # distance; a best corner seed exactly as close as that distance starts
+    # in the end chart (a tie goes to the bank), so the bound must not
+    # decide it: the dispatch keeps a relative margin below |T| - R_bank
+    inv = GraphInverter(get_entry("scherk:2").data)
+    s = inv._seed_tree.data[np.hypot(*inv._seed_tree.data.T).argmax()]
+    T = np.outer(s / np.hypot(*s), np.linspace(2.0, 6.0, 401))
+    d = inv._nearest_seed(T)[0]
+    tie = np.hypot(*T) - inv._bank_r > d
+    assert tie.sum() >= 20
+    X, Y = T[:, tie]
+    seed = inv._corner_seed
+
+    def tied(X, Y):
+        *rest, crn, cv = seed(X, Y)
+        crn[0] = inv._nearest_seed(np.array([X, Y]))[0]
+        return (*rest, crn, cv)
+    monkeypatch.setattr(inv, "_corner_seed", tied)
+    assert_solve_matches_reference(inv, X, Y)
+    assert (_ref_solve(inv, X, Y)[5][0] == -1).all()  # the end chart solves each
+
+
+def test_far_probe_with_a_converged_corner_seed_skips_newton_and_the_bank(monkeypatch):
+    # (300, 120) on scherk:3: the best corner seed already meets Newton's
+    # tolerance and lies far closer than any bank point can, so `invert`
+    # makes one corner-chart evaluation, queries no bank point and runs no
+    # Newton sweep; (0.3, 0.2), next to the bank, still queries it
+    inv = GraphInverter(SCHERK3)
+    calls, corner, nearest = [], inv.evaluator.corner, inv._nearest_seed
+    monkeypatch.setattr(inv.evaluator, "corner", lambda *a: calls.append("corner") or corner(*a))
+    monkeypatch.setattr(inv, "_nearest_seed", lambda *a: calls.append("bank") or nearest(*a))
+    monkeypatch.setattr(inv, "_newton", None)
+    lam = inv.invert(300.0, 120.0)[2]
+    assert calls == ["corner"]
+    assert_chart_point_reproduces(inv, 300.0, 120.0, lam)
+    monkeypatch.undo()
+    monkeypatch.setattr(inv, "_nearest_seed", lambda *a: calls.append("bank") or nearest(*a))
+    calls.clear()
+    inv.invert(0.3, 0.2)
+    assert calls == ["bank"]
 
 
 def test_invert_corner_solve_off_its_sector_reproduces_target():

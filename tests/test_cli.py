@@ -722,7 +722,8 @@ def test_graph_labels_are_the_sample_rule_at_the_preimage(capsys, tmp_path, name
     l, th, _, ok, rn = inv._grid(raw_x, raw_y)
     u = inv._from_chart(l, th)[0]
     assert ok.all()
-    chart = (l, *inv._chart_error(l, th, rn, *np.meshgrid(raw_x, raw_y)))
+    J = inv.evaluator.jet(l.ravel(), th.ravel(), 1)[1:]
+    chart = (l, *inv._chart_error(*J, l, rn, *np.meshgrid(raw_x, raw_y)))
     assert np.array_equal(labels, causal_label(data, u, th, chart))
     # the graph reads the side from the chart point, the sample from u: the
     # two agree wherever u does not round to the fold and the chart point
@@ -777,9 +778,57 @@ def test_chart_error_covers_the_corner_chart_theta():
     assert ok.all() and (a >= 0).all()  # solved in a corner chart
     b = np.asarray(entry.data.angular.betas)
     d = th - b[np.cos(th[:, None] - b).argmax(axis=1)]
-    dl, dth = inv._chart_error(l, th, rn, X, Y)
+    J = inv.evaluator.jet(l, th, 1)[1:]
+    dl, dth = inv._chart_error(*J, l, rn, X, Y)
     assert np.all(np.abs(d) > 1e-13) and np.all(dth >= np.abs(d)) and np.all(dl > 0)
-    assert np.array_equal(inv._chart_error(l, th, 0.0 * rn, X, Y)[1], dth)
+    assert np.array_equal(inv._chart_error(*J, l, 0.0 * rn, X, Y)[1], dth)
+
+
+def test_graph_evaluates_one_jet_at_the_solved_nodes(capsys, tmp_path, monkeypatch):
+    # once `_grid` has solved the table, `zmc graph` evaluates one order-2
+    # jet at its nodes: the derivatives and the labels' chart error read it
+    orders, solved = [], []
+    jet, grid = SurfaceEvaluator.jet, GraphInverter._grid
+
+    def counted_jet(self, l, theta, order=0):
+        if solved and order >= 1:
+            orders.append(order)
+        return jet(self, l, theta, order)
+
+    monkeypatch.setattr(GraphInverter, "_grid", lambda *a: (grid(*a), solved.append(1))[0])
+    monkeypatch.setattr(SurfaceEvaluator, "jet", counted_jet)
+    code, _, _ = run(["graph", "--gallery", "scherk:3", "-o", str(tmp_path / "g.csv")], capsys)
+    assert code == 0 and solved == [1] and orders == [2]
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    # repeated `main` calls in one process share one parser, and give the
+    # exit codes, output and files of calls that each build it afresh
+    def session(fresh, d):
+        d.mkdir()
+        runs = []
+        for argv in (["graph", "--gallery", "scherk:3", "--resolution", "9", "-o", "g9.csv"],
+                     ["graph", "--resolution"],
+                     ["sample", "--gallery", "scherk:3", "--resolution", "8", "-o", "s.obj"],
+                     ["graph", "--gallery", "scherk:3", "--resolution", "5", "-o", "g5.csv"]):
+            if fresh:
+                cli._parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([a if a[-4:] not in (".csv", ".obj") else str(d / a)
+                                 for a in argv])
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+            runs.append((code, out.getvalue().replace(str(d), ""), err.getvalue()))
+        return runs, {p.name: p.read_bytes() for p in d.iterdir()}
+
+    parser = cli._parser()
+    reused = session(False, tmp_path / "reused")
+    assert cli._parser() is parser
+    fresh = session(True, tmp_path / "fresh")
+    assert [code for code, _, _ in reused[0]] == [0, ("exit", 2), 0, 0]
+    assert reused == fresh and sorted(reused[1]) == ["g5.csv", "g9.csv", "s.obj"]
 
 
 def test_graph_jorge_meeks2_identity(capsys, tmp_path):
