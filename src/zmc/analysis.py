@@ -241,7 +241,7 @@ class GraphInverter:
         self.data = data
         self.evaluator = SurfaceEvaluator(data)
         self.angular = data.angular
-        l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0),
+        l, th = np.meshgrid((-2.0, -0.5, 0.7, 2.5, 7.0, 14.0, 21.0, 40.0),
                             np.linspace(0.0, TWO_PI, 64, endpoint=False), indexing="ij")
         self._seed_l, self._seed_th = l.ravel(), th.ravel()
         bank = self.evaluator.jet(l, th[0])[0][1:]
@@ -814,10 +814,12 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     first k whose candidate is inside and lowers the residual norm.  Inside
     means both points clear the boundary by more than 1e-12 (u > max_j
     cos(theta - beta_j) + 1e-12), both have u < 1e6, and their chart points
-    lie more than tol_param / 2 = 0.025 apart.  A pair is dropped when no
-    step improves it or its normal matrix is singular.  A pair confirms a
-    crossing when its residual norm is at most 1e-9 * scale, scale = 1 +
-    max |f(q1)|, and its chart points lie more than tol_param apart.  A
+    lie more than tol_param / 2 = 0.025 apart.  A pair confirms a crossing
+    when its residual norm is at most 1e-9 * scale, scale = 1 + max |f(q1)|,
+    and its chart points lie more than tol_param apart.  A pair is dropped
+    when no step improves it, its normal matrix is singular, or the
+    candidate it takes has chart points within tol_param, the confirm
+    test's own threshold: it could confirm only by moving apart again.  A
     confirmed crossing is reported unless both its chart points lie within
     tol_param / 2 of an earlier report's; at most the first 200 are reported.
 
@@ -866,7 +868,8 @@ def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
     evaluation over the pairs that no earlier length has improved; alpha *
     step is exact for alpha = 2^-k, so each pair accepts the candidate that
     trying one length at a time would.  A pair keeps the residual of its
-    accepted candidate."""
+    accepted candidate, whose chart separation, from the inside test,
+    decides the drop at tol_param."""
     # x[c, i, k] is coordinate c (u, theta) of point i of pair k, so that
     # x.reshape(2, -1) lists every first point, then every second point
     x = np.array([[u1, u2], [t1, t2]], dtype=float)
@@ -909,7 +912,8 @@ def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
             cu, ct = c.reshape(2, -1)
             ok = ((cu > angular.max_cos(ct) + 1e-12) & (cu < 1e6)).reshape(2, -1)
             mu = _chart(cu, ct).reshape(2, -1)
-            inside = ok[0] & ok[1] & (np.abs(mu[0] - mu[1]) > 0.5 * tol_param)
+            sep = np.abs(mu[0] - mu[1])
+            inside = ok[0] & ok[1] & (sep > 0.5 * tol_param)
             if not inside.any():
                 continue
             rr = residual(c[:, :, inside])
@@ -919,14 +923,15 @@ def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
             hit = better.any(axis=0)
             pick = better.argmax(axis=0)[hit] * pend.size + np.flatnonzero(hit)
             dst = idx[pend[hit]]
-            x[:, :, dst], rn[dst] = c[:, :, pick], crn[pick]
+            x[:, :, dst], rn[dst], alive[dst] = c[:, :, pick], crn[pick], sep[pick] > tol_param
             F[:, dst] = rr[:, np.cumsum(inside)[pick] - 1]  # rr: the inside ones
             pend = pend[~hit]
         alive[idx[pend]] = False
 
+    x, rn = x[:, :, alive], rn[alive]  # only a pair still alive can confirm
     scale = 1.0 + np.abs(ev.eval_batch(*x[:, 0])).max(axis=0)
     m1, m2 = _chart(*x[:, 0]), _chart(*x[:, 1])
-    left = np.flatnonzero(alive & (rn <= 1e-9 * scale) & (np.abs(m1 - m2) > tol_param))
+    left = np.flatnonzero((rn <= 1e-9 * scale) & (np.abs(m1 - m2) > tol_param))
     h = 0.5 * tol_param
     out: list[Collision] = []
     while left.size and len(out) < _MAX_REPORTS:

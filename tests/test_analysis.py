@@ -1408,7 +1408,11 @@ def _checked_gauss_newton(monkeypatch):
 @pytest.mark.parametrize("name, res, cap, crossings", [
     ("self-intersecting-n3", 120, 200, 31), ("self-intersecting-n3", 120, 1, 1),
     ("self-intersecting-n3", 120, 3, 3), ("self-intersecting-n3", 120, 31, 31),
-    ("self-intersecting-fb", 120, 200, 7), ("ruled-enneper", 80, 200, 0)])
+    ("self-intersecting-fb", 120, 200, 7), ("ruled-enneper", 80, 200, 0),
+    # the scan workload's own seeds: the oracle keeps every pair for 30
+    # sweeps, so equality shows that no pair the stage drops at the chart
+    # wall would have confirmed
+    ("self-intersecting-n3", 200, 200, 29), ("self-intersecting-fb", 200, 200, 5)])
 def test_gauss_newton_matches_loop_reference(name, res, cap, crossings, monkeypatch):
     results = _checked_gauss_newton(monkeypatch)
     monkeypatch.setattr(analysis, "_MAX_REPORTS", cap)
@@ -1491,12 +1495,13 @@ def test_gauss_newton_single_pair(monkeypatch):
 
 
 def test_gauss_newton_group_wholly_outside(monkeypatch):
-    # on the first 64 seeds many groups have no candidate inside the domain
+    # on these 64 seeds many groups have no candidate inside the domain
     # (one max_cos call and no evaluation); the search goes on to the next
     # group, as the oracle goes on to the next length
-    ev, *rest = _gauss_newton_args("self-intersecting-n3", 120, monkeypatch)
+    ev, *rest = _gauss_newton_args("self-intersecting-fb", 80, monkeypatch)
     angular, u1, t1, u2, t2, tol = rest
-    args = (angular, u1[:64], t1[:64], u2[:64], t2[:64], tol)
+    k = slice(64, 128)
+    args = (angular, u1[k], t1[k], u2[k], t2[k], tol)
     log, max_cos, eval_batch = [], AngularData.max_cos, SurfaceEvaluator.eval_batch
 
     def logged_max_cos(self, theta):
@@ -1514,6 +1519,35 @@ def test_gauss_newton_group_wholly_outside(monkeypatch):
     empty = sum(a == "max_cos" and b != "eval_batch" for a, b in zip(log, log[1:]))
     assert empty >= 10
     assert got and got == _ref_gauss_newton(_TwoColumns(ev), *args)
+
+
+def test_gauss_newton_drops_pairs_at_the_chart_wall(monkeypatch):
+    # a pair whose chart points come within tol_param can confirm only by
+    # moving apart again, so it gets no further partials columns: every
+    # pair the stage sweeps lies more than tol_param apart, and a seed that
+    # the oracle (which keeps every pair) moves that close in its first
+    # sweep is swept once
+    ev, angular, u1, t1, u2, t2, tol = _gauss_newton_args("self-intersecting-n3", 120,
+                                                          monkeypatch)
+    charts, partials = [], SurfaceEvaluator.partials
+
+    def logged(self, u, theta):
+        charts.append(analysis._chart(u, theta))
+        return partials(self, u, theta)
+
+    monkeypatch.setattr(SurfaceEvaluator, "partials", logged)
+    analysis._gauss_newton(ev, angular, u1, t1, u2, t2, tol)
+    assert all(np.all(np.abs(np.subtract(*m.reshape(2, -1))) > tol) for m in charts)
+    for k in range(u1.size):
+        one = (angular, u1[k:k + 1], t1[k:k + 1], u2[k:k + 1], t2[k:k + 1], tol)
+        charts.clear()
+        _ref_gauss_newton(_TwoColumns(ev), *one)  # one call per point and sweep
+        if len(charts) > 2 and abs(charts[2][0] - charts[3][0]) <= tol:
+            break
+    else:
+        pytest.fail("no seed comes within tol_param in the oracle's first sweep")
+    charts.clear()
+    assert analysis._gauss_newton(ev, *one) == [] and len(charts) == 1
 
 
 def _scan_args(name, res, monkeypatch):
