@@ -27,13 +27,15 @@ def run(argv, capsys):
     return code, out, err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported where it is used (the inverter's seed-bank tree, the
-    # quadrature oracles), so a fresh `import zmc.cli` loads none of it
+def test_cli_import_loads_no_scipy_or_orjson():
+    # scipy and orjson are imported where they are used (the inverter's
+    # seed-bank tree, the quadrature oracles, the export formatter), so a
+    # fresh `import zmc.cli` loads neither
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, zmc.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    code = ("import sys, zmc.cli; "
+            "sys.exit(any(m.split('.')[0] in ('scipy', 'orjson') for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -285,6 +287,9 @@ def test_sample_ply_header(capsys, tmp_path):
     text = out_path.read_text().splitlines()
     assert text[0] == "ply" and "end_header" in text
     assert "element vertex 64" in text
+    # every vertex row carries repr's 17 digits: the properties are 64-bit
+    i = text.index("property double x")
+    assert text[i:i + 3] == ["property double x", "property double y", "property double z"]
 
 
 @pytest.mark.parametrize("flags", [
@@ -529,7 +534,7 @@ def oracle_sample_text(name, fmt, order, U, TH, vals, causal, res):
         lines += ["ply", "format ascii 1.0",
                   f"comment zmc surface {name}",
                   f"element vertex {U.size}",
-                  "property float x", "property float y", "property float z",
+                  "property double x", "property double y", "property double z",
                   f"element face {nfaces}",
                   "property list uchar int vertex_indices", "end_header"]
         for i in range(U.size):
@@ -595,13 +600,50 @@ def oracle_sample_rows(fmt, U, th, vals, labels):
         yield "".join(map(face.format, *(quad + a).tolist()))
 
 
+# where repr starts or stops writing an exponent, which `cli._reprs` hands to
+# repr itself
+REPR_CUTOFFS = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), -1e-5, 3.2e-5,
+                np.nextafter(1e16, 0), -1e16, 1.5e16]
+
+
+def _assert_reprs(a):
+    assert cli._reprs(a) == [repr(x) for x in a.tolist()]
+
+
+def test_reprs_is_repr_on_awkward_doubles():
+    tiny = np.finfo(float).tiny
+    _assert_reprs(np.array([
+        0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0), -tiny, 1e-5,
+        *REPR_CUTOFFS, 2.0**53 + 2, np.finfo(float).max, -np.finfo(float).max,
+        0.1 + 0.2, 1 / 3, 1.0, -3.0, 123456789.125, math.nan, math.inf, -math.inf]))
+    _assert_reprs(np.array([]))
+
+
+def test_reprs_is_repr_in_flat_order():
+    a = np.random.default_rng(5).standard_normal((3, 8))
+    a *= 10.0 ** np.arange(-7, 17).reshape(3, 8)
+    for b in (a, a[:, 2:6].T, a[::2, ::3]):  # the second one as `vals[:, a:b].T` is
+        assert cli._reprs(b) == [repr(x) for row in b.tolist() for x in row]
+
+
+def test_reprs_is_repr_on_random_doubles():
+    # every exponent, from seeded bit patterns, then magnitudes spread over
+    # both cut-offs; this also guards against a change of orjson's output
+    rng = np.random.default_rng(30)
+    bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64).view(float)
+    _assert_reprs(bits[np.isfinite(bits)])
+    signs = rng.choice([-1.0, 1.0], 250_000)
+    _assert_reprs(signs * 10.0 ** rng.uniform(-6, 18, 250_000))
+
+
 @pytest.mark.parametrize("res", [1, 2, 9])
 @pytest.mark.parametrize("fmt", ["obj", "ply", "csv"])
 def test_sample_rows_match_format_oracle(fmt, res):
-    # %r is repr and %d of an int is str: the same bytes on awkward doubles
+    # `_reprs` is repr and orjson's ints are str: the same bytes on awkward doubles
     rng = np.random.default_rng(res)
     awkward = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 0.1 + 0.2,
-                        1.0, -3.0, 1e16, 1.7976931348623157e308, 123456789.125, 1 / 3])
+                        1.0, -3.0, 1e16, 1.7976931348623157e308, 123456789.125, 1 / 3,
+                        *REPR_CUTOFFS])
     pool = np.concatenate([awkward, rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)])
     u, vals = rng.choice(pool, (res, res)), rng.choice(pool, (3, res * res))
     th = rng.choice(pool, res)
