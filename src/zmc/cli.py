@@ -253,33 +253,36 @@ def _grid(data: KobayashiData, options: Options, resolution: int | None):
 
 
 def _write(path: str, head: list[str], rows) -> None:
-    """The header lines, then each chunk of text in `rows` as it comes; a
-    path that cannot be opened for writing is an input error."""
+    """The header lines, then each chunk of text in `rows` as it comes.  A
+    path that cannot be opened, written or closed is an input error; it is
+    not removed (it may be a device), so a failed write can leave part of
+    the file."""
     try:
-        fh = open(path, "w")
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in head))
+            fh.writelines(rows)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror}")
-    with fh:
-        fh.write("".join(line + "\n" for line in head))
-        fh.writelines(rows)
 
 
 def _reprs(a) -> list[str]:
     """repr(x) of every value of the float array `a`, in flat (C) order.
 
     orjson writes the same shortest round-trip digits as repr, several times
-    faster.  The two differ only where repr writes an exponent (orjson's
-    1e-7, 1e16 and 0.000032 are repr's 1e-07, 1e+16 and 3.2e-05) and on
-    nan and inf (null), so every x != 0 with |x| < 1e-4 or |x| >= 1e16, and
-    every non-finite x, takes repr itself."""
+    faster, and differs only in layout.  Below 1e-9 the text is the same
+    (7.7e-15, 5e-324).  For 1e-9 <= |x| < 1e-5 orjson writes one exponent
+    digit (1e-7) where repr writes two (1e-07), so those entries are padded.
+    repr itself is left only for 1e-5 <= |x| < 1e-4 (orjson's 0.000032 is
+    repr's 3.2e-05), for |x| >= 1e16 (1e16 against 1e+16) and for nan and
+    inf (null)."""
     import orjson  # imported on first use: `import zmc.cli` loads no orjson
     flat = np.ravel(a)  # C-contiguous, as orjson requires
     out = (orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
            if flat.size else [])
     mag = np.abs(flat)
-    odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (flat != 0))
+    odd = np.flatnonzero((mag >= 1e-9) & (mag < 1e-4) | ~(mag < 1e16))  # nan too
     for i, x in zip(odd.tolist(), flat[odd].tolist()):
-        out[i] = repr(x)
+        out[i] = out[i].replace("e-", "e-0") if abs(x) < 1e-5 else repr(x)
     return out
 
 
@@ -406,10 +409,14 @@ def cmd_graph(args) -> int:
         why = "graph inversion failed" if not ok[i, j] else "non-finite graph derivatives"
         raise NumericError(f"{why} at (x, y) = ({xs[j]}, {ys[i]})")
     causal = _analysis.causal_label(target.data, inverter._from_chart(l, th)[0], th, (l, *err))
-    xs_s = _reprs(xs)
-    rows = ("".join(map(f"{{}},{y},{{}},{{}},{{}}\n".format, xs_s, _reprs(l), c.tolist(),
-                        _reprs(r)))
-            for y, l, c, r in zip(_reprs(ys), norm.scale[0] * lam, causal, resid))
+    # whole columns at once (unlike `_sample_rows`): the solve above, not
+    # these strings, sets the command's peak memory
+    xs_s, lam_s, res_s = _reprs(xs), _reprs(norm.scale[0] * lam), _reprs(resid)
+    labels = causal.ravel().tolist()
+    rows = (f"%s,{y},%s,%s,%s\n" * res
+            % tuple(chain.from_iterable(zip(xs_s, lam_s[a:a + res], labels[a:a + res],
+                                            res_s[a:a + res])))
+            for a, y in zip(range(0, res * res, res), _reprs(ys)))
     _write(args.out, ["x,y,lambda,causal,zmc_residual"], rows)
     print(f"wrote {res * res} graph samples to {args.out}")
     return 0

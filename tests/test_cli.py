@@ -600,9 +600,12 @@ def oracle_sample_rows(fmt, U, th, vals, labels):
         yield "".join(map(face.format, *(quad + a).tolist()))
 
 
-# where repr starts or stops writing an exponent, which `cli._reprs` hands to
-# repr itself
+# the edges of the bands that `cli._reprs` treats apart: where repr starts or
+# stops writing an exponent (handed to repr itself) and where its exponent
+# has two digits to orjson's one (padded)
 REPR_CUTOFFS = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), -1e-5, 3.2e-5,
+                np.nextafter(1e-5, 0), np.nextafter(1e-5, 1), -1e-7,
+                1e-9, np.nextafter(1e-9, 0), np.nextafter(1e-9, 1), -1e-9, 1e-10,
                 np.nextafter(1e16, 0), -1e16, 1.5e16]
 
 
@@ -628,12 +631,14 @@ def test_reprs_is_repr_in_flat_order():
 
 def test_reprs_is_repr_on_random_doubles():
     # every exponent, from seeded bit patterns, then magnitudes spread over
-    # both cut-offs; this also guards against a change of orjson's output
+    # the cut-offs 1e-4 and 1e16, then over 1e-9, 1e-5 and 1e-4; this also
+    # guards against a change of orjson's output
     rng = np.random.default_rng(30)
     bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64).view(float)
     _assert_reprs(bits[np.isfinite(bits)])
     signs = rng.choice([-1.0, 1.0], 250_000)
     _assert_reprs(signs * 10.0 ** rng.uniform(-6, 18, 250_000))
+    _assert_reprs(signs * 10.0 ** np.random.default_rng(31).uniform(-12, -3, 250_000))
 
 
 @pytest.mark.parametrize("res", [1, 2, 9])
@@ -696,7 +701,13 @@ def test_sample_bytes_match_oracle(capsys, tmp_path, source, fmt, axis_order, re
     ("parabolic", ("-2", "2", "-2", "2"), 7),
     ("scherk:2", ("-1.5", "0.5", "-0.3", "1.9"), 5),      # display scale 2
     ("jorge-meeks:2", ("-1", "1", "-1", "1"), 5),         # display x flipped
-    ("scherk:3", ("0.25", "0.75", "-0.5", "0.5"), 1)])
+    ("scherk:3", ("0.25", "0.75", "-0.5", "0.5"), 1),
+    # tiny ranges, whose x, y, lambda and residual columns take every exponent
+    # form of `cli._reprs`: padded, two-digit and the decimal band
+    ("scherk:3", ("-1e-6", "1e-6", "-3e-5", "9e-5"), 5),
+    ("scherk:2", ("-2e-9", "2e-9", "-2e-9", "2e-9"), 3),
+    ("parabolic", ("-7e-5", "7e-5", "-1e-7", "1e-7"), 4),
+    ("scherk:4", ("-2", "2", "-2", "2"), 41)])                # the benchmark's table
 def test_graph_bytes_match_oracle(capsys, tmp_path, name, ranges, res):
     x0, x1, y0, y1 = ranges
     out_path = tmp_path / "g.csv"
@@ -983,6 +994,18 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
     assert not path.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["sample", "--gallery", "scherk:3", "--resolution", "8", "-o"],
+    ["graph", "--gallery", "scherk:2", "--resolution", "5", "-o"]], ids=["sample", "graph"])
+def test_failed_write_is_input_error(capsys, argv):
+    # opening /dev/full succeeds and every write to it fails (ENOSPC): exit 2
+    # naming the path, no traceback
+    code, out, err = run(argv + ["/dev/full"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write /dev/full: ") and "Traceback" not in err
 
 
 def test_graph_h_is_ignored(capsys, tmp_path):
