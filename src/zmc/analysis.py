@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import zip_longest
 
 import numpy as np
@@ -214,6 +214,77 @@ def _stalled(rn, last):
     return out
 
 
+@cache
+def _lengths(edges, c):
+    """The step lengths alpha = 2^-j of `_descend`'s groups edges[i] <= j <
+    edges[i + 1], each as a column with its decrease factor 1 - c alpha."""
+    return tuple((a, 1 - c * a) for a in (2.0 ** -np.arange(j0, j1)[:, None]
+                                          for j0, j1 in zip(edges[:-1], edges[1:])))
+
+
+@np.errstate(all="ignore")
+def _descend(step, trial, S, d, tol, edges, sweeps, c=0.0, stall=False, shove=None):
+    """The damped Newton loop of the end and corner charts and of the scan.
+
+    Column i of S is node i: its point (rows :d), the values there (rows
+    d:-1) and its residual norm (row -1), all updated in place.  A sweep
+    takes step(k, S[:, k]), the (d, k.size) steps of the pending nodes k,
+    and tries the lengths alpha = 2^-j, j < edges[-1], with one
+    trial(k, t) per group edges[i] <= j < edges[i + 1] over the nodes that
+    no earlier group improved.  t holds the candidates x + alpha step, of
+    shape (d, lengths, k.size); trial returns their values (length-major
+    columns), residual norms (lengths, k.size), and a mask of the points
+    that are final, or None.  A node takes its first length whose residual
+    is at most rn (1 - c alpha), or for c = 0 below rn: the candidate that
+    trying one length at a time would take, as alpha step is exact.  A NaN
+    residual passes neither rule, nor does an infinite one while rn is
+    finite, so inf/NaN steps are not taken; numpy warns of none.
+
+    A node is pending while its residual exceeds its `tol`, for at most
+    `sweeps` sweeps.  It stops for good once `_stalled`, with `stall`.  It
+    is dropped, and stops, when it takes a point that trial marks final,
+    and when no length improves it and shove(x) leaves its point x as it
+    is; a point shove moves is evaluated by trial.  A sweep is a function
+    of the node's own column, so a dropped node's next sweeps would repeat
+    its last.  Returns the mask of the nodes not dropped."""
+    n = S.shape[1]
+    tol, live = np.full(n, tol), np.ones(n, dtype=bool)
+    last = np.full((4, n), np.inf) if stall else None
+    for _ in range(sweeps):
+        if stall:
+            tol[_stalled(S[-1], last)] = np.inf
+        k = (S[-1] > tol).nonzero()[0]
+        if not k.size:
+            break
+        P = S.take(k, axis=1)  # take, compress: what fancy indexing gives, faster
+        W = np.concatenate((P[:d], step(k, P), P[-1:]))  # point, step, residual
+        for a, f in _lengths(edges, c):
+            t = W[:d, None] + a * W[d:-1, None]
+            v, crn, final = trial(k, t)
+            take = (crn <= W[-1] * f) if c else (crn < W[-1])
+            if a.size > 1:
+                take &= take.cumsum(axis=0) == 1  # a node's first length that passes
+            pick = take.ravel().nonzero()[0]  # (length, node) flat, one per improved node
+            dst = k[pick % k.size]
+            S[:, dst] = np.concatenate((t.reshape(d, -1), v, crn.reshape(1, -1))).take(pick, axis=1)
+            if final is not None:
+                dst = dst[final[pick]]
+                tol[dst], live[dst] = np.inf, False
+            keep = ~take.any(axis=0)
+            k, W = k[keep], W.compress(keep, axis=1)
+            if not k.size:
+                break
+        else:  # no length improved k: shove it, or drop it
+            x = W[:d] if shove is None else shove(W[:d])
+            moved = (x != W[:d]).any(axis=0)
+            tol[k[~moved]], live[k[~moved]] = np.inf, False
+            k, x = k[moved], x[:, moved]
+            if k.size:
+                v, crn, _ = trial(k, x[:, None])
+                S[:, k] = np.concatenate((x, v, crn))
+    return live
+
+
 class GraphInverter:
     """Damped Newton solver for (x1, x2)(u, theta) = (x, y), in two charts.
 
@@ -226,11 +297,7 @@ class GraphInverter:
     in the chart whose seed leaves the smaller residual.
     """
 
-    # Newton sweeps a node while its residual exceeds ATOL * scale, at most
-    # MAXITER times, with the step lengths 2^-k in the groups STEPS[i] <= k <
-    # STEPS[i + 1]; `_newton` calls it converged at 1e-10 * scale.  A corner
-    # run also stops once `_stalled`, as another chart takes its target; an
-    # end-chart run has none, and its far nodes can stall long yet converge
+    # `_newton`'s sweep cap, tolerance (times scale) and length groups
     MAXITER, ATOL, STEPS = 60, 1e-13, (0, 1, 2, 4, 8, 16, 40)
 
     def __init__(self, data: KobayashiData):
@@ -293,18 +360,9 @@ class GraphInverter:
         return self.angular.max_cos(th) + np.exp(l), th % TWO_PI
 
     def newton_batch(self, X, Y, start=None):
-        """Solve for every target in the end chart, from the chart points
+        """`_newton` in the end chart for every target, from the chart points
         start = (l, theta) as given, by default the seed-bank point nearest
-        each target (`_nearest_seed`).
-
-        Iterates on a node while its residual exceeds ``ATOL * scale``, with
-        scale = 1 + max(|x|, |y|), for at most ``MAXITER`` sweeps; the
-        returned ``converged`` flag is the looser test residual <= 1e-10 *
-        scale on a finite residual (an infinite target's scale is infinite
-        too).  A node is frozen once a sweep leaves it unchanged (its line
-        search accepts no step and it sits on no corner to shove off): a
-        sweep is a function of the node's own chart point, so every later
-        sweep would repeat it.
+        each target (`_nearest_seed`), with `_unkink` as its shove.
 
         Nodes do not interact, so a batch answers as its targets would one
         by one, up to rounding: a node's final values come from the batch
@@ -332,65 +390,35 @@ class GraphInverter:
 
     @np.errstate(all="ignore")
     def _newton(self, chart, c1, c2, vals, target, shove=None, stall=False):
-        """The damped Newton loop of both charts, on chart(k, c1, c2, partials) =
-        (f~, d f~/dc1, d f~/dc2) at the nodes of index array k.  Updates the
-        chart points c1, c2 and their values vals in place, in at most MAXITER
-        sweeps; returns (c1, c2, lambda, ok, residual).  With `stall` (corner
-        runs, whose targets have another chart to go to) a node also stops
-        once it is `_stalled`; end-chart runs have none (class comment).  A
-        sweep clips each Newton step to length 8 and tries the lengths alpha =
-        1, 1/2, ..., 2^-39, one chart call per group of STEPS over the nodes
-        no earlier group improved; a node takes the first length with residual
-        <= rn (1 - 1e-4 alpha), as trying one length at a time would (alpha *
-        step is exact).  `shove` moves the nodes no length improves off the
-        corner they usually sit on; those it leaves in place are frozen.  The
-        line search rejects every non-finite value, and ok needs a finite
-        residual, so numpy warns of none of them."""
+        """Newton in a chart, on chart(k, c1, c2, partials) = (f~, d f~/dc1,
+        d f~/dc2) at the nodes of index array k: `_descend` with the 2 x 2
+        Newton step clipped to length 8, the residual |(x1, x2) - target|,
+        sufficient decrease (c = 1e-4) over the lengths of STEPS, and the
+        tolerance ATOL * scale, scale = 1 + max(|x|, |y|).  `stall` is for
+        corner runs, whose targets have another chart to go to; end-chart
+        runs have none, as their far nodes can stall long yet converge.
+        shove(theta, eps) moves theta off a corner.  Updates c1, c2 and vals
+        in place; returns (c1, c2, lambda, ok, residual), ok a finite
+        residual at most 1e-10 * scale."""
         scale = 1.0 + np.abs(target).max(axis=0)
-        # rows c1, c2, f~, residual; tol is inf at a frozen node
         S = np.array([c1, c2, *vals, np.hypot(*(vals[1:] - target))])
-        tol, last = self.ATOL * scale, np.full((4, S.shape[1]), np.inf)
-        for _ in range(self.MAXITER):
-            if stall:
-                tol[_stalled(S[5], last)] = np.inf
-            k = (S[5] > tol).nonzero()[0]
-            if not k.size:
-                break
-            c, T = S[:2, k], target[:, k]
-            _, d1, d2 = chart(k, *c)
+
+        def step(k, P):
+            _, d1, d2 = chart(k, *P[:2])
             det = d1[1] * d2[2] - d2[1] * d1[2]
-            R = S[3:5, k] - T
-            # a singular Jacobian, or a target near the largest double,
-            # gives inf/NaN steps, which the line search below rejects
-            s1 = -(d2[2] * R[0] - d2[1] * R[1]) / det
-            s2 = -(-d1[2] * R[0] + d1[1] * R[1]) / det
-            shrink = np.minimum(1.0, 8.0 / np.maximum(np.hypot(s1, s2), 1e-300))
-            # the pending nodes' rows c1, c2, step, residual, target
-            W = np.array([*c, s1 * shrink, s2 * shrink, S[5, k], *T])
-            for k0, k1 in zip(self.STEPS[:-1], self.STEPS[1:]):
-                m, a = k1 - k0, 2.0 ** -np.arange(k0, k1)[:, None]
-                t = W[:2, None] + a * W[2:4, None]  # the group's candidates, length-major
-                v = chart(np.concatenate((k,) * m), *t.reshape(2, -1), False)[0]
-                crn = np.hypot(*(v[1:].reshape(2, m, -1) - W[5:, None]))
-                take = crn <= W[4] * (1 - 1e-4 * a)
-                if m > 1:
-                    take &= take.cumsum(axis=0) == 1  # a node's first length that passes
-                pick = take.ravel().nonzero()[0]  # (length, node) flat, one per improved node
-                S[:, k[pick % k.size]] = np.concatenate(
-                    (t.reshape(2, -1), v, crn.reshape(1, -1)), axis=0)[:, pick]
-                keep = ~take.any(axis=0)
-                k, W = k[keep], W[:, keep]
-                if not k.size:
-                    break
-            else:  # no length improved k: shove it off its corner, or freeze it
-                th = W[1] if shove is None else shove(W[1], eps=1e-7)
-                moved = th != W[1]
-                tol[k[~moved]] = np.inf
-                k = k[moved]
-                if k.size:
-                    S[1, k] = th[moved]
-                    S[2:5, k] = chart(k, *S[:2, k], False)[0]
-                    S[5, k] = np.hypot(*(S[3:5, k] - target[:, k]))
+            R = P[3:5] - target.take(k, axis=1)
+            # a singular Jacobian, or a target near the largest double, gives
+            # inf/NaN steps, which no length takes
+            s = -np.array([d2[2] * R[0] - d2[1] * R[1], -d1[2] * R[0] + d1[1] * R[1]]) / det
+            return s * np.minimum(1.0, 8.0 / np.maximum(np.hypot(*s), 1e-300))
+
+        def trial(k, t):
+            v = chart(np.concatenate((k,) * t.shape[1]), *t.reshape(2, -1), False)[0]
+            T = target.take(k, axis=1)[:, None]
+            return v, np.hypot(*(v[1:].reshape(2, t.shape[1], -1) - T)), None
+
+        _descend(step, trial, S, 2, self.ATOL * scale, self.STEPS, self.MAXITER, 1e-4, stall,
+                 shove and (lambda x: np.array([x[0], shove(x[1], eps=1e-7)])))
         c1[:], c2[:], vals[:], rn = S[0], S[1], S[2:5], S[5]
         return c1, c2, vals[0], np.isfinite(rn) & (rn <= 1e-10 * scale), rn
 
@@ -601,9 +629,7 @@ _CELL_CAP = 800
 # and the scan stops at _MAX_REPORTS crossings
 _SCAN_U_MAX, _SCAN_MARGIN, _TOL_PARAM, _MAX_REPORTS = 3.0, 0.01, 0.05, 200
 _CHUNK = 1 << 15  # pairs (of groups, then of points) tested per sweep
-# Gauss-Newton tries the step lengths 2^-k, k < 12, in the groups
-# _STEP_EDGES[i] <= k < _STEP_EDGES[i + 1]
-_STEP_EDGES = (0, 1, 2, 4, 8, 12)
+_STEP_EDGES = (0, 1, 2, 4, 8, 12)  # Gauss-Newton's length groups (`_descend`)
 # the candidate stage's sort key is below 5 N^3 for N = res^2 grid points,
 # which fits int64 up to this resolution
 _SCAN_RES_MAX = 1107
@@ -807,21 +833,19 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     seeds a Gauss-Newton solve.
 
     Gauss-Newton: each seed pair (q1, q2) solves f(q2) - f(q1) = 0 in
-    (u1, theta1, u2, theta2), at most `GraphInverter.MAXITER` sweeps; a pair
-    stops once its residual norm is at most 1e-12 or it is `_stalled` (for
-    good: the norm never rises).  A sweep takes the minimum-norm step of the
-    linearised equations and tries 2^-k times it for k = 0..11, taking the
-    first k whose candidate is inside and lowers the residual norm.  Inside
-    means both points clear the boundary by more than 1e-12 (u > max_j
-    cos(theta - beta_j) + 1e-12), both have u < 1e6, and their chart points
-    lie more than tol_param / 2 = 0.025 apart.  A pair confirms a crossing
-    when its residual norm is at most 1e-9 * scale, scale = 1 + max |f(q1)|,
-    and its chart points lie more than tol_param apart.  A pair is dropped
-    when no step improves it, its normal matrix is singular, or the
-    candidate it takes has chart points within tol_param, the confirm
-    test's own threshold: it could confirm only by moving apart again.  A
-    confirmed crossing is reported unless both its chart points lie within
-    tol_param / 2 of an earlier report's; at most the first 200 are reported.
+    (u1, theta1, u2, theta2) by `_descend`, with the minimum-norm step of
+    the linearised equations, strict decrease over the lengths 2^-k, k <
+    12, the tolerance 1e-12, `GraphInverter.MAXITER` sweeps and `stall`.  A
+    candidate counts only inside: both points clear the boundary by more
+    than 1e-12 (u > max_j cos(theta - beta_j) + 1e-12), both have u < 1e6,
+    and their chart points lie more than tol_param / 2 = 0.025 apart.  One
+    whose chart points lie within tol_param, the confirm test's own
+    threshold, is final: the pair could confirm only by moving apart
+    again.  A pair that is not dropped confirms a crossing when its
+    residual norm is at most 1e-9 * scale, scale = 1 + max |f(q1)|, and
+    its chart points lie more than tol_param apart.  A confirmed crossing
+    is reported unless both its chart points lie within tol_param / 2 of an
+    earlier report's; at most the first 200 are reported.
 
     The grid has `grid_resolution` rows, from clearance 0.01 above the
     boundary up to u = 3.  Raises `InputError` for a resolution that
@@ -858,77 +882,44 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
 
 def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
     """The crossings confirmed from the seed pairs ((u1, t1), (u2, t2)), in
-    seed order, deduplicated and capped at `_MAX_REPORTS`; the rule is
-    stated in `injectivity_scan`.
-
-    Every residual f(q2) - f(q1), of the pairs or of their line-search
-    candidates, comes from one `eval_batch` call over both points, and each
-    sweep's Jacobians from one `partials` call.  The step lengths are tried
-    in the groups of `_STEP_EDGES`, each group with one inside test and one
-    evaluation over the pairs that no earlier length has improved; alpha *
-    step is exact for alpha = 2^-k, so each pair accepts the candidate that
-    trying one length at a time would.  A pair keeps the residual of its
-    accepted candidate, whose chart separation, from the inside test,
-    decides the drop at tol_param."""
-    # x[c, i, k] is coordinate c (u, theta) of point i of pair k, so that
-    # x.reshape(2, -1) lists every first point, then every second point
-    x = np.array([[u1, u2], [t1, t2]], dtype=float)
-
-    def residual(c):
+    seed order, deduplicated and capped at `_MAX_REPORTS`; the rules are
+    stated in `injectivity_scan`.  `_descend` runs on the rows u1, u2, t1,
+    t2, F = f(q2) - f(q1) and |F|.  Each sweep's Jacobians come from one
+    `partials` call, and each length group's residuals from one
+    `eval_batch` call over both points of its inside candidates, none if
+    there are none; a candidate outside has an infinite residual."""
+    def residual(c):  # c[coordinate, point, pair]
         f = ev.eval_batch(*c.reshape(2, -1))
         return f[:, c.shape[2]:] - f[:, :c.shape[2]]
 
-    alive = np.ones(x.shape[2], dtype=bool)
-    F = residual(x)
-    rn = np.linalg.norm(F, axis=0)
-    alphas, last = 2.0 ** -np.arange(_STEP_EDGES[-1]), np.full((4, rn.size), np.inf)
-    for _ in range(GraphInverter.MAXITER):
-        idx = np.flatnonzero(alive & (rn > 1e-12) & ~_stalled(rn, last))
-        if not idx.size:
-            break
-        n = idx.size
-        du, dth = ev.partials(*x[:, :, idx].reshape(2, -1))
+    def step(k, P):
+        du, dth = ev.partials(*P[:4].reshape(2, -1))
+        n = k.size
         Jm = np.stack([-du[:, :n], -dth[:, :n], du[:, n:], dth[:, n:]], axis=1)  # (3, 4, n)
-        M = np.einsum("akn,bkn->nab", Jm, Jm)
+        M, F = np.einsum("akn,bkn->nab", Jm, Jm), P[4:7].T[..., None]
         try:
-            y = np.linalg.solve(M, F[:, idx].T[..., None])[..., 0]  # (n, 3)
-        except np.linalg.LinAlgError:
-            # drop the seeds with an exactly singular normal matrix (a zero
-            # pivot of the same LU factorisation), solve for the others
-            sing = np.linalg.det(M) == 0.0
-            alive[idx[sing]] = False
-            idx, Jm = idx[~sing], Jm[..., ~sing]
-            y = np.linalg.solve(M[~sing], F[:, idx].T[..., None])[..., 0]
-        # the step in x's layout: (u1, t1, u2, t2) rows to [c, i, k]
-        step = -np.einsum("akn,na->kn", Jm, y).reshape(2, 2, -1).swapaxes(0, 1)
-        x0, rn0 = x[:, :, idx], rn[idx]
-        pend = np.arange(idx.size)  # the pairs no step length has improved
-        for k0, k1 in zip(_STEP_EDGES[:-1], _STEP_EDGES[1:]):
-            if not pend.size:
-                break
-            # the candidates of the group, length-major
-            c = (x0[:, :, None, pend] + alphas[k0:k1, None] * step[:, :, None, pend]
-                 ).reshape(2, 2, -1)
-            cu, ct = c.reshape(2, -1)
-            ok = ((cu > angular.max_cos(ct) + 1e-12) & (cu < 1e6)).reshape(2, -1)
-            mu = _chart(cu, ct).reshape(2, -1)
-            sep = np.abs(mu[0] - mu[1])
-            inside = ok[0] & ok[1] & (sep > 0.5 * tol_param)
-            if not inside.any():
-                continue
-            rr = residual(c[:, :, inside])
-            crn = np.full(inside.size, np.inf)
-            crn[inside] = np.linalg.norm(rr, axis=0)
-            better = crn.reshape(k1 - k0, -1) < rn0[pend]
-            hit = better.any(axis=0)
-            pick = better.argmax(axis=0)[hit] * pend.size + np.flatnonzero(hit)
-            dst = idx[pend[hit]]
-            x[:, :, dst], rn[dst], alive[dst] = c[:, :, pick], crn[pick], sep[pick] > tol_param
-            F[:, dst] = rr[:, np.cumsum(inside)[pick] - 1]  # rr: the inside ones
-            pend = pend[~hit]
-        alive[idx[pend]] = False
+            y = np.linalg.solve(M, F)[..., 0]  # (n, 3)
+        except np.linalg.LinAlgError:  # an exactly singular M: a NaN step, which no length takes
+            M[np.linalg.det(M) == 0.0] = np.nan
+            y = np.linalg.solve(M, F)[..., 0]
+        return -np.einsum("akn,na->kn", Jm, y)[[0, 2, 1, 3]]  # (u1, t1, u2, t2) to S's rows
 
-    x, rn = x[:, :, alive], rn[alive]  # only a pair still alive can confirm
+    def trial(k, t):
+        c = t.reshape(2, 2, -1)
+        cu, ct = c.reshape(2, -1)
+        ok = ((cu > angular.max_cos(ct) + 1e-12) & (cu < 1e6)).reshape(2, -1)
+        sep = np.abs(np.subtract(*_chart(cu, ct).reshape(2, -1)))
+        inside = ok[0] & ok[1] & (sep > 0.5 * tol_param)
+        F, crn = np.zeros((3, sep.size)), np.full(sep.size, np.inf)
+        if inside.any():
+            F[:, inside] = rr = residual(c.compress(inside, axis=2))
+            crn[inside] = np.linalg.norm(rr, axis=0)
+        return F, crn.reshape(t.shape[1], -1), sep <= tol_param
+
+    F = residual(np.array([[u1, u2], [t1, t2]], dtype=float))
+    S = np.array([u1, u2, t1, t2, *F, np.linalg.norm(F, axis=0)], dtype=float)
+    alive = _descend(step, trial, S, 4, 1e-12, _STEP_EDGES, GraphInverter.MAXITER, stall=True)
+    x, rn = S[:4].reshape(2, 2, -1)[:, :, alive], S[7, alive]  # only a live pair can confirm
     scale = 1.0 + np.abs(ev.eval_batch(*x[:, 0])).max(axis=0)
     m1, m2 = _chart(*x[:, 0]), _chart(*x[:, 1])
     left = np.flatnonzero((rn <= 1e-9 * scale) & (np.abs(m1 - m2) > tol_param))

@@ -87,6 +87,11 @@ def build(angular: AngularData, blaschke: BlaschkeParams) -> KobayashiData:
     ends = [cmath.exp(1j * beta) for beta in angular.betas]
     q = ComplexPoly.from_roots(
         [cmath.exp(1j * a) for a in angular.alphas], lead=lam.conjugate())
+    if q.degree != 2 * n:
+        # its coefficients grow like binomials: from n = 62 on the leading
+        # one falls below the relative trim of from_roots
+        raise InputError(f"order n = {n} is too large for double precision: omega's "
+                         f"denominator has degree {q.degree}, not {2 * n}")
     omega_num = 1j * (gden * gden)
 
     pole_list = list(zip(ends, angular.multiplicities))

@@ -1712,6 +1712,69 @@ def test_invert_parabolic_entire_graph():
 PARABOLIC = make(2, (0.0, 0.0, 0.0, math.pi))
 
 
+def _squares(x0, target, damp=1.0, wall=None):
+    """`_descend`'s arguments for x^2 = target per node, in closed form: S's
+    rows x, x^2 and |x^2 - target|, the Newton step times `damp`, and a trial
+    that marks the points beyond `wall` final; steps logs each sweep's
+    pending nodes."""
+    x0, target = np.array(x0, dtype=float), np.array(target, dtype=float)
+    S, steps = np.array([x0, x0 ** 2, abs(x0 ** 2 - target)]), []
+
+    def step(k, P):
+        steps.append(k)
+        return damp * (target[k] - P[1]) / (2 * P[0])[None]
+
+    def trial(k, t):
+        v = t[0] ** 2
+        return v.reshape(1, -1), abs(v - target[k]), None if wall is None else t.ravel() > wall
+
+    return S, step, trial, steps
+
+
+def test_descend_stops_a_node_at_its_tolerance():
+    # half Newton steps from x0 = 1 towards sqrt 2 sweep while the residual
+    # exceeds the tolerance 1e-3, and stop at the first residual within it;
+    # x0 = 2 meets x^2 = 4 at its start and is never swept
+    S, step, trial, steps = _squares([1.0, 2.0], [2.0, 4.0], damp=0.5)
+    r = []
+    live = analysis._descend(lambda k, P: r.append(P[2]) or step(k, P), trial, S, 1, 1e-3,
+                             (0, 1, 2, 4), 60, 1e-4)
+    assert live.all() and S[2, 1] == 0.0 and all(np.array_equal(k, [0]) for k in steps)
+    assert np.concatenate(r).min() > 1e-3 >= S[2, 0] and len(steps) > 5
+
+
+def test_descend_drops_a_node_no_length_improves():
+    # x^2 = -1 from x0 = 1e-3: the step (about -500) overshoots 0 at every
+    # length 2^-j, j < 12, so no candidate lowers |x^2 + 1|; the node is
+    # dropped after one sweep and keeps its column
+    S, step, trial, steps = _squares([1e-3, 1.0], [-1.0, 2.0])
+    start = S.copy()
+    live = analysis._descend(step, trial, S, 1, 1e-12, (0, 1, 2, 4, 8, 12), 60)
+    assert live.tolist() == [False, True] and np.array_equal(S[:, 0], start[:, 0])
+    assert sum(0 in k for k in steps) == 1 and S[2, 1] <= 1e-12
+
+
+def test_descend_drops_a_node_at_a_final_point():
+    # from x0 = 1 the full Newton step lands on 1.5, beyond the wall at 1.4:
+    # the node takes that point, as it lowers |x^2 - 2|, and is dropped there
+    S, step, trial, steps = _squares([1.0], [2.0], wall=1.4)
+    live = analysis._descend(step, trial, S, 1, 1e-12, (0, 1, 2, 4), 60)
+    assert not live[0] and S[:, 0].tolist() == [1.5, 2.25, 0.25] and len(steps) == 1
+
+
+@pytest.mark.parametrize("stall", [False, True])
+def test_descend_stops_a_stalled_node(stall):
+    # a hundredth of the Newton step lowers the residual by a factor of
+    # about 0.99 a sweep: with `stall` the node stops at the start of the
+    # fifth sweep, its residual fallen by less than a tenth over 4 sweeps, and
+    # is not dropped; without, it sweeps to the cap
+    S, step, trial, steps = _squares([1.0], [2.0], damp=0.01)
+    r0 = S[2, 0]
+    live = analysis._descend(step, trial, S, 1, 1e-12, (0, 1, 2, 4), 20, 1e-4, stall)
+    assert live[0] and len(steps) == (4 if stall else 20)
+    assert S[2, 0] / r0 == pytest.approx(0.99 ** len(steps), rel=1e-3)
+
+
 @pytest.mark.parametrize("data, x, y", [(SCHERK2, 100.0, 0.0), (SCHERK2, 0.0, 100.0),
                                         (SCHERK3, 0.0, 100.0)])
 def test_newton_batch_singular_jacobian_is_quiet(data, x, y):

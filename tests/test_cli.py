@@ -82,6 +82,19 @@ def test_classify_spec_document(capsys, tmp_path):
     assert "rational arithmetic" in out
 
 
+@pytest.mark.parametrize("command", ["classify", "check", "sample", "graph"])
+def test_order_beyond_double_precision_is_input_error(capsys, tmp_path, command):
+    # from n = 62 on omega's denominator loses its leading coefficient, for a
+    # gallery entry and a 124-angle document alike
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps({"n": 62, "alphas": [f"{k}/62 pi" for k in range(124)]}))
+    out = [] if command in ("classify", "check") else ["-o", str(tmp_path / "out")]
+    for source in (["--gallery", "scherk:62"], [str(spec)]):
+        code, _, err = run([command, *source, *out], capsys)
+        assert code == 2 and "order n = 62" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 SCHERK3_ALPHAS = [0, "1/3 pi", "2/3 pi", "pi", "4/3 pi", "5/3 pi"]
 
 

@@ -85,6 +85,15 @@ def test_build_rejects_bad_input():
         build(AngularData(3, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)), BlaschkeParams((0.1, 0.2, 0.3)))
 
 
+def test_build_rejects_orders_beyond_double_precision():
+    # omega's denominator, the product of the 2n factors z - e^{i alpha}, has
+    # binomial-sized coefficients; at n = 61 every one survives the relative
+    # trim of from_roots, from n = 62 on the leading one does not
+    assert get_entry("scherk:61").data.omega_den.degree == 122
+    with pytest.raises(InputError, match="order n = 62"):
+        get_entry("scherk:62")
+
+
 @pytest.mark.parametrize("alphas", [(0.0, math.nan, 1.0, 3.0), (math.nan, 1.0, 2.0, 3.0),
                                     (0.0, 1.0, 2.0, math.nan), (0.0, -math.inf, 1.0, 3.0)])
 def test_angular_data_rejects_non_finite(alphas):
