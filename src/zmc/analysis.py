@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import zip_longest
 
 import numpy as np
@@ -214,34 +214,33 @@ def _stalled(rn, last):
     return out
 
 
-@cache
-def _lengths(edges, c):
-    """The step lengths alpha = 2^-j of `_descend`'s groups edges[i] <= j <
-    edges[i + 1], each as a column with its decrease factor 1 - c alpha."""
-    return tuple((a, 1 - c * a) for a in (2.0 ** -np.arange(j0, j1)[:, None]
-                                          for j0, j1 in zip(edges[:-1], edges[1:])))
+# `_descend`'s sweep cap, and its step lengths alpha = 2^-j, j < 40, in the
+# groups it tries at once, each a column with its decrease factor 1 - 1e-4 alpha
+_SWEEPS = 60
+_LENGTHS = tuple((a, 1 - 1e-4 * a)
+                 for a in np.split(2.0 ** -np.arange(40)[:, None], (1, 2, 4, 8, 16)))
 
 
 @np.errstate(all="ignore")
-def _descend(step, trial, S, d, tol, edges, sweeps, c=0.0, stall=False, shove=None):
+def _descend(step, trial, S, tol, stall=False, shove=None):
     """The damped Newton loop of the end and corner charts and of the scan.
 
-    Column i of S is node i: its point (rows :d), the values there (rows
-    d:-1) and its residual norm (row -1), all updated in place.  A sweep
-    takes step(k, S[:, k]), the (d, k.size) steps of the pending nodes k,
-    and tries the lengths alpha = 2^-j, j < edges[-1], with one
-    trial(k, t) per group edges[i] <= j < edges[i + 1] over the nodes that
-    no earlier group improved.  t holds the candidates x + alpha step, of
-    shape (d, lengths, k.size); trial returns their values (length-major
-    columns), residual norms (lengths, k.size), and a mask of the points
-    that are final, or None.  A node takes its first length whose residual
-    is at most rn (1 - c alpha), or for c = 0 below rn: the candidate that
-    trying one length at a time would take, as alpha step is exact.  A NaN
-    residual passes neither rule, nor does an infinite one while rn is
-    finite, so inf/NaN steps are not taken; numpy warns of none.
+    Column i of S is node i: its point (the first d rows, d the rows of its
+    step), the values there and its residual norm (row -1), all updated in
+    place.  A sweep takes step(k, S[:, k]), the (d, k.size) steps of the
+    pending nodes k, and tries the lengths of `_LENGTHS`, 1 to 2^-39, with
+    one trial(k, t) per group over the nodes that no earlier group improved.
+    t holds the candidates x + alpha step, of shape (d, lengths, k.size);
+    trial returns their values (length-major columns), residual norms
+    (lengths, k.size), and a mask of the points that are final, or None.  A
+    node takes its first length whose residual is at most rn (1 - 1e-4
+    alpha), Armijo's sufficient decrease: the candidate that trying one
+    length at a time would take, as alpha step is exact.  A NaN residual
+    never passes, nor does an infinite one while rn is finite, so inf/NaN
+    steps are not taken; numpy warns of none.
 
     A node is pending while its residual exceeds its `tol`, for at most
-    `sweeps` sweeps.  It stops for good once `_stalled`, with `stall`.  It
+    `_SWEEPS` sweeps.  It stops for good once `_stalled`, with `stall`.  It
     is dropped, and stops, when it takes a point that trial marks final,
     and when no length improves it and shove(x) leaves its point x as it
     is; a point shove moves is evaluated by trial.  A sweep is a function
@@ -250,18 +249,20 @@ def _descend(step, trial, S, d, tol, edges, sweeps, c=0.0, stall=False, shove=No
     n = S.shape[1]
     tol, live = np.full(n, tol), np.ones(n, dtype=bool)
     last = np.full((4, n), np.inf) if stall else None
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         if stall:
             tol[_stalled(S[-1], last)] = np.inf
         k = (S[-1] > tol).nonzero()[0]
         if not k.size:
             break
         P = S.take(k, axis=1)  # take, compress: what fancy indexing gives, faster
-        W = np.concatenate((P[:d], step(k, P), P[-1:]))  # point, step, residual
-        for a, f in _lengths(edges, c):
+        s = step(k, P)
+        d = len(s)
+        W = np.concatenate((P[:d], s, P[-1:]))  # point, step, residual
+        for a, f in _LENGTHS:
             t = W[:d, None] + a * W[d:-1, None]
             v, crn, final = trial(k, t)
-            take = (crn <= W[-1] * f) if c else (crn < W[-1])
+            take = crn <= W[-1] * f
             if a.size > 1:
                 take &= take.cumsum(axis=0) == 1  # a node's first length that passes
             pick = take.ravel().nonzero()[0]  # (length, node) flat, one per improved node
@@ -297,8 +298,7 @@ class GraphInverter:
     in the chart whose seed leaves the smaller residual.
     """
 
-    # `_newton`'s sweep cap, tolerance (times scale) and length groups
-    MAXITER, ATOL, STEPS = 60, 1e-13, (0, 1, 2, 4, 8, 16, 40)
+    ATOL = 1e-13  # `_newton`'s tolerance, times scale
 
     def __init__(self, data: KobayashiData):
         from scipy.spatial import cKDTree  # here, so that importing zmc loads no scipy
@@ -336,14 +336,12 @@ class GraphInverter:
         cs = [c.coeffs for f in self.data.phi for c in (f.num, f.den, f.num.deriv(), f.den.deriv())]
         return np.array(list(zip_longest(*cs, fillvalue=0j))).reshape(-1, 3, 4, 1).swapaxes(1, 2)
 
-    def _unkink(self, th, eps=3e-9):
-        """Shift theta off the boundary corners, where the chart Jacobian
-        is one-sided and can poison the Newton direction."""
+    def _unkink(self, th):
+        """Shift theta by 1e-7 off the boundary corners, where the chart
+        Jacobian is one-sided and can poison the Newton direction."""
         g = np.asarray(self.angular.gammas)
         d = np.abs((th[:, None] - g[None, :] + math.pi) % TWO_PI - math.pi)
-        out = th.copy()
-        out[(d < 1e-9).any(axis=1)] += eps
-        return out
+        return np.where((d < 1e-9).any(axis=1), th + 1e-7, th)
 
     def _chart_error(self, Jl, Jt, l, rn, X, Y):
         """(dl, dtheta) of `causal_label`'s chart for `_grid`'s points (l, theta) of
@@ -362,7 +360,7 @@ class GraphInverter:
     def newton_batch(self, X, Y, start=None):
         """`_newton` in the end chart for every target, from the chart points
         start = (l, theta) as given, by default the seed-bank point nearest
-        each target (`_nearest_seed`), with `_unkink` as its shove.
+        each target (`_nearest_seed`); its shove moves theta 1e-7 (`_unkink`).
 
         Nodes do not interact, so a batch answers as its targets would one
         by one, up to rounding: a node's final values come from the batch
@@ -392,14 +390,13 @@ class GraphInverter:
     def _newton(self, chart, c1, c2, vals, target, shove=None, stall=False):
         """Newton in a chart, on chart(k, c1, c2, partials) = (f~, d f~/dc1,
         d f~/dc2) at the nodes of index array k: `_descend` with the 2 x 2
-        Newton step clipped to length 8, the residual |(x1, x2) - target|,
-        sufficient decrease (c = 1e-4) over the lengths of STEPS, and the
-        tolerance ATOL * scale, scale = 1 + max(|x|, |y|).  `stall` is for
-        corner runs, whose targets have another chart to go to; end-chart
-        runs have none, as their far nodes can stall long yet converge.
-        shove(theta, eps) moves theta off a corner.  Updates c1, c2 and vals
-        in place; returns (c1, c2, lambda, ok, residual), ok a finite
-        residual at most 1e-10 * scale."""
+        Newton step clipped to length 8, the residual |(x1, x2) - target|
+        and the tolerance ATOL * scale, scale = 1 + max(|x|, |y|).  `stall`
+        is for corner runs, whose targets have another chart to go to;
+        end-chart runs have none, as their far nodes can stall long yet
+        converge.  shove(theta) moves theta off a corner.  Updates c1, c2
+        and vals in place; returns (c1, c2, lambda, ok, residual), ok a
+        finite residual at most 1e-10 * scale."""
         scale = 1.0 + np.abs(target).max(axis=0)
         S = np.array([c1, c2, *vals, np.hypot(*(vals[1:] - target))])
 
@@ -417,8 +414,8 @@ class GraphInverter:
             T = target.take(k, axis=1)[:, None]
             return v, np.hypot(*(v[1:].reshape(2, t.shape[1], -1) - T)), None
 
-        _descend(step, trial, S, 2, self.ATOL * scale, self.STEPS, self.MAXITER, 1e-4, stall,
-                 shove and (lambda x: np.array([x[0], shove(x[1], eps=1e-7)])))
+        _descend(step, trial, S, self.ATOL * scale, stall,
+                 shove and (lambda x: np.array([x[0], shove(x[1])])))
         c1[:], c2[:], vals[:], rn = S[0], S[1], S[2:5], S[5]
         return c1, c2, vals[0], np.isfinite(rn) & (rn <= 1e-10 * scale), rn
 
@@ -525,11 +522,12 @@ class GraphInverter:
 
         Where the dispatch leaves a node of row i >= 1 above Newton's
         tolerance ATOL * scale, one end-chart `newton_batch` starts it from
-        the end-chart point (l, theta mod 2 pi, `_unkink`ed) of node (i - 1,
-        j), where that is finite and e^l does not underflow.  Its answer is
-        kept where it leaves a smaller residual, and the next row starts
-        there.  This fallback reaches far nodes of sectors that have only the
-        end chart (jorge-meeks:2, parabolic), which the seed bank misses.
+        the end-chart point (l, theta mod 2 pi) of node (i - 1, j), theta
+        moved 1e-7 off a boundary corner (`_unkink`), where that is finite
+        and e^l does not underflow.  Its answer is kept where it leaves a
+        smaller residual, and the next row starts there.  This fallback
+        reaches far nodes of sectors that have only the end chart
+        (jorge-meeks:2, parabolic), which the seed bank misses.
 
         Returns (l, theta, lam, converged, residual) arrays of shape
         (len(ys), len(xs)).
@@ -629,7 +627,6 @@ _CELL_CAP = 800
 # and the scan stops at _MAX_REPORTS crossings
 _SCAN_U_MAX, _SCAN_MARGIN, _TOL_PARAM, _MAX_REPORTS = 3.0, 0.01, 0.05, 200
 _CHUNK = 1 << 15  # pairs (of groups, then of points) tested per sweep
-_STEP_EDGES = (0, 1, 2, 4, 8, 12)  # Gauss-Newton's length groups (`_descend`)
 # the candidate stage's sort key is below 5 N^3 for N = res^2 grid points,
 # which fits int64 up to this resolution
 _SCAN_RES_MAX = 1107
@@ -832,20 +829,20 @@ def injectivity_scan(data: KobayashiData, grid_resolution: int = 200) -> list[Co
     unordered pair of chart cells (mu rounded to multiples of tol_param / 2)
     seeds a Gauss-Newton solve.
 
-    Gauss-Newton: each seed pair (q1, q2) solves f(q2) - f(q1) = 0 in
-    (u1, theta1, u2, theta2) by `_descend`, with the minimum-norm step of
-    the linearised equations, strict decrease over the lengths 2^-k, k <
-    12, the tolerance 1e-12, `GraphInverter.MAXITER` sweeps and `stall`.  A
-    candidate counts only inside: both points clear the boundary by more
-    than 1e-12 (u > max_j cos(theta - beta_j) + 1e-12), both have u < 1e6,
-    and their chart points lie more than tol_param / 2 = 0.025 apart.  One
-    whose chart points lie within tol_param, the confirm test's own
-    threshold, is final: the pair could confirm only by moving apart
-    again.  A pair that is not dropped confirms a crossing when its
-    residual norm is at most 1e-9 * scale, scale = 1 + max |f(q1)|, and
-    its chart points lie more than tol_param apart.  A confirmed crossing
-    is reported unless both its chart points lie within tol_param / 2 of an
-    earlier report's; at most the first 200 are reported.
+    Gauss-Newton: each seed pair (q1, q2) solves f(q2) - f(q1) = 0 in (u1,
+    theta1, u2, theta2) by `_descend`, whose line search (sufficient decrease
+    over the lengths 2^-j, j < 40, at most 60 sweeps) the charts share, with
+    the minimum-norm step of the linearised equations, the tolerance 1e-12 and
+    `stall`.  A candidate counts only inside: both points clear the boundary
+    by more than 1e-12 (u > max_j cos(theta - beta_j) + 1e-12), both have u <
+    1e6, and their chart points lie more than tol_param / 2 = 0.025 apart.
+    One whose chart points lie within tol_param, the confirm test's own
+    threshold, is final: the pair could confirm only by moving apart again.  A
+    pair that is not dropped confirms a crossing when its residual norm is at
+    most 1e-9 * scale, scale = 1 + max |f(q1)|, and its chart points lie more
+    than tol_param apart.  A confirmed crossing is reported unless both its
+    chart points lie within tol_param / 2 of an earlier report's; at most the
+    first 200 are reported.
 
     The grid has `grid_resolution` rows, from clearance 0.01 above the
     boundary up to u = 3.  Raises `InputError` for a resolution that
@@ -884,10 +881,11 @@ def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
     """The crossings confirmed from the seed pairs ((u1, t1), (u2, t2)), in
     seed order, deduplicated and capped at `_MAX_REPORTS`; the rules are
     stated in `injectivity_scan`.  `_descend` runs on the rows u1, u2, t1,
-    t2, F = f(q2) - f(q1) and |F|.  Each sweep's Jacobians come from one
-    `partials` call, and each length group's residuals from one
-    `eval_batch` call over both points of its inside candidates, none if
-    there are none; a candidate outside has an infinite residual."""
+    t2, F = f(q2) - f(q1) and |F|, given the step, trial, tolerance and
+    `stall`.  Each sweep's Jacobians come from one `partials` call, and
+    each length group's residuals from one `eval_batch` call over both
+    points of its inside candidates, none if there are none; a candidate
+    outside has an infinite residual."""
     def residual(c):  # c[coordinate, point, pair]
         f = ev.eval_batch(*c.reshape(2, -1))
         return f[:, c.shape[2]:] - f[:, :c.shape[2]]
@@ -918,7 +916,7 @@ def _gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
 
     F = residual(np.array([[u1, u2], [t1, t2]], dtype=float))
     S = np.array([u1, u2, t1, t2, *F, np.linalg.norm(F, axis=0)], dtype=float)
-    alive = _descend(step, trial, S, 4, 1e-12, _STEP_EDGES, GraphInverter.MAXITER, stall=True)
+    alive = _descend(step, trial, S, 1e-12, stall=True)
     x, rn = S[:4].reshape(2, 2, -1)[:, :, alive], S[7, alive]  # only a live pair can confirm
     scale = 1.0 + np.abs(ev.eval_batch(*x[:, 0])).max(axis=0)
     m1, m2 = _chart(*x[:, 0]), _chart(*x[:, 1])

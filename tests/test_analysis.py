@@ -252,7 +252,7 @@ def test_invert_corner_run_in_the_wrong_sector_is_capped(monkeypatch):
     # sector (0, 1), beats the seed bank, but that chart does not hold the
     # preimage: Newton creeps there with damped steps.  Once the run stalls
     # (`_stalled`) the next sector solves it: 52 evaluator calls (57 under a
-    # fixed cap of 10 corner sweeps), where a full MAXITER run in the first
+    # fixed cap of 10 corner sweeps), where a full 60-sweep run in the first
     # sector made 322
     data = make(3, (0.0, 0.40161887804327845, 1.8801721927476516, 3.0358415460901265,
                     4.45883424070194, 5.558687614741227))
@@ -1313,7 +1313,8 @@ def test_near_pairs_crowded_cell_matches_loop_reference():
 
 
 def _ref_gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
-    """The scan's Gauss-Newton stage as a loop over step lengths, one
+    """The scan's Gauss-Newton stage as a loop over the step lengths 2^-j,
+    j < 40, each taken on sufficient decrease as in `_ref_newton`, one
     evaluation per point set, and a loop over the earlier reports; the
     oracle for analysis._gauss_newton."""
     u1, t1, u2, t2 = u1.copy(), t1.copy(), u2.copy(), t2.copy()
@@ -1345,7 +1346,7 @@ def _ref_gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
         best = (u1[idx].copy(), t1[idx].copy(), u2[idx].copy(), t2[idx].copy())
         best_rn = rn[idx].copy()
         undone = np.ones(idx.size, dtype=bool)
-        for _try in range(12):
+        for _try in range(40):
             c1u = u1[idx] + alpha * step[0]
             c1t = t1[idx] + alpha * step[1]
             c2u = u2[idx] + alpha * step[2]
@@ -1359,7 +1360,7 @@ def _ref_gauss_newton(ev, angular, u1, t1, u2, t2, tol_param):
             if inside.any():
                 rr = residual(c1u[inside], c1t[inside], c2u[inside], c2t[inside])
                 crn[inside] = np.linalg.norm(rr, axis=0)
-            improved = undone & (crn < best_rn)
+            improved = undone & (crn <= best_rn * (1 - 1e-4 * alpha))
             for arr, cand in zip(best, (c1u, c1t, c2u, c2t)):
                 arr[improved] = cand[improved]
             best_rn[improved] = crn[improved]
@@ -1714,15 +1715,16 @@ PARABOLIC = make(2, (0.0, 0.0, 0.0, math.pi))
 
 def _squares(x0, target, damp=1.0, wall=None):
     """`_descend`'s arguments for x^2 = target per node, in closed form: S's
-    rows x, x^2 and |x^2 - target|, the Newton step times `damp`, and a trial
-    that marks the points beyond `wall` final; steps logs each sweep's
-    pending nodes."""
+    rows x, x^2 and |x^2 - target|, the Newton step times `damp` (one per
+    node, or one for all), and a trial that marks the points beyond `wall`
+    final; steps logs each sweep's pending nodes."""
     x0, target = np.array(x0, dtype=float), np.array(target, dtype=float)
     S, steps = np.array([x0, x0 ** 2, abs(x0 ** 2 - target)]), []
+    damp = np.broadcast_to(np.array(damp, dtype=float), x0.shape)
 
     def step(k, P):
         steps.append(k)
-        return damp * (target[k] - P[1]) / (2 * P[0])[None]
+        return damp[k] * (target[k] - P[1]) / (2 * P[0])[None]
 
     def trial(k, t):
         v = t[0] ** 2
@@ -1737,19 +1739,18 @@ def test_descend_stops_a_node_at_its_tolerance():
     # x0 = 2 meets x^2 = 4 at its start and is never swept
     S, step, trial, steps = _squares([1.0, 2.0], [2.0, 4.0], damp=0.5)
     r = []
-    live = analysis._descend(lambda k, P: r.append(P[2]) or step(k, P), trial, S, 1, 1e-3,
-                             (0, 1, 2, 4), 60, 1e-4)
+    live = analysis._descend(lambda k, P: r.append(P[2]) or step(k, P), trial, S, 1e-3)
     assert live.all() and S[2, 1] == 0.0 and all(np.array_equal(k, [0]) for k in steps)
     assert np.concatenate(r).min() > 1e-3 >= S[2, 0] and len(steps) > 5
 
 
 def test_descend_drops_a_node_no_length_improves():
-    # x^2 = -1 from x0 = 1e-3: the step (about -500) overshoots 0 at every
-    # length 2^-j, j < 12, so no candidate lowers |x^2 + 1|; the node is
-    # dropped after one sweep and keeps its column
-    S, step, trial, steps = _squares([1e-3, 1.0], [-1.0, 2.0])
+    # x^2 = 2 from x0 = 1 with the Newton step negated: every length moves
+    # x downhill, 1 - alpha / 2 with x^2 < 1, so no candidate lowers
+    # |x^2 - 2|; the node is dropped after one sweep and keeps its column
+    S, step, trial, steps = _squares([1.0, 1.0], [2.0, 2.0], damp=[-1.0, 1.0])
     start = S.copy()
-    live = analysis._descend(step, trial, S, 1, 1e-12, (0, 1, 2, 4, 8, 12), 60)
+    live = analysis._descend(step, trial, S, 1e-12)
     assert live.tolist() == [False, True] and np.array_equal(S[:, 0], start[:, 0])
     assert sum(0 in k for k in steps) == 1 and S[2, 1] <= 1e-12
 
@@ -1758,8 +1759,19 @@ def test_descend_drops_a_node_at_a_final_point():
     # from x0 = 1 the full Newton step lands on 1.5, beyond the wall at 1.4:
     # the node takes that point, as it lowers |x^2 - 2|, and is dropped there
     S, step, trial, steps = _squares([1.0], [2.0], wall=1.4)
-    live = analysis._descend(step, trial, S, 1, 1e-12, (0, 1, 2, 4), 60)
+    live = analysis._descend(step, trial, S, 1e-12)
     assert not live[0] and S[:, 0].tolist() == [1.5, 2.25, 0.25] and len(steps) == 1
+
+
+def test_descend_takes_only_sufficient_decrease():
+    # a 1e-5 Newton step from x0 = 1 on x^2 = 2 lowers the residual by about
+    # 1e-5 alpha rn at each length, less than Armijo's 1e-4 alpha rn: no
+    # length passes, so the node is dropped where it started, where plain
+    # decrease would take the full step
+    S, step, trial, steps = _squares([1.0], [2.0], damp=1e-5)
+    start = S.copy()
+    live = analysis._descend(step, trial, S, 1e-12)
+    assert not live[0] and np.array_equal(S, start) and len(steps) == 1
 
 
 @pytest.mark.parametrize("stall", [False, True])
@@ -1767,11 +1779,11 @@ def test_descend_stops_a_stalled_node(stall):
     # a hundredth of the Newton step lowers the residual by a factor of
     # about 0.99 a sweep: with `stall` the node stops at the start of the
     # fifth sweep, its residual fallen by less than a tenth over 4 sweeps, and
-    # is not dropped; without, it sweeps to the cap
+    # is not dropped; without, it sweeps to the cap of 60
     S, step, trial, steps = _squares([1.0], [2.0], damp=0.01)
     r0 = S[2, 0]
-    live = analysis._descend(step, trial, S, 1, 1e-12, (0, 1, 2, 4), 20, 1e-4, stall)
-    assert live[0] and len(steps) == (4 if stall else 20)
+    live = analysis._descend(step, trial, S, 1e-12, stall)
+    assert live[0] and len(steps) == (4 if stall else 60)
     assert S[2, 0] / r0 == pytest.approx(0.99 ** len(steps), rel=1e-3)
 
 
@@ -1791,7 +1803,7 @@ def test_newton_batch_singular_jacobian_is_quiet(data, x, y):
                                         (PARABOLIC, 0.3, 0.4), (PARABOLIC, 1.0, -0.5)])
 def test_newton_batch_freezes_stalled_nodes(data, x, y, monkeypatch):
     # with ATOL = 0 a converged node can never go inactive; it must be
-    # frozen once a sweep leaves it where it is, not swept to MAXITER
+    # frozen once a sweep leaves it where it is, not swept to the cap
     inv = GraphInverter(data)
     u, th, lam = inv.invert(x, y)
     start = inv.newton_batch([x], [y])[:2]
@@ -1822,7 +1834,7 @@ def _ref_newton(self, chart, c1, c2, vals, target, shove=None, stall=False):
     rn = np.hypot(R[0], R[1])
     frozen = np.zeros(c1.size, dtype=bool)
     history = []
-    for sweep in range(self.MAXITER):
+    for sweep in range(analysis._SWEEPS):
         if stall and sweep >= 4:
             frozen |= rn > 0.9 * history[sweep - 4]
         history.append(rn.copy())
@@ -1858,7 +1870,7 @@ def _ref_newton(self, chart, c1, c2, vals, target, shove=None, stall=False):
                 break
             alpha[undone] /= 2.0
         if shove is not None:
-            best2[undone] = shove(best2[undone], eps=1e-7)
+            best2[undone] = shove(best2[undone])
         frozen[active] = undone & (best2 == cb)
         c1[active], c2[active] = best1, best2
         vals, _, _ = chart(slice(None), c1, c2, False)
@@ -1901,16 +1913,21 @@ def test_newton_matches_loop_reference(name, res, R, monkeypatch):
 
 @pytest.mark.parametrize("name", ["scherk:3", "jorge-meeks:2", "parabolic"])
 def test_newton_from_p_infinity_matches_loop_reference(name, monkeypatch):
-    # from the chart point `_solve` finds for the origin (p_infinity, near
-    # l = 30) the sufficient-decrease rule takes no step towards a target
-    # next to it, in either loop; plain decrease would reach most of them
+    # from the chart point `_solve` finds for the origin (p_infinity, the
+    # seed bank's row at l = 40) the sufficient-decrease rule takes no step
+    # towards a target next to it, in either loop: l moves by at most 3.7e-9
+    # and theta by at most the shove, 1e-7.  Plain decrease reaches none of
+    # them either; it lets them drift, by |dl| up to 24 (32 in the oracle) on
+    # scherk:3 and 480 on parabolic, and theta by up to 17
     inv = GraphInverter(get_entry(name).data)
     l, th = inv._solve([0.0], [0.0])[:2]
     for newton in (GraphInverter._newton, _ref_newton):
         monkeypatch.setattr(GraphInverter, "_newton", newton)
         for h in (1e-3, 0.1):
             X, Y = h * np.array([[1.0, 0.0, 1.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
-            assert not inv.newton_batch(X, Y, (np.repeat(l, 4), np.repeat(th, 4)))[3].any()
+            l2, th2, _, ok, _ = inv.newton_batch(X, Y, (np.repeat(l, 4), np.repeat(th, 4)))
+            assert not ok.any()
+            assert np.abs(l2 - l).max() <= 1e-6 and np.abs(th2 - th).max() <= 1e-6
 
 
 def test_newton_evaluates_only_pending_nodes(monkeypatch):
@@ -1947,7 +1964,8 @@ def test_newton_evaluates_only_pending_nodes(monkeypatch):
             d, k, _ = call
             assert d
             call = next(calls, None)
-            for k0, k1 in zip(GraphInverter.STEPS[:-1], GraphInverter.STEPS[1:]):
+            edges = np.cumsum([0] + [a.size for a, _ in analysis._LENGTHS])
+            for k0, k1 in zip(edges[:-1], edges[1:]):
                 if not k.size:
                     break
                 d, kk, crn = call

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from zmc import cli
+from zmc import analysis, cli
 from zmc.analysis import GraphInverter, graph_table, injectivity_scan
 from zmc.gallery import get_entry
 from zmc.surface import eval_on_disk, integrate_oneform
@@ -95,7 +95,7 @@ def test_tracer_newton_counter_reads_newton_batch(monkeypatch):
     X, Y = np.array([-1.0, -0.6, 0.3, 0.7, 1.0]), np.full(5, 0.5)
     l, th, *_ = inv.newton_batch(X[:4], Y[:4])
     args = (inv, X, Y, (np.append(l, l[-1]), np.append(th, th[-1])))
-    monkeypatch.setattr(inv, "MAXITER", 0)
+    monkeypatch.setattr(analysis, "_SWEEPS", 0)
     out = GraphInverter.newton_batch(*args)
     assert counter(args, {}, out) == {"nodes": 5, "unconverged": 1}
 
