@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -24,7 +24,7 @@ from .domain import sample_edges
 from .errors import InputError, NoConvergence, OutsideDomain, PreconditionUnmet
 from .polycheb import ReciprocalClass, cheb_table, cluster_roots, reduce_coeffs
 from .surface import SurfaceEvaluator
-from .weierstrass import (KobayashiData, FoldTypeReport, dg_numerator,
+from .weierstrass import (KobayashiData, WeierstrassPair, dg_numerator,
                           hopf_zero_pole_orders, period_check, verify_fold_type)
 
 _GAP_TOL = 1e-12
@@ -43,7 +43,6 @@ class ConditionReport:
     witness: tuple[float, float] | None
     immersion_witness: tuple[float, float] | None
     arithmetic: str  # "rational" when gaps were compared exactly
-    umbilics: tuple[tuple[complex, int], ...] | None = None
 
 
 def _classify_gaps(gaps, bound, tol) -> tuple[Condition, int | None]:
@@ -363,11 +362,11 @@ class GraphInverter:
         each target (`_nearest_seed`); its shove moves theta 1e-7 (`_unkink`).
 
         Nodes do not interact, so a batch answers as its targets would one
-        by one, up to rounding: a node's final values come from the batch
-        that accepted its last step, its start or its last shove, and numpy
-        computes a one-column matrix product with BLAS gemv, which rounds
-        unlike the gemm of wider batches, so a node evaluated alone can end
-        a few ulps from where it would end in company.
+        by one, up to rounding: a node's last bits can depend on which other
+        nodes share its batches.  The evaluator's `self._M @ r` rounds column
+        0 of a batch of 2 columns or more unlike the same column alone, and
+        the scan's Gauss-Newton moves by ulps between batches of two or more
+        pairs (ROADMAP item 20).
 
         Returns (l, theta, lambda, converged, residual): the chart point and
         the height, with the residual measured in this numerically exact
@@ -948,36 +947,38 @@ def umbilics(data: KobayashiData) -> tuple[tuple[complex, int], ...]:
     return tuple(cluster_roots(inside, 1e-6))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    n: int
-    principal: bool
-    fold: FoldTypeReport
-    period_residual: float
-    conditions: ConditionReport
-    ends: tuple[tuple[complex, int], ...]
-    hopf_orders: tuple[int, int]
-    entire_graph_certified: bool
-
-
-def classify(data: KobayashiData) -> ClassificationReport:
-    """Aggregate report: fold conditions, periods, gap criteria, umbilics, ends."""
-    fold = verify_fold_type(data)
+def classify(data: KobayashiData | WeierstrassPair) -> dict:
+    """The `zmc-report/1` fields after `schema` and `name`, in report order:
+    `kind` and `fold_type` for a raw pair; for Kobayashi data also periods,
+    gap criteria with their witnesses, umbilics, ends, Hopf orders and the
+    entire-graph certificate."""
+    f = verify_fold_type(data)
+    fold = {"ends_on_circle": f.ends_on_circle, "gauss_circle_ok": f.gauss_circle_ok,
+            "max_re_condition": f.max_re_condition, "is_fold_type": f.is_fold_type}
+    if not isinstance(data, KobayashiData):
+        return {"kind": "raw-pair", "fold_type": fold}
     period = period_check(data)
     cond = check_conditions(data.angular)
-    cond = replace(cond, umbilics=umbilics(data))
-    if not data.principal:
-        # the rotation trick behind the witness construction needs b = 0
-        cond = replace(cond, witness=None, immersion_witness=None)
-    certified = (fold.is_fold_type and period < 1e-10 and data.principal
-                 and _graph_refusal(data.angular) is None)
-    return ClassificationReport(
-        n=data.n,
-        principal=data.principal,
-        fold=fold,
-        period_residual=period,
-        conditions=cond,
-        ends=data.ends,
-        hopf_orders=hopf_zero_pole_orders(data),
-        entire_graph_certified=certified,
-    )
+    # the rotation trick behind the witness construction needs b = 0
+    wit, iwit = (cond.witness, cond.immersion_witness) if data.principal else (None, None)
+    poles, zeros = hopf_zero_pole_orders(data)
+    return {
+        "kind": "kobayashi",
+        "n": data.n,
+        "principal": data.principal,
+        "alphas": list(data.angular.alphas),
+        "blaschke": [[b.real, b.imag] for b in data.blaschke.b],
+        "fold_type": fold,
+        "period_residual": period,
+        "graph_condition": cond.graph_condition.value,
+        "immersion_condition": cond.immersion_condition.value,
+        "witness": list(wit) if wit else None,
+        "immersion_witness": list(iwit) if iwit else None,
+        "gap_arithmetic": cond.arithmetic,
+        "umbilics": [[z.real, z.imag, m] for z, m in umbilics(data)],
+        "ends": [[e.real, e.imag, m] for e, m in data.ends],
+        "hopf_pole_order": poles,
+        "hopf_zero_order": zeros,
+        "entire_graph_certified": (f.is_fold_type and period < 1e-10 and data.principal
+                                   and _graph_refusal(data.angular) is None),
+    }

@@ -171,48 +171,10 @@ def resolve_target(args) -> Target:
 # classify
 # ---------------------------------------------------------------------------
 
-def _fold_dict(rep) -> dict:
-    """The report's fold_type object, for Kobayashi data and raw pairs alike."""
-    return {"ends_on_circle": rep.ends_on_circle, "gauss_circle_ok": rep.gauss_circle_ok,
-            "max_re_condition": rep.max_re_condition, "is_fold_type": rep.is_fold_type}
-
-
-def _report_dict(target: Target) -> dict:
-    if target.data is None:
-        return {
-            "schema": REPORT_SCHEMA,
-            "name": target.name,
-            "kind": "raw-pair",
-            "fold_type": _fold_dict(verify_fold_type(target.entry.pair)),
-        }
-    rep = _analysis.classify(target.data)
-    cond = rep.conditions
-    return {
-        "schema": REPORT_SCHEMA,
-        "name": target.name,
-        "kind": "kobayashi",
-        "n": rep.n,
-        "principal": rep.principal,
-        "alphas": list(target.data.angular.alphas),
-        "blaschke": [[b.real, b.imag] for b in target.data.blaschke.b],
-        "fold_type": _fold_dict(rep.fold),
-        "period_residual": rep.period_residual,
-        "graph_condition": cond.graph_condition.value,
-        "immersion_condition": cond.immersion_condition.value,
-        "witness": list(cond.witness) if cond.witness else None,
-        "immersion_witness": list(cond.immersion_witness) if cond.immersion_witness else None,
-        "gap_arithmetic": cond.arithmetic,
-        "umbilics": [[z.real, z.imag, m] for z, m in (cond.umbilics or ())],
-        "ends": [[e.real, e.imag, m] for e, m in rep.ends],
-        "hopf_pole_order": rep.hopf_orders[0],
-        "hopf_zero_order": rep.hopf_orders[1],
-        "entire_graph_certified": rep.entire_graph_certified,
-    }
-
-
 def cmd_classify(args) -> int:
     target = resolve_target(args)
-    report = _report_dict(target)
+    surface = target.entry.pair if target.data is None else target.data
+    report = {"schema": REPORT_SCHEMA, "name": target.name, **_analysis.classify(surface)}
     if args.json:
         _write(args.json, [json.dumps(report, indent=2)], ())
     print(f"surface: {report['name']}")

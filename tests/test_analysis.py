@@ -922,7 +922,7 @@ def test_inverter_leaves_out_singular_corner_sectors(n, alphas):
     # gets no corner model, and no division by zero warns
     data = build(AngularData.from_fractions(n, [Fraction(a) for a in alphas]),
                  BlaschkeParams(()))
-    assert classify(data).entire_graph_certified
+    assert classify(data)["entire_graph_certified"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         inv = GraphInverter(data)
@@ -1677,23 +1677,23 @@ def test_umbilics_examples():
 
 def test_classify_reports():
     rep = classify(SCHERK2)
-    assert rep.entire_graph_certified and rep.fold.is_fold_type
-    assert rep.period_residual < 1e-10
-    assert rep.conditions.umbilics == ()
+    assert rep["entire_graph_certified"] and rep["fold_type"]["is_fold_type"]
+    assert rep["period_residual"] < 1e-10
+    assert rep["umbilics"] == []
     rep3 = classify(make(3, (0.0, 0.0, 2 * math.pi / 3, 2 * math.pi / 3,
                              4 * math.pi / 3, 4 * math.pi / 3)))
-    assert rep3.conditions.graph_condition is Condition.VIOLATED
-    assert not rep3.entire_graph_certified
-    assert rep3.hopf_orders == (6, 2)
+    assert rep3["graph_condition"] == Condition.VIOLATED.value
+    assert not rep3["entire_graph_certified"]
+    assert (rep3["hopf_pole_order"], rep3["hopf_zero_order"]) == (6, 2)
     fb = make(4, tuple(math.pi * j / 4 for j in range(8)), b=(-0.75, 0.0, 0.0))
     repfb = classify(fb)
-    assert not repfb.entire_graph_certified          # general type: no certificate
-    assert repfb.conditions.witness is None
-    assert sum(m for _, m in repfb.conditions.umbilics) == 2
+    assert not repfb["entire_graph_certified"]       # general type: no certificate
+    assert repfb["witness"] is None
+    assert sum(m for *_, m in repfb["umbilics"]) == 2
     repmix = classify(MIXED3)  # boundary case, but repeated angles for n > 2
-    assert repmix.fold.is_fold_type and repmix.period_residual < 1e-10
-    assert repmix.conditions.graph_condition is Condition.BOUNDARY_CASE
-    assert not repmix.entire_graph_certified
+    assert repmix["fold_type"]["is_fold_type"] and repmix["period_residual"] < 1e-10
+    assert repmix["graph_condition"] == Condition.BOUNDARY_CASE.value
+    assert not repmix["entire_graph_certified"]
 
 
 def test_invert_parabolic_entire_graph():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from zmc.analysis import (GraphInverter, causal_label, graph_derivatives, graph_
                           metric_determinant)
 from zmc.cli import main
 from zmc.domain import FinitePoint
+from zmc.gallery import gallery_list, get_entry
 from zmc.surface import SurfaceEvaluator
 
 
@@ -61,6 +63,73 @@ def test_classify_raw_pair_json(capsys, tmp_path):
     assert doc["kind"] == "raw-pair"
     assert doc["fold_type"]["ends_on_circle"] is False
     assert doc["fold_type"]["is_fold_type"] is False
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_report_keys():
+    """The top-level keys and fold_type's keys that README's "Report
+    schema" lists, in its order."""
+    with open(README) as fh:
+        text = fh.read().split("### Report schema\n\n", 1)[1].split("\n\n")[0]
+    top = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", text))
+    fold = re.findall(r"`(\w+)`", re.search(r"`fold_type` \(([^)]*)\)", text)[1])
+    return ["schema", *top], fold
+
+
+def _shape(v):
+    """The JSON value's type, with lists and objects spelled out."""
+    if isinstance(v, list):
+        return [_shape(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _shape(x) for k, x in v.items()}
+    return type(v)
+
+
+def _assert_report_shape(rep, raw):
+    keys, fold = _readme_report_keys()
+    assert list(rep) == (["schema", "name", "kind", "fold_type"] if raw else keys)
+    assert (rep["schema"], rep["kind"]) == ("zmc-report/1", "raw-pair" if raw else "kobayashi")
+    assert type(rep["name"]) is str
+    assert _shape(rep["fold_type"]) == dict(zip(fold, (bool, bool, float, bool)))
+    if raw:
+        return
+    n = rep["n"]
+    assert type(n) is int and type(rep["principal"]) is bool
+    assert _shape(rep["alphas"]) == [float] * (2 * n)
+    assert _shape(rep["blaschke"]) in ([], [[float, float]] * (n - 1))
+    assert type(rep["period_residual"]) is float
+    for cond, wit in (("graph_condition", "witness"),
+                      ("immersion_condition", "immersion_witness")):
+        assert rep[cond] in ("strict", "boundary", "violated")
+        assert _shape(rep[wit]) in (type(None), [float, float])
+    assert rep["gap_arithmetic"] in ("rational", "float")
+    for key in ("umbilics", "ends"):
+        assert all(s == [float, float, int] for s in _shape(rep[key]))
+    assert sum(m for *_, m in rep["ends"]) == 2 * n
+    assert type(rep["hopf_pole_order"]) is int and type(rep["hopf_zero_order"]) is int
+    assert type(rep["entire_graph_certified"]) is bool
+
+
+@pytest.mark.parametrize("source", [
+    *(name.replace(":n", f":{k}") for name in gallery_list() for k in (2, 3)
+      if name.endswith(":n") or k == 2),
+    {"n": 3, "alphas": [0, 1.0, 2.1, 3.2, 4.3, 5.4], "blaschke": [{"re": 0.2, "im": -0.1}, 0.3]},
+    {"n": 3, "alphas": [0, "1/6 pi", "1/3 pi", "1/2 pi", "2/3 pi", "5/6 pi"]}],
+    ids=lambda s: s if isinstance(s, str) else "b-nonzero" if "blaschke" in s else "exact")
+def test_classify_report_shape(capsys, tmp_path, source):
+    # every key README's "Report schema" lists, in its order, with its type;
+    # a raw pair's report has exactly schema, name, kind and fold_type
+    if isinstance(source, str):
+        argv, raw = ["--gallery", source], get_entry(source).data is None
+    else:
+        (tmp_path / "doc.json").write_text(json.dumps(source))
+        argv, raw = [str(tmp_path / "doc.json")], False
+    report = tmp_path / "rep.json"
+    code, _, _ = run(["classify", *argv, "--json", str(report)], capsys)
+    assert code == 0
+    _assert_report_shape(json.loads(report.read_text()), raw)
 
 
 def test_classify_gallery_jorge_meeks3(capsys):
